@@ -12,6 +12,7 @@ from .errors import (
     EllNotPrime,
     FieldInputError,
     InternalCheckError,
+    JobsNotPositive,
     NNotPositive,
     NotCoprime,
     NotQuadraticResidue,
@@ -56,6 +57,7 @@ __all__ = [
     "EllNotPrime",
     "FieldInputError",
     "InternalCheckError",
+    "JobsNotPositive",
     "NNotPositive",
     "NotCoprime",
     "NotQuadraticResidue",

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .errors import InternalCheckError, NotCoprime, NotSquarefree
 from .quartic import FieldInput, validate
-from .rank import NShape, n_shape, rank_closed
+from .rank import NShape, rank_closed
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Classification:
 
 
 def classify_small_rank(field: FieldInput) -> Classification:
-    shape = n_shape(field)
+    shape = field.shape
     hits = [pat for pat in PATTERNS if pat.matches(shape)]
     if len(hits) > 1:
         raise InternalCheckError(

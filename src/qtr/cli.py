@@ -26,10 +26,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .classify import classify_small_rank
-from .errors import FieldInputError, InternalCheckError, NotCoprime, NotSquarefree
+from .errors import FieldInputError, InternalCheckError, JobsNotPositive, NotCoprime, NotSquarefree
 from .quad import SplittingType, fundamental_unit
-from .quartic import conductor, defining_polynomial, to_williams, validate, validate_ell
-from .rank import NShape, character_table, n_shape, r_star, ram_profile, rank_closed, rank_unified
+from .quartic import FieldInput, conductor, defining_polynomial, to_williams, validate, validate_ell
+from .rank import NShape, RankResult, agree, character_table, rank_closed, rank_unified
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
@@ -39,12 +39,24 @@ _CHUNK = 512
 def shape_string(shape: NShape) -> str:
     """Compact shape of n: kind letters for the odd primes ascending, with
     their split/inert tags, e.g. 'p·q·q [I,S,I]'; '1' when n is 1 or 2."""
-    entries = sorted(shape.plist + shape.qlist)
-    if not entries:
+    if not shape.tagged:
         return "1"
-    kinds = "·".join("p" if p % 4 == 1 else "q" for p, _ in entries)
-    tags = ",".join("S" if tag is SplittingType.SPLIT else "I" for _, tag in entries)
+    kinds = "·".join("p" if p % 4 == 1 else "q" for p, _ in shape.tagged)
+    tags = ",".join("S" if tag is SplittingType.SPLIT else "I" for _, tag in shape.tagged)
     return f"{kinds} [{tags}]"
+
+
+def _row(field: FieldInput, closed: RankResult) -> dict:
+    return {
+        "n": field.n,
+        "delta": field.shape.delta,
+        "shape": shape_string(field.shape),
+        "mu": closed.mu,
+        "r_star": closed.r_star,
+        "rank": closed.rank,
+        "case": closed.case_tag,
+        "conductor": conductor(to_williams(field), field.ell).f,
+    }
 
 
 def compute_row(ell: int, n: int):
@@ -55,25 +67,11 @@ def compute_row(ell: int, n: int):
         return ("skip", {"n": n, "reason": type(exc).__name__})
     closed = rank_closed(field)
     unified = rank_unified(field)
-    if (closed.mu, closed.r_star, closed.rank) != (unified.mu, unified.r_star, unified.rank):
+    if not agree(closed, unified):
         raise InternalCheckError(
             f"rank paths disagree at ell={ell} n={n}: closed={closed} unified={unified}"
         )
-    shape = n_shape(field)
-    cond = conductor(to_williams(field), ell)
-    return (
-        "row",
-        {
-            "n": n,
-            "delta": shape.delta,
-            "shape": shape_string(shape),
-            "mu": closed.mu,
-            "r_star": closed.r_star,
-            "rank": closed.rank,
-            "case": closed.case_tag,
-            "conductor": cond.f,
-        },
-    )
+    return ("row", _row(field, closed))
 
 
 def _scan_chunk(args: tuple[int, int, int]) -> list:
@@ -81,16 +79,24 @@ def _scan_chunk(args: tuple[int, int, int]) -> list:
     return [compute_row(ell, n) for n in range(lo, hi)]
 
 
+def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
+    """Worker processes for a scan: at most one per chunk and one per CPU."""
+    return max(1, min(jobs, chunks, cpus or 1))
+
+
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
               rank_filter: int | None = None) -> list[dict]:
     """ScanRows ascending by n.  Results are merged in chunk order, so the
     output is identical for every jobs count."""
     validate_ell(ell)
-    if jobs <= 1 or n_max <= _CHUNK:
+    if jobs < 1:
+        raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
+    chunks = [(ell, lo, min(lo + _CHUNK, n_max + 1)) for lo in range(1, n_max + 1, _CHUNK)]
+    workers = pool_size(jobs, len(chunks), os.cpu_count())
+    if workers == 1:
         results = _scan_chunk((ell, 1, n_max + 1))
     else:
-        chunks = [(ell, lo, min(lo + _CHUNK, n_max + 1)) for lo in range(1, n_max + 1, _CHUNK)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [item for part in pool.map(_scan_chunk, chunks) for item in part]
     rows = []
     for kind, payload in results:
@@ -133,9 +139,8 @@ def cmd_rank(args, fmt: str) -> int:
     field = validate(args.ell, args.n)
     closed = rank_closed(field)
     unified = rank_unified(field)
-    shape = n_shape(field)
-    table = character_table(shape, field.ell)
-    agree = (closed.mu, closed.r_star, closed.rank) == (unified.mu, unified.r_star, unified.rank)
+    shape, table = field.shape, unified.table
+    same = agree(closed, unified)
     if fmt == "json":
         print(json.dumps({
             "ell": field.ell,
@@ -146,26 +151,25 @@ def cmd_rank(args, fmt: str) -> int:
             "case": closed.case_tag,
             "closed_rank": closed.rank,
             "unified_rank": unified.rank,
-            "agree": agree,
+            "agree": same,
             "table": table.to_json_obj(),
         }, indent=2))
     elif fmt == "csv":
-        _, payload = compute_row(field.ell, field.n)
-        _emit_table_rows([payload], SCAN_FIELDS, "csv")
+        _emit_table_rows([_row(field, closed)], SCAN_FIELDS, "csv")
     else:
         print(f"ell = {field.ell}  n = {field.n}  shape {shape_string(shape)}  delta={shape.delta}")
         print(f"closed form : rank {closed.rank}  (case {closed.case_tag})")
         print(f"class formula: rank {unified.rank}  (mu={unified.mu}, r*={unified.r_star})")
         print(table.to_text())
-        print(f"paths agree: {'yes' if agree else 'NO'}")
-    if not agree:
+        print(f"paths agree: {'yes' if same else 'NO'}")
+    if not same:
         print(f"internal error: rank paths disagree: {closed} vs {unified}", file=sys.stderr)
         return 3
     return 0
 
 
 def cmd_scan(args, fmt: str) -> int:
-    rows = scan_rows(args.ell, args.n_max, jobs=max(1, args.jobs),
+    rows = scan_rows(args.ell, args.n_max, jobs=args.jobs,
                      include_skipped=args.include_skipped, rank_filter=args.rank)
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
     _emit_table_rows(rows, fields, fmt)
@@ -184,26 +188,22 @@ def cmd_verify(args, fmt: str) -> int:
         except (NotSquarefree, NotCoprime):
             continue
         fields_checked += 1
-        shape = n_shape(field)
-        profile = ram_profile(shape)
-        table = character_table(shape, field.ell)
         try:
             closed = rank_closed(field)
             unified = rank_unified(field)
-            table_rank = profile.mu + r_star(table) - 3
-            if closed.rank == unified.rank == table_rank:
-                checks["cross_path"] += 1
-            else:
-                failures.append((n, "cross_path"))
         except InternalCheckError:
             failures.append((n, "cross_path"))
             continue
-        if table.row_products() == (1, 1, 1):
+        if agree(closed, unified):
+            checks["cross_path"] += 1
+        else:
+            failures.append((n, "cross_path"))
+        if unified.table.row_products() == (1, 1, 1):
             checks["hilbert"] += 1
         else:
             failures.append((n, "hilbert"))
         e = conductor(to_williams(field), field.ell).e
-        if (e == 0) == (not shape.dyadic_ramifies):
+        if (e == 0) == (not field.shape.dyadic_ramifies):
             checks["bridge"] += 1
         else:
             failures.append((n, "bridge"))
@@ -284,7 +284,7 @@ def cmd_poly(args, fmt: str) -> int:
 
 def cmd_table(args, fmt: str) -> int:
     field = validate(args.ell, args.n)
-    table = character_table(n_shape(field), field.ell)
+    table = character_table(field.shape, field.ell)
     if fmt == "json":
         print(json.dumps({"ell": field.ell, "n": field.n, **table.to_json_obj()}, indent=2))
     elif fmt == "csv":
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, fmt)
-    except FieldInputError as exc:
+    except (FieldInputError, JobsNotPositive) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

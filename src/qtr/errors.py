@@ -25,6 +25,10 @@ class NotCoprime(FieldInputError):
     pass
 
 
+class JobsNotPositive(ValueError):
+    """A scan asked for fewer than one worker process."""
+
+
 class NotQuadraticResidue(ValueError):
     """Quartic residue symbol requested for a non-residue; the symbol is undefined."""
 

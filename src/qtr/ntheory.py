@@ -10,7 +10,7 @@ import functools
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import NotQuadraticResidue, NotSquarefree
+from .errors import InternalCheckError, NotQuadraticResidue, NotSquarefree
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -112,7 +112,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 acc[q] = acc.get(q, 0) + 1
                 n //= q
         d += 6
-    _factor_into(n, acc)
+    if d * d > n:
+        # Every prime below d has been divided out, so what is left is 1 or prime.
+        if n > 1:
+            acc[n] = 1
+    else:
+        _factor_into(n, acc)
     return sorted(acc.items())
 
 
@@ -132,7 +137,8 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         return 0
     t = pow(a, (p - 1) // 2, p)
-    assert t == 1 or t == p - 1, (a, p)
+    if t != 1 and t != p - 1:
+        raise InternalCheckError(f"Euler's criterion failed for ({a}/{p}): p is not an odd prime")
     return 1 if t == 1 else -1
 
 
@@ -148,7 +154,8 @@ def quartic_symbol(a: int, p: int) -> int:
     if p % 4 == 3:
         return 1
     t = pow(a % p, (p - 1) // 4, p)
-    assert t == 1 or t == p - 1, (a, p)
+    if t != 1 and t != p - 1:
+        raise InternalCheckError(f"({a}/{p})_4 is not a sign: p is not a prime")
     return 1 if t == 1 else -1
 
 
@@ -164,7 +171,8 @@ def two_squares(ell: int) -> TwoSquares:
     Cornacchia: seed the Euclidean remainder sequence with a square root of
     -1 mod ell and stop at the first remainder below sqrt(ell).
     """
-    assert ell % 4 == 1 and is_prime(ell), ell
+    if ell % 4 != 1 or not is_prime(ell):
+        raise InternalCheckError(f"two_squares needs a prime = 1 (mod 4), got {ell}")
     if ell % 8 == 5:
         x = pow(2, (ell - 1) // 4, ell)  # 2 is a non-residue here
     else:
@@ -172,13 +180,15 @@ def two_squares(ell: int) -> TwoSquares:
         while legendre(d, ell) != -1:
             d += 2
         x = pow(d, (ell - 1) // 4, ell)
-    assert x * x % ell == ell - 1, ell
+    if x * x % ell != ell - 1:
+        raise InternalCheckError(f"no square root of -1 found mod {ell}")
     a, b = ell, x
     limit = isqrt(ell)
     while b > limit:
         a, b = b, a % b
     c2 = ell - b * b
     c = isqrt(c2)
-    assert c * c == c2, ell
+    if c * c != c2:
+        raise InternalCheckError(f"Cornacchia left a non-square {c2} for {ell}")
     even, odd = (b, c) if b % 2 == 0 else (c, b)
     return TwoSquares(even, odd)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
+from .errors import InternalCheckError
 from .ntheory import legendre
 
 
@@ -45,7 +46,8 @@ def fundamental_unit(ell: int) -> FundamentalUnit:
     the state entering the cycle.  All intermediate values are exact ints:
     convergent entries outgrow machine words even for small ell.
     """
-    assert ell % 8 == 5, ell
+    if ell % 8 != 5:
+        raise InternalCheckError(f"fundamental_unit needs ell = 5 (mod 8), got {ell}")
     root = isqrt(ell)
     seen: dict[tuple[int, int], int] = {}
     quots: list[int] = []
@@ -71,8 +73,8 @@ def fundamental_unit(ell: int) -> FundamentalUnit:
 
     u, ru = divmod(2 * (C * P + D * Q), Q)
     v, rv = divmod(2 * C, Q)
-    assert ru == 0 and rv == 0, ell
-    assert u > 0 and v > 0 and u * u - ell * v * v == -4, (ell, u, v)
+    if ru or rv or u <= 0 or v <= 0 or u * u - ell * v * v != -4:
+        raise InternalCheckError(f"Pell identity u^2 - ell*v^2 = -4 fails: ell={ell} u={u} v={v}")
     return FundamentalUnit(u, v)
 
 

@@ -8,24 +8,86 @@ carries everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     EllNotFiveMod8,
     EllNotPrime,
+    InternalCheckError,
     NNotPositive,
     NotCoprime,
 )
 from .ntheory import factor_squarefree, is_prime, two_squares
-from .quad import fundamental_unit
+from .quad import SplittingType, fundamental_unit, splitting_type
+
+_DERIVED = dict(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class NShape:
+    """n = delta * (primes = 1 mod 4) * (primes = 3 mod 4), each tagged by its
+    behavior in k.  delta is 2 exactly when n is even.  Stored at build: the
+    counts t, s of p- and q-factors, t1/t2 and s1/s2 of the inert/split ones,
+    h and w of the primes of k above them; whether the prime above 2 ramifies
+    (unless n is odd with s odd, i.e. conductor exponent 0); mu, the number of
+    ramified primes of k; and tagged, every odd (prime, tag) ascending.
+    """
+
+    delta: int
+    plist: tuple[tuple[int, SplittingType], ...]  # p = 1 (mod 4), ascending
+    qlist: tuple[tuple[int, SplittingType], ...]  # q = 3 (mod 4), ascending
+    t: int = field(**_DERIVED)
+    s: int = field(**_DERIVED)
+    t1: int = field(**_DERIVED)
+    t2: int = field(**_DERIVED)
+    s1: int = field(**_DERIVED)
+    s2: int = field(**_DERIVED)
+    h: int = field(**_DERIVED)
+    w: int = field(**_DERIVED)
+    dyadic_ramifies: bool = field(**_DERIVED)
+    mu: int = field(**_DERIVED)
+    tagged: tuple[tuple[int, SplittingType], ...] = field(**_DERIVED)
+
+    def __post_init__(self) -> None:
+        t, s = len(self.plist), len(self.qlist)
+        t2 = sum(1 for _, tag in self.plist if tag is SplittingType.SPLIT)
+        s2 = sum(1 for _, tag in self.qlist if tag is SplittingType.SPLIT)
+        h, w = t + t2, s + s2
+        dyadic = not (self.delta == 1 and s % 2 == 1)
+        derived = {"t": t, "s": s, "t1": t - t2, "t2": t2, "s1": s - s2, "s2": s2,
+                   "h": h, "w": w, "dyadic_ramifies": dyadic, "mu": 1 + h + w + dyadic,
+                   "tagged": tuple(sorted(self.plist + self.qlist))}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class FieldInput:
-    """Validated (ell, n): ell prime = 5 (mod 8), n squarefree, coprime to ell."""
+    """Valid (ell, n): ell prime = 5 (mod 8), n squarefree, coprime to ell.
+
+    The one record per field.  Building it checks each hypothesis in turn or
+    raises the named error, factors n once, and keeps its primes and shape.
+    """
 
     ell: int
     n: int
+    primes: tuple[int, ...] = field(**_DERIVED)
+    shape: NShape = field(**_DERIVED)
+
+    def __post_init__(self) -> None:
+        ell, n = self.ell, self.n
+        validate_ell(ell)
+        if n < 1:
+            raise NNotPositive(f"n = {n} is not a positive integer")
+        primes = tuple(factor_squarefree(n))  # raises NotSquarefree
+        if n % ell == 0:
+            raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
+        ps, qs = [], []
+        for p in primes:
+            if p != 2:
+                (ps if p % 4 == 1 else qs).append((p, splitting_type(p, ell)))
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "shape", NShape(2 - n % 2, tuple(ps), tuple(qs)))
 
 
 @dataclass(frozen=True)
@@ -56,12 +118,6 @@ def validate_ell(ell: int) -> int:
 
 def validate(ell: int, n: int) -> FieldInput:
     """Gatekeeper: check every hypothesis on (ell, n) or raise the named error."""
-    validate_ell(ell)
-    if n < 1:
-        raise NNotPositive(f"n = {n} is not a positive integer")
-    factor_squarefree(n)  # raises NotSquarefree
-    if n % ell == 0:
-        raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
     return FieldInput(ell, n)
 
 
@@ -79,7 +135,8 @@ def to_williams(field: FieldInput) -> WilliamsForm:
 
 def from_williams(w: WilliamsForm, ell: int) -> int:
     """Inverse of to_williams: n = 2a when b is odd, else n = a."""
-    assert w.b * w.b + w.c * w.c == ell, (w, ell)
+    if w.b * w.b + w.c * w.c != ell:
+        raise InternalCheckError(f"{w} does not satisfy b^2 + c^2 = {ell}")
     return 2 * w.a if w.b % 2 == 1 else w.a
 
 
@@ -87,7 +144,8 @@ def zink_reduce(a: int, b: int, c: int, ell: int, doubled: bool) -> WilliamsForm
     """Absorb a factor 2 in the radicand: 2a*(ell + b*sqrt) and a*(ell + c*sqrt)
     generate the same field, so a doubled form is rewritten by swapping b and c.
     """
-    assert b * b + c * c == ell and a % 2 == 1 and c % 2 == 1, (a, b, c, ell)
+    if b * b + c * c != ell or a % 2 == 0 or c % 2 == 0:
+        raise InternalCheckError(f"({a}, {b}, {c}) is not a form for ell = {ell} with a, c odd")
     if doubled:
         return WilliamsForm(a, c, b)
     return WilliamsForm(a, b, c)

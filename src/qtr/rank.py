@@ -15,65 +15,16 @@ the central correctness check of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import prod
 from typing import Optional
 
 from .errors import InternalCheckError
-from .ntheory import factor_squarefree, quartic_symbol
-from .quad import SplittingType, splitting_type
-from .quartic import FieldInput
+from .ntheory import quartic_symbol
+from .quad import SplittingType
+from .quartic import FieldInput, NShape
 
 UNIT_LABELS = ("-1", "eps", "-eps")
-
-
-@dataclass(frozen=True)
-class NShape:
-    """n = delta * (primes = 1 mod 4) * (primes = 3 mod 4), each tagged by its
-    behavior in k.  delta is 2 exactly when n is even."""
-
-    delta: int
-    plist: tuple[tuple[int, SplittingType], ...]  # p = 1 (mod 4), ascending
-    qlist: tuple[tuple[int, SplittingType], ...]  # q = 3 (mod 4), ascending
-
-    @property
-    def t(self) -> int:
-        return len(self.plist)
-
-    @property
-    def s(self) -> int:
-        return len(self.qlist)
-
-    @property
-    def t1(self) -> int:
-        return sum(1 for _, tag in self.plist if tag is SplittingType.INERT)
-
-    @property
-    def t2(self) -> int:
-        return sum(1 for _, tag in self.plist if tag is SplittingType.SPLIT)
-
-    @property
-    def s1(self) -> int:
-        return sum(1 for _, tag in self.qlist if tag is SplittingType.INERT)
-
-    @property
-    def s2(self) -> int:
-        return sum(1 for _, tag in self.qlist if tag is SplittingType.SPLIT)
-
-    @property
-    def h(self) -> int:
-        """Primes of k above the p-part: inert contribute 1, split 2."""
-        return self.t1 + 2 * self.t2
-
-    @property
-    def w(self) -> int:
-        """Primes of k above the q-part."""
-        return self.s1 + 2 * self.s2
-
-    @property
-    def dyadic_ramifies(self) -> bool:
-        """The prime of k above 2 ramifies in K unless n is odd with an odd
-        number of factors = 3 (mod 4) (equivalently: conductor exponent 0)."""
-        return not (self.delta == 1 and self.s % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -110,13 +61,7 @@ class CharacterTable:
     entries: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     def row_products(self) -> tuple[int, int, int]:
-        out = []
-        for row in self.entries:
-            prod = 1
-            for x in row:
-                prod *= x
-            out.append(prod)
-        return tuple(out)
+        return tuple(prod(row) for row in self.entries)
 
     def column_labels(self) -> list[str]:
         return [col.label(self.ell) for col in self.columns]
@@ -150,6 +95,7 @@ class RankResult:
     r_star: int
     rank: int
     case_tag: str
+    table: Optional[CharacterTable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank != self.mu + self.r_star - 3 or self.rank < 0:
@@ -160,21 +106,19 @@ class RankResult:
 
 
 def n_shape(field: FieldInput) -> NShape:
-    delta = 2 if field.n % 2 == 0 else 1
-    ps, qs = [], []
-    for p in factor_squarefree(field.n):
-        if p == 2:
-            continue
-        tagged = (p, splitting_type(p, field.ell))
-        (ps if p % 4 == 1 else qs).append(tagged)
-    return NShape(delta, tuple(ps), tuple(qs))
+    """The shape of n, built once with the field record."""
+    return field.shape
+
+
+_SQRT_ELL = Column("sqrt_ell")
+_DYADIC = Column("dyadic", 2)
 
 
 def ram_profile(shape: NShape) -> RamProfile:
     """Ramified primes of k in K, in fixed output order: sqrt(ell) first, odd
     primes ascending with split pairs adjacent (unbarred first), dyadic last."""
-    cols = [Column("sqrt_ell")]
-    for prime, tag in sorted(shape.plist + shape.qlist):
+    cols = [_SQRT_ELL]
+    for prime, tag in shape.tagged:
         kind = "p" if prime % 4 == 1 else "q"
         if tag is SplittingType.SPLIT:
             cols.append(Column(f"split_{kind}", prime, conjugate=False))
@@ -182,10 +126,8 @@ def ram_profile(shape: NShape) -> RamProfile:
         else:
             cols.append(Column(f"inert_{kind}", prime))
     if shape.dyadic_ramifies:
-        cols.append(Column("dyadic", 2))
-    mu = len(cols)
-    assert mu == 1 + shape.h + shape.w + (1 if shape.dyadic_ramifies else 0)
-    return RamProfile(tuple(cols), mu, shape.h, shape.w, shape.dyadic_ramifies)
+        cols.append(_DYADIC)
+    return RamProfile(tuple(cols), len(cols), shape.h, shape.w, shape.dyadic_ramifies)
 
 
 def character_table(shape: NShape, ell: int) -> CharacterTable:
@@ -200,10 +142,12 @@ def character_table(shape: NShape, ell: int) -> CharacterTable:
       split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
         in the two conjugate columns, tau = (q/ell)_4 * (ell/q)_4.
       dyadic: (+, (-1)^(s+1)) with s the number of q-factors.
-    The -eps row is the entrywise product of the other two.
+    The -eps row is the entrywise product of the other two.  sigma and tau are
+    computed once per prime, at its unbarred column.
     """
     profile = ram_profile(shape)
     row_m1, row_eps = [], []
+    sym = None
     for col in profile.columns:
         if col.kind == "sqrt_ell":
             m1, eps = 1, -1
@@ -213,12 +157,13 @@ def character_table(shape: NShape, ell: int) -> CharacterTable:
             m1, eps = 1, 1
         elif col.kind == "inert_q":
             m1, eps = 1, -1
-        elif col.kind == "split_p":
-            sigma = quartic_symbol(col.prime, ell) * quartic_symbol(ell, col.prime)
-            m1, eps = 1, sigma
-        elif col.kind == "split_q":
-            tau = quartic_symbol(col.prime, ell) * quartic_symbol(ell, col.prime)
-            m1, eps = -1, (-tau if col.conjugate else tau)
+        elif col.kind in ("split_p", "split_q"):
+            if not col.conjugate:
+                sym = quartic_symbol(col.prime, ell) * quartic_symbol(ell, col.prime)
+            if col.kind == "split_p":
+                m1, eps = 1, sym
+            else:
+                m1, eps = -1, (-sym if col.conjugate else sym)
         else:
             raise InternalCheckError(f"unknown column kind {col.kind}")
         row_m1.append(m1)
@@ -303,18 +248,22 @@ def _closed_rank(shape: NShape) -> int:
 
 def rank_closed(field: FieldInput) -> RankResult:
     """2-rank via the closed-form case dispatch; never builds a table."""
-    shape = n_shape(field)
-    rank = _closed_rank(shape)
-    mu = 1 + shape.h + shape.w + (1 if shape.dyadic_ramifies else 0)
+    shape = field.shape
     rs = 1 if shape.s2 == 0 else 0
-    return RankResult(mu, rs, rank, _case_tag(shape))
+    return RankResult(shape.mu, rs, _closed_rank(shape), _case_tag(shape))
 
 
 def rank_unified(field: FieldInput) -> RankResult:
-    """2-rank via mu + r* - 3 with r* read off the explicit character table."""
-    shape = n_shape(field)
-    profile = ram_profile(shape)
+    """2-rank via mu + r* - 3 with r* read off the explicit character table,
+    which the result carries."""
+    shape = field.shape
     table = character_table(shape, field.ell)
+    mu = len(table.columns)
+    if mu != shape.mu:
+        raise InternalCheckError(
+            f"mu mismatch: {mu} table columns but {shape.mu} ramified primes "
+            f"(ell={field.ell}, n={field.n})"
+        )
     rs = r_star(table)
     rs_shortcut = 1 if shape.s2 == 0 else 0
     if rs != rs_shortcut:
@@ -322,6 +271,9 @@ def rank_unified(field: FieldInput) -> RankResult:
             f"r* from table = {rs} but shape shortcut gives {rs_shortcut} "
             f"(ell={field.ell}, n={field.n})"
         )
-    if profile.mu != len(table.columns):
-        raise InternalCheckError(f"mu mismatch (ell={field.ell}, n={field.n})")
-    return RankResult(profile.mu, rs, profile.mu + rs - 3, _case_tag(shape))
+    return RankResult(mu, rs, mu + rs - 3, _case_tag(shape), table)
+
+
+def agree(a: RankResult, b: RankResult) -> bool:
+    """Whether two rank results give the same mu, r* and rank."""
+    return (a.mu, a.r_star, a.rank) == (b.mu, b.r_star, b.rank)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qtr.cli import main, shape_string
+from qtr.cli import main, pool_size, shape_string
 from qtr.quartic import validate
 from qtr.rank import n_shape
 
@@ -38,6 +38,11 @@ class TestRankCommand:
 
     def test_invalid_input_exits_2(self, capsys):
         code, _, err = run(capsys, "rank", "--ell", "37", "--n", "74")
+        assert code == 2
+        assert "NotCoprime" in err
+
+    def test_ell_dividing_n_exits_2(self, capsys):
+        code, _, err = run(capsys, "rank", "--ell", "13", "--n", "26")
         assert code == 2
         assert "NotCoprime" in err
 
@@ -87,12 +92,34 @@ class TestScanCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "scan", "--ell", "13", "--n-max", "10", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "JobsNotPositive" in err
+
     def test_json_objects_carry_integer_fields(self, capsys):
         code, out, _ = run(capsys, "scan", "--ell", "13", "--n-max", "6", "--format", "json")
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["n"] == 1 and isinstance(rows[0]["rank"], int)
         assert [row["n"] for row in rows] == [1, 2, 3, 5, 6]  # 4 is skipped
+
+
+class TestPoolSize:
+    def test_two_jobs_on_two_cpus_keep_two_workers(self):
+        assert pool_size(2, 59, 2) == 2
+
+    def test_capped_by_cpus(self):
+        assert pool_size(64, 59, 2) == 2
+
+    def test_capped_by_chunks(self):
+        assert pool_size(8, 3, 16) == 3
+        assert pool_size(8, 1, 16) == 1
+
+    def test_unknown_cpu_count_runs_serially(self):
+        assert pool_size(4, 59, None) == 1
 
 
 class TestVerifyCommand:

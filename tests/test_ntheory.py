@@ -1,3 +1,6 @@
+import random
+import subprocess
+import sys
 from math import isqrt
 
 import pytest
@@ -5,7 +8,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtr.errors import NotQuadraticResidue, NotSquarefree
+from qtr import ntheory
+from qtr.errors import InternalCheckError, NotQuadraticResidue, NotSquarefree
 from qtr.ntheory import (
     factor_squarefree,
     factorize,
@@ -69,6 +73,31 @@ class TestFactorization:
             prod *= p**e
         assert prod == n
 
+    def test_no_primality_test_below_2_32(self, monkeypatch):
+        # Trial division reaches sqrt(n) for every n < 2**32, which proves the
+        # cofactor prime without a Miller-Rabin run.
+        calls = []
+        real = ntheory.is_prime
+        monkeypatch.setattr(ntheory, "is_prime", lambda m: calls.append(m) or real(m))
+        rng = random.Random(7)
+        edge = [1, 2, 65521, 65537, 65521 * 65537, 65519 * 65521, 2**31 - 1,
+                2**32 - 5, 2**32 - 1, 3 * (2**31 - 1)]
+        for n in edge + [rng.randrange(1, 2**32) for _ in range(2000)]:
+            assert factorize(n) == sorted(sympy.factorint(n).items()), n
+        assert calls == []
+
+    def test_matches_sympy_up_to_2_64(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randrange(2**32, 2**64)
+            assert factorize(n) == sorted(sympy.factorint(n).items()), n
+        # products of two 24-32-bit primes go through Miller-Rabin and rho
+        for _ in range(20):
+            p = sympy.randprime(2**rng.randrange(24, 32), 2**32)
+            q = sympy.randprime(2**rng.randrange(24, 32), 2**32)
+            expected = [(p, 2)] if p == q else sorted([(p, 1), (q, 1)])
+            assert factorize(p * q) == expected, (p, q)
+
     def test_squarefree_factors_multiply_back(self):
         for n in (1, 2, 30, 4346, 386794, 123469):
             factors = factor_squarefree(n)
@@ -94,6 +123,21 @@ class TestLegendre:
             squares = {x * x % p for x in range(1, p)}
             for a in range(1, p):
                 assert legendre(a, p) == (1 if a in squares else -1), (a, p)
+
+    def test_composite_modulus_is_an_internal_error(self):
+        # 2^7 = 8 (mod 15) is neither 1 nor -1: Euler's criterion catches it.
+        with pytest.raises(InternalCheckError):
+            legendre(2, 15)
+
+    def test_check_survives_optimized_mode(self):
+        code = ("from qtr.errors import InternalCheckError\n"
+                "from qtr.ntheory import legendre\n"
+                "try:\n    legendre(2, 15)\n"
+                "except InternalCheckError:\n    print('raised')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
 
     @given(st.integers(min_value=1, max_value=10**6),
            st.integers(min_value=1, max_value=10**6),

@@ -11,6 +11,7 @@ from qtr.errors import (
 )
 from qtr.quad import fundamental_unit
 from qtr.quartic import (
+    FieldInput,
     WilliamsForm,
     conductor,
     defining_polynomial,
@@ -52,6 +53,25 @@ class TestValidate:
     def test_rejects_each_hypothesis(self, ell, n, err):
         with pytest.raises(err):
             validate(ell, n)
+
+
+class TestFieldRecord:
+    def test_hand_built_input_is_validated(self):
+        with pytest.raises(EllNotFiveMod8):
+            FieldInput(17, 3)
+        with pytest.raises(NotCoprime):
+            FieldInput(13, 26)
+
+    def test_validate_builds_the_same_record(self):
+        for ell, n in ((37, 13), (13, 5 * 43 * 31 * 71), (29, 2 * 41 * 53 * 89)):
+            assert validate(ell, n) == FieldInput(ell, n)
+
+    def test_keeps_primes_and_shape(self):
+        field = validate(5, 2 * 37 * 89)
+        assert field.primes == (2, 37, 89)
+        assert field.shape.delta == 2
+        assert [p for p, _ in field.shape.tagged] == [37, 89]
+        assert n_shape(field) is field.shape
 
 
 class TestWilliamsForm:

@@ -1,5 +1,6 @@
 import pytest
 
+from qtr import rank
 from qtr.errors import InternalCheckError
 from qtr.quad import SplittingType
 from qtr.quartic import validate
@@ -46,6 +47,13 @@ class TestNShape:
         assert (shape.t, shape.s) == (1, 3)
         assert shape.t == shape.t1 + shape.t2
         assert shape.s == shape.s1 + shape.s2
+
+    def test_counts_are_stored_at_build(self):
+        shape = n_shape(validate(13, 5 * 43 * 31 * 71))
+        stored = {"t", "s", "t1", "t2", "s1", "s2", "h", "w", "dyadic_ramifies", "mu"}
+        assert stored <= set(vars(shape))
+        # odd n with three q: the dyadic prime does not ramify
+        assert (shape.h, shape.w, shape.dyadic_ramifies, shape.mu) == (1, 4, False, 6)
 
 
 class TestRamProfile:
@@ -116,6 +124,17 @@ class TestCharacterTable:
         assert text.splitlines()[0].split() == ["unit", "\\", "chi", "sqrt(53)", "67"]
         assert text.splitlines()[1].split() == ["-1", "+", "+"]
 
+    def test_symbol_computed_once_per_split_prime(self, monkeypatch):
+        # 4757 = 67 * 71 over ell = 37: two split q, four conjugate columns
+        calls = []
+        real = rank.quartic_symbol
+        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
+        table = character_table(n_shape(validate(37, 4757)), 37)
+        assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
+        minus1, eps, _ = table.entries
+        assert minus1[1:5] == (-1, -1, -1, -1)
+        assert eps[1] == -eps[2] and eps[3] == -eps[4]
+
 
 class TestRStar:
     def _table(self, *rows):
@@ -183,6 +202,12 @@ class TestRankUnified:
 
     def test_four_factor_example(self):
         assert rank_unified(validate(37, 2 * 17 * 31 * 83)).rank == 3
+
+    def test_carries_its_table(self):
+        field = validate(101, 13)
+        table = rank_unified(field).table
+        assert table == character_table(field.shape, 101)
+        assert rank_closed(field).table is None
 
 
 class TestCrossPath:
