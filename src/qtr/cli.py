@@ -27,9 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .classify import classify_small_rank
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive, NotCoprime, NotSquarefree
+from .ntheory import squarefree_window
 from .quad import SplittingType, fundamental_unit
 from .quartic import FieldInput, conductor, defining_polynomial, to_williams, validate, validate_ell
-from .rank import NShape, RankResult, agree, character_table, rank_closed, rank_unified
+from .rank import NShape, PrimeTable, RankResult, agree, character_table, rank_closed, rank_unified
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
@@ -59,24 +60,44 @@ def _row(field: FieldInput, closed: RankResult) -> dict:
     }
 
 
-def compute_row(ell: int, n: int):
-    """('row', payload) for a valid n, ('skip', payload) for a rejected one."""
-    try:
-        field = validate(ell, n)
-    except (NotSquarefree, NotCoprime) as exc:
-        return ("skip", {"n": n, "reason": type(exc).__name__})
-    closed = rank_closed(field)
-    unified = rank_unified(field)
-    if not agree(closed, unified):
-        raise InternalCheckError(
-            f"rank paths disagree at ell={ell} n={n}: closed={closed} unified={unified}"
-        )
-    return ("row", _row(field, closed))
+def _windows(n_max: int):
+    """The windows [lo, hi) of n = 1..n_max, ascending, _CHUNK wide."""
+    for lo in range(1, n_max + 1, _CHUNK):
+        yield lo, min(lo + _CHUNK, n_max + 1)
+
+
+def _window_fields(primes: PrimeTable, lo: int, hi: int):
+    """(n, record) for each n in [lo, hi), read off the squarefree sieve; a
+    rejected n comes with the name of the hypothesis it fails instead."""
+    for n, factors in zip(range(lo, hi), squarefree_window(lo, hi)):
+        try:
+            yield n, FieldInput.from_sieve(primes.ell, n, factors, primes.tag)
+        except (NotSquarefree, NotCoprime) as exc:
+            yield n, type(exc).__name__
+
+
+def _window_rows(primes: PrimeTable, lo: int, hi: int) -> list:
+    """('row', row) for each valid n in [lo, hi), once both rank paths agree,
+    and ('skip', {n, reason}) for each rejected one."""
+    out = []
+    for n, field in _window_fields(primes, lo, hi):
+        if isinstance(field, str):
+            out.append(("skip", {"n": n, "reason": field}))
+            continue
+        closed = rank_closed(field)
+        unified = rank_unified(field, primes)
+        if not agree(closed, unified):
+            raise InternalCheckError(
+                f"rank paths disagree at ell={field.ell} n={n}: closed={closed} unified={unified}"
+            )
+        out.append(("row", _row(field, closed)))
+    return out
 
 
 def _scan_chunk(args: tuple[int, int, int]) -> list:
+    """One window of a scan in a pool worker, with its own prime table."""
     ell, lo, hi = args
-    return [compute_row(ell, n) for n in range(lo, hi)]
+    return _window_rows(PrimeTable(ell), lo, hi)
 
 
 def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
@@ -84,20 +105,25 @@ def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(jobs, chunks, cpus or 1))
 
 
-def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
-              rank_filter: int | None = None) -> list[dict]:
-    """ScanRows ascending by n.  Results are merged in chunk order, so the
-    output is identical for every jobs count."""
-    validate_ell(ell)
+def _pooled(workers: int, chunks: list):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_scan_chunk, chunks)
+
+
+def _scan_windows(ell: int, n_max: int, jobs: int):
+    """The results of each window of a scan, in window order.  ell and jobs
+    are checked here, before any window is computed."""
+    primes = PrimeTable(ell)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
-    chunks = [(ell, lo, min(lo + _CHUNK, n_max + 1)) for lo in range(1, n_max + 1, _CHUNK)]
-    workers = pool_size(jobs, len(chunks), os.cpu_count())
+    windows = list(_windows(n_max))
+    workers = pool_size(jobs, len(windows), os.cpu_count())
     if workers == 1:
-        results = _scan_chunk((ell, 1, n_max + 1))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [item for part in pool.map(_scan_chunk, chunks) for item in part]
+        return (_window_rows(primes, lo, hi) for lo, hi in windows)
+    return _pooled(workers, [(ell, lo, hi) for lo, hi in windows])
+
+
+def _selected(results: list, include_skipped: bool, rank_filter: int | None) -> list[dict]:
     rows = []
     for kind, payload in results:
         if kind == "skip":
@@ -115,11 +141,21 @@ def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False
     return rows
 
 
-def _emit_table_rows(rows: list[dict], fields: tuple[str, ...], fmt: str) -> None:
+def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
+              rank_filter: int | None = None) -> list[dict]:
+    """ScanRows ascending by n.  Windows are merged in order, so the output
+    is identical for every jobs count."""
+    return [row for results in _scan_windows(ell, n_max, jobs)
+            for row in _selected(results, include_skipped, rank_filter)]
+
+
+def _emit_table_rows(rows: list[dict], fields: tuple[str, ...], fmt: str,
+                     header: bool = True) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
+        if header:
+            writer.writerow(fields)
         for row in rows:
             writer.writerow([row[f] for f in fields])
         sys.stdout.write(buf.getvalue())
@@ -169,50 +205,58 @@ def cmd_rank(args, fmt: str) -> int:
 
 
 def cmd_scan(args, fmt: str) -> int:
-    rows = scan_rows(args.ell, args.n_max, jobs=args.jobs,
-                     include_skipped=args.include_skipped, rank_filter=args.rank)
+    """CSV streams one window at a time; text needs every row for its column
+    widths, and JSON is one document."""
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
-    _emit_table_rows(rows, fields, fmt)
+    if fmt != "csv":
+        _emit_table_rows(scan_rows(args.ell, args.n_max, jobs=args.jobs,
+                                   include_skipped=args.include_skipped, rank_filter=args.rank),
+                         fields, fmt)
+        return 0
+    windows = _scan_windows(args.ell, args.n_max, args.jobs)
+    _emit_table_rows([], fields, fmt)
+    for results in windows:
+        _emit_table_rows(_selected(results, args.include_skipped, args.rank), fields, fmt,
+                         header=False)
     return 0
 
 
 def cmd_verify(args, fmt: str) -> int:
     """Re-check every built-in invariant over all valid n <= n_max."""
-    validate_ell(args.ell)
+    primes = PrimeTable(args.ell)
     checks = {"cross_path": 0, "hilbert": 0, "bridge": 0, "classify": 0}
     failures: list[tuple[int, str]] = []
     fields_checked = 0
-    for n in range(1, args.n_max + 1):
-        try:
-            field = validate(args.ell, n)
-        except (NotSquarefree, NotCoprime):
-            continue
-        fields_checked += 1
-        try:
-            closed = rank_closed(field)
-            unified = rank_unified(field)
-        except InternalCheckError:
-            failures.append((n, "cross_path"))
-            continue
-        if agree(closed, unified):
-            checks["cross_path"] += 1
-        else:
-            failures.append((n, "cross_path"))
-        if unified.table.row_products() == (1, 1, 1):
-            checks["hilbert"] += 1
-        else:
-            failures.append((n, "hilbert"))
-        e = conductor(to_williams(field), field.ell).e
-        if (e == 0) == (not field.shape.dyadic_ramifies):
-            checks["bridge"] += 1
-        else:
-            failures.append((n, "bridge"))
-        cls = classify_small_rank(field)
-        ok = cls.rank == closed.rank if closed.rank <= 3 else cls.rank is None
-        if ok:
-            checks["classify"] += 1
-        else:
-            failures.append((n, "classify"))
+    for lo, hi in _windows(args.n_max):
+        for n, field in _window_fields(primes, lo, hi):
+            if isinstance(field, str):
+                continue
+            fields_checked += 1
+            try:
+                closed = rank_closed(field)
+                unified = rank_unified(field, primes)
+            except InternalCheckError:
+                failures.append((n, "cross_path"))
+                continue
+            if agree(closed, unified):
+                checks["cross_path"] += 1
+            else:
+                failures.append((n, "cross_path"))
+            if unified.table.row_products() == (1, 1, 1):
+                checks["hilbert"] += 1
+            else:
+                failures.append((n, "hilbert"))
+            e = conductor(to_williams(field), field.ell).e
+            if (e == 0) == (not field.shape.dyadic_ramifies):
+                checks["bridge"] += 1
+            else:
+                failures.append((n, "bridge"))
+            cls = classify_small_rank(field)
+            ok = cls.rank == closed.rank if closed.rank <= 3 else cls.rank is None
+            if ok:
+                checks["classify"] += 1
+            else:
+                failures.append((n, "classify"))
     summary = {
         "ell": args.ell,
         "n_max": args.n_max,
@@ -231,19 +275,33 @@ def cmd_verify(args, fmt: str) -> int:
     return 0 if not failures else 3
 
 
-def cmd_unit(args, fmt: str) -> int:
-    validate_ell(args.ell)
-    unit = fundamental_unit(args.ell)
+def _with_long_ints(render, *args) -> None:
+    """render(*args) with CPython's 4300-digit int-to-str limit lifted, and
+    restored after: the unit and the polynomial of a large ell pass it."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        render(*args)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _render_unit(ell: int, unit, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps({"ell": args.ell, "u": unit.u, "v": unit.v}, indent=2))
+        print(json.dumps({"ell": ell, "u": unit.u, "v": unit.v}, indent=2))
     elif fmt == "csv":
-        _emit_table_rows([{"ell": args.ell, "u": unit.u, "v": unit.v}], ("ell", "u", "v"), "csv")
+        _emit_table_rows([{"ell": ell, "u": unit.u, "v": unit.v}], ("ell", "u", "v"), "csv")
     else:
-        print(f"eps0 = ({unit.u} + {unit.v}*sqrt({args.ell}))/2")
+        print(f"eps0 = ({unit.u} + {unit.v}*sqrt({ell}))/2")
         print(f"u = {unit.u}")
         print(f"v = {unit.v}")
-        lhs = unit.u ** 2 - args.ell * unit.v ** 2
-        print(f"check: u^2 - {args.ell}*v^2 = {lhs} (expected -4)")
+        lhs = unit.u ** 2 - ell * unit.v ** 2
+        print(f"check: u^2 - {ell}*v^2 = {lhs} (expected -4)")
+
+
+def cmd_unit(args, fmt: str) -> int:
+    validate_ell(args.ell)
+    _with_long_ints(_render_unit, args.ell, fundamental_unit(args.ell), fmt)
     return 0
 
 
@@ -264,9 +322,7 @@ def cmd_conductor(args, fmt: str) -> int:
     return 0
 
 
-def cmd_poly(args, fmt: str) -> int:
-    field = validate(args.ell, args.n)
-    poly = defining_polynomial(field)
+def _render_poly(field: FieldInput, poly, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps({"ell": field.ell, "n": field.n,
                           "coefficients": list(poly.coefficients),
@@ -279,6 +335,11 @@ def cmd_poly(args, fmt: str) -> int:
     else:
         print(str(poly))
         print(f"coefficients: {', '.join(str(c) for c in poly.coefficients)}")
+
+
+def cmd_poly(args, fmt: str) -> int:
+    field = validate(args.ell, args.n)
+    _with_long_ints(_render_poly, field, defining_polynomial(field), fmt)
     return 0
 
 

@@ -82,7 +82,7 @@ def _pollard_brent(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to split {n}")
+    raise InternalCheckError(f"Pollard-Brent found no factor of {n} in 63 seed schedules")
 
 
 def _factor_into(n: int, acc: dict[int, int]) -> None:
@@ -128,6 +128,48 @@ def factor_squarefree(n: int) -> list[int]:
         if e > 1:
             raise NotSquarefree(f"{p}^{e} divides {n}")
         out.append(p)
+    return out
+
+
+def _primes_upto(m: int) -> list[int]:
+    """Primes <= m, by the sieve of Eratosthenes."""
+    if m < 2:
+        return []
+    flags = bytearray([1]) * (m + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(m) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return [p for p in range(m + 1) if flags[p]]
+
+
+def squarefree_window(lo: int, hi: int) -> list[list[int] | None]:
+    """For each n in [lo, hi), 1 <= lo: its ascending primes, or None when
+    the square of a prime divides n.
+
+    A segmented sieve: every prime p <= sqrt(hi - 1) is divided out of its
+    multiples in the window, and a multiple of p^2 is marked.  What is left
+    of a squarefree n is 1 or one prime above sqrt(hi - 1), since two such
+    primes would multiply past n.  Memory is O(hi - lo).
+    """
+    size = hi - lo
+    factors: list[list[int]] = [[] for _ in range(size)]
+    rest = list(range(lo, hi))
+    for p in _primes_upto(isqrt(hi - 1)):
+        for i in range(-lo % p, size, p):
+            factors[i].append(p)
+            rest[i] //= p
+        square = p * p
+        for i in range(-lo % square, size, square):
+            rest[i] = 0
+    out: list[list[int] | None] = []
+    for primes, r in zip(factors, rest):
+        if r == 0:
+            out.append(None)
+        else:
+            if r > 1:
+                primes.append(r)
+            out.append(primes)
     return out
 
 

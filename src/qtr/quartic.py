@@ -9,6 +9,8 @@ carries everything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
+from typing import Callable, Sequence
 
 from .errors import (
     EllNotFiveMod8,
@@ -16,6 +18,7 @@ from .errors import (
     InternalCheckError,
     NNotPositive,
     NotCoprime,
+    NotSquarefree,
 )
 from .ntheory import factor_squarefree, is_prime, two_squares
 from .quad import SplittingType, fundamental_unit, splitting_type
@@ -50,15 +53,23 @@ class NShape:
 
     def __post_init__(self) -> None:
         t, s = len(self.plist), len(self.qlist)
-        t2 = sum(1 for _, tag in self.plist if tag is SplittingType.SPLIT)
-        s2 = sum(1 for _, tag in self.qlist if tag is SplittingType.SPLIT)
+        t2 = [tag for _, tag in self.plist].count(SplittingType.SPLIT)
+        s2 = [tag for _, tag in self.qlist].count(SplittingType.SPLIT)
         h, w = t + t2, s + s2
         dyadic = not (self.delta == 1 and s % 2 == 1)
-        derived = {"t": t, "s": s, "t1": t - t2, "t2": t2, "s1": s - s2, "s2": s2,
-                   "h": h, "w": w, "dyadic_ramifies": dyadic, "mu": 1 + h + w + dyadic,
-                   "tagged": tuple(sorted(self.plist + self.qlist))}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        # Frozen: the derived fields go straight into the instance dict.
+        self.__dict__.update(t=t, s=s, t1=t - t2, t2=t2, s1=s - s2, s2=s2, h=h, w=w,
+                             dyadic_ramifies=dyadic, mu=1 + h + w + dyadic,
+                             tagged=tuple(sorted(self.plist + self.qlist)))
+
+
+def _shape_of(n: int, primes: Sequence[int], tag: Callable[[int], SplittingType]) -> NShape:
+    """The shape of n from its ascending primes; tag(p) is how p splits in k."""
+    ps, qs = [], []
+    for p in primes:
+        if p != 2:
+            (ps if p % 4 == 1 else qs).append((p, tag(p)))
+    return NShape(2 - n % 2, tuple(ps), tuple(qs))
 
 
 @dataclass(frozen=True)
@@ -80,14 +91,30 @@ class FieldInput:
         if n < 1:
             raise NNotPositive(f"n = {n} is not a positive integer")
         primes = tuple(factor_squarefree(n))  # raises NotSquarefree
-        if n % ell == 0:
-            raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
-        ps, qs = [], []
-        for p in primes:
-            if p != 2:
-                (ps if p % 4 == 1 else qs).append((p, splitting_type(p, ell)))
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "shape", NShape(2 - n % 2, tuple(ps), tuple(qs)))
+        self._set_primes(primes, lambda p: splitting_type(p, ell))
+
+    @classmethod
+    def from_sieve(cls, ell: int, n: int, primes: Sequence[int] | None,
+                   tag: Callable[[int], SplittingType]) -> FieldInput:
+        """The record of n >= 1 from a sieve, for an ell already validated.
+
+        primes are the ascending primes of n, or None when a square divides
+        n; tag(p) is how p splits in k.  The hypotheses on n are checked in
+        the same order as by FieldInput(ell, n), with the same errors.
+        """
+        if primes is None:
+            raise NotSquarefree(f"the square of a prime divides {n}")
+        if prod(primes) != n:
+            raise InternalCheckError(f"sieve primes {primes} do not multiply to n = {n}")
+        record = object.__new__(cls)
+        record.__dict__.update(ell=ell, n=n)
+        record._set_primes(tuple(primes), tag)
+        return record
+
+    def _set_primes(self, primes: tuple[int, ...], tag: Callable[[int], SplittingType]) -> None:
+        if self.n % self.ell == 0:
+            raise NotCoprime(f"gcd(n, ell) = {self.ell} > 1")
+        self.__dict__.update(primes=primes, shape=_shape_of(self.n, primes, tag))
 
 
 @dataclass(frozen=True)

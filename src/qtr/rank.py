@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalCheckError
 from .ntheory import quartic_symbol
-from .quad import SplittingType
-from .quartic import FieldInput, NShape
+from .quad import SplittingType, splitting_type
+from .quartic import FieldInput, NShape, validate_ell
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
@@ -47,9 +47,15 @@ class Column:
 class RamProfile:
     columns: tuple[Column, ...]
     mu: int
-    h: int
-    w: int
-    ram2: bool
+
+
+class PrimePart(NamedTuple):
+    """One odd prime's columns of the character table, with their entries
+    for the units -1 and eps."""
+
+    columns: tuple[Column, ...]
+    minus_one: tuple[int, ...]
+    eps: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -112,76 +118,117 @@ def n_shape(field: FieldInput) -> NShape:
 
 _SQRT_ELL = Column("sqrt_ell")
 _DYADIC = Column("dyadic", 2)
+# sqrt(ell): (+, -) -- eps reduces to a non-residue mod sqrt(ell).
+_SQRT_ELL_PART = PrimePart((_SQRT_ELL,), (1,), (-1,))
+# dyadic: (+, (-1)^(s+1)), indexed by the parity of s, the number of q-factors.
+_DYADIC_PARTS = (PrimePart((_DYADIC,), (1,), (-1,)), PrimePart((_DYADIC,), (1,), (1,)))
+
+
+def _odd_columns(prime: int, tag: SplittingType) -> tuple[Column, ...]:
+    """The primes of k above an odd prime of n: one inert column, or a split
+    pair with the unbarred conjugate first."""
+    kind = "p" if prime % 4 == 1 else "q"
+    if tag is SplittingType.SPLIT:
+        return (Column(f"split_{kind}", prime), Column(f"split_{kind}", prime, conjugate=True))
+    return (Column(f"inert_{kind}", prime),)
+
+
+def _in_column_order(shape: NShape, sqrt_ell, odd, dyadic) -> list:
+    """The output order of the ramified primes of k: sqrt(ell) first, the odd
+    primes ascending with odd(prime, tag) each, dyadic last."""
+    out = [sqrt_ell]
+    out += [odd(prime, tag) for prime, tag in shape.tagged]
+    if shape.dyadic_ramifies:
+        out.append(dyadic)
+    return out
 
 
 def ram_profile(shape: NShape) -> RamProfile:
-    """Ramified primes of k in K, in fixed output order: sqrt(ell) first, odd
-    primes ascending with split pairs adjacent (unbarred first), dyadic last."""
-    cols = [_SQRT_ELL]
-    for prime, tag in shape.tagged:
-        kind = "p" if prime % 4 == 1 else "q"
-        if tag is SplittingType.SPLIT:
-            cols.append(Column(f"split_{kind}", prime, conjugate=False))
-            cols.append(Column(f"split_{kind}", prime, conjugate=True))
-        else:
-            cols.append(Column(f"inert_{kind}", prime))
-    if shape.dyadic_ramifies:
-        cols.append(_DYADIC)
-    return RamProfile(tuple(cols), len(cols), shape.h, shape.w, shape.dyadic_ramifies)
+    """Ramified primes of k in K, in the output order of the table columns."""
+    groups = _in_column_order(shape, (_SQRT_ELL,), _odd_columns, (_DYADIC,))
+    columns = tuple(col for group in groups for col in group)
+    return RamProfile(columns, len(columns))
 
 
-def character_table(shape: NShape, ell: int) -> CharacterTable:
-    """Norm-residue characters of -1 and eps at each ramified prime.
+def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
+    """The character-table entry rule for one odd prime of n.
 
-    Entry rules per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
-      sqrt(ell): (+, -) -- eps reduces to a non-residue mod sqrt(ell).
+    (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
       inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
         character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
       split p = 1 (mod 4): (+, sigma) in both conjugate columns, where
         sigma = (p/ell)_4 * (ell/p)_4.
       split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
         in the two conjugate columns, tau = (q/ell)_4 * (ell/q)_4.
-      dyadic: (+, (-1)^(s+1)) with s the number of q-factors.
-    The -eps row is the entrywise product of the other two.  sigma and tau are
-    computed once per prime, at its unbarred column.
+    sigma and tau take two quartic symbols, once per call.
     """
-    profile = ram_profile(shape)
-    row_m1, row_eps = [], []
-    sym = None
-    for col in profile.columns:
-        if col.kind == "sqrt_ell":
-            m1, eps = 1, -1
-        elif col.kind == "dyadic":
-            m1, eps = 1, (-1) ** (shape.s + 1)
-        elif col.kind == "inert_p":
-            m1, eps = 1, 1
-        elif col.kind == "inert_q":
-            m1, eps = 1, -1
-        elif col.kind in ("split_p", "split_q"):
-            if not col.conjugate:
-                sym = quartic_symbol(col.prime, ell) * quartic_symbol(ell, col.prime)
-            if col.kind == "split_p":
-                m1, eps = 1, sym
-            else:
-                m1, eps = -1, (-sym if col.conjugate else sym)
-        else:
-            raise InternalCheckError(f"unknown column kind {col.kind}")
-        row_m1.append(m1)
-        row_eps.append(eps)
-    row_meps = [a * b for a, b in zip(row_m1, row_eps)]
-    return CharacterTable(ell, profile.columns, (tuple(row_m1), tuple(row_eps), tuple(row_meps)))
+    columns = _odd_columns(prime, tag)
+    if tag is not SplittingType.SPLIT:
+        return PrimePart(columns, (1,), (1 if prime % 4 == 1 else -1,))
+    sym = quartic_symbol(prime, ell) * quartic_symbol(ell, prime)
+    if prime % 4 == 1:
+        return PrimePart(columns, (1, 1), (sym, sym))
+    return PrimePart(columns, (-1, -1), (sym, -sym))
+
+
+def _table(shape: NShape, ell: int, part) -> CharacterTable:
+    """The character table with each odd prime's PrimePart from part(prime, tag).
+    The -eps row is the entrywise product of the other two."""
+    groups = _in_column_order(shape, _SQRT_ELL_PART, part, _DYADIC_PARTS[shape.s % 2])
+    columns: list[Column] = []
+    row_m1: list[int] = []
+    row_eps: list[int] = []
+    for cols, m1, eps in groups:
+        columns += cols
+        row_m1 += m1
+        row_eps += eps
+    row_meps = tuple([a * b for a, b in zip(row_m1, row_eps)])
+    return CharacterTable(ell, tuple(columns), (tuple(row_m1), tuple(row_eps), row_meps))
+
+
+def character_table(shape: NShape, ell: int) -> CharacterTable:
+    """Norm-residue characters of -1 and eps at each ramified prime: the
+    fixed sqrt(ell) and dyadic columns, and each odd prime's _prime_part,
+    computed afresh."""
+    return _table(shape, ell, lambda prime, tag: _prime_part(prime, tag, ell))
+
+
+class PrimeTable:
+    """What a census of one ell learns about each odd prime: how it splits
+    in k and its part of the character table, each computed once.
+
+    Building it validates ell.  It lives for one scan or verify call and is
+    then dropped; a direct character_table call never reads it.
+    """
+
+    def __init__(self, ell: int):
+        self.ell = validate_ell(ell)
+        self._tags: dict[int, SplittingType] = {}
+        self._parts: dict[int, PrimePart] = {}
+
+    def tag(self, prime: int) -> SplittingType:
+        tag = self._tags.get(prime)
+        if tag is None:
+            tag = self._tags[prime] = splitting_type(prime, self.ell)
+        return tag
+
+    def part(self, prime: int, tag: SplittingType) -> PrimePart:
+        part = self._parts.get(prime)
+        if part is None:
+            part = self._parts[prime] = _prime_part(prime, tag, self.ell)
+        return part
+
+    def character_table(self, shape: NShape) -> CharacterTable:
+        return _table(shape, self.ell, self.part)
 
 
 def r_star(table: CharacterTable) -> int:
     """Index exponent of norm units: a unit is a norm from K exactly when its
     character row is all +1.  The all-plus rows generate a subgroup of
-    {+-1, +-eps} modulo squares; r* is its 2-log (0, 1 or 2)."""
-    vectors = ((1, 0), (0, 1), (1, 1))  # -1, eps, -eps over F_2 x F_2
-    span: set[tuple[int, int]] = {(0, 0)}
-    for vec, row in zip(vectors, table.entries):
-        if all(x == 1 for x in row) and vec not in span:
-            span = {(a ^ vec[0], b ^ vec[1]) for a, b in span} | span
-    return {1: 0, 2: 1, 4: 2}[len(span)]
+    {+-1, +-eps} modulo squares, and r* is its 2-log.  Over F_2 x F_2 the
+    units -1, eps, -eps are (1,0), (0,1), (1,1): any two are independent,
+    so k of them span a group of 2-log min(k, 2)."""
+    return min([row.count(1) == len(row) for row in table.entries].count(True), 2)
 
 
 def _case_tag(shape: NShape) -> str:
@@ -253,11 +300,17 @@ def rank_closed(field: FieldInput) -> RankResult:
     return RankResult(shape.mu, rs, _closed_rank(shape), _case_tag(shape))
 
 
-def rank_unified(field: FieldInput) -> RankResult:
+def rank_unified(field: FieldInput, primes: Optional[PrimeTable] = None) -> RankResult:
     """2-rank via mu + r* - 3 with r* read off the explicit character table,
-    which the result carries."""
+    which the result carries.  A census passes its PrimeTable for the field's
+    ell, so each prime's part of the table is computed once per census."""
     shape = field.shape
-    table = character_table(shape, field.ell)
+    if primes is None:
+        table = character_table(shape, field.ell)
+    elif primes.ell == field.ell:
+        table = primes.character_table(shape)
+    else:
+        raise InternalCheckError(f"prime table of ell={primes.ell} used for ell={field.ell}")
     mu = len(table.columns)
     if mu != shape.mu:
         raise InternalCheckError(

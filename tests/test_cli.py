@@ -159,6 +159,33 @@ class TestSmallCommands:
         assert code == 0
         assert "e = 0" in out and "= 39" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("unit", "--ell", "981591109"),
+        ("poly", "--ell", "990129229", "--n", "40969027241"),
+    ])
+    def test_past_the_int_to_str_limit(self, capsys, argv):
+        # u and the polynomial's c2 have more than 4300 digits
+        limit = sys.get_int_max_str_digits()
+        for fmt in ("text", "csv"):
+            assert main([*argv, "--format", fmt]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--format", "json"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            payload = json.loads(capsys.readouterr().out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        ell = int(argv[2])
+        if argv[0] == "unit":
+            u, v = payload["u"], payload["v"]
+            assert u > 10 ** 4300
+            assert u * u - ell * v * v == -4
+        else:
+            n = int(argv[4])
+            c = payload["coefficients"]
+            assert c[4] == n * n * ell and c[2] % (n * ell) == 0
+
     def test_poly(self, capsys):
         code, out, _ = run(capsys, "poly", "--ell", "13", "--n", "2")
         assert code == 0

@@ -65,6 +65,11 @@ class TestFactorization:
         n = 1000003 * 1000033
         assert factorize(n) == [(1000003, 1), (1000033, 1)]
 
+    def test_rho_exhaustion_is_a_named_internal_error(self):
+        # rho never splits a prime; running out of seeds names n
+        with pytest.raises(InternalCheckError, match="1000003"):
+            ntheory._pollard_brent(1000003)
+
     @given(st.integers(min_value=1, max_value=10**9))
     def test_refactor_roundtrip(self, n):
         prod = 1

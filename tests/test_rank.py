@@ -1,12 +1,13 @@
 import pytest
 
 from qtr import rank
-from qtr.errors import InternalCheckError
+from qtr.errors import EllNotFiveMod8, InternalCheckError
 from qtr.quad import SplittingType
 from qtr.quartic import validate
 from qtr.rank import (
     CharacterTable,
     Column,
+    PrimeTable,
     RankResult,
     character_table,
     n_shape,
@@ -58,16 +59,19 @@ class TestNShape:
 
 class TestRamProfile:
     def test_inert_p_profile(self):
-        profile = ram_profile(n_shape(validate(37, 13)))
-        assert (profile.mu, profile.ram2, profile.h) == (3, True, 1)
+        shape = n_shape(validate(37, 13))
+        profile = ram_profile(shape)
+        assert (profile.mu, shape.dyadic_ramifies, shape.h) == (3, True, 1)
 
     def test_inert_q_profile(self):
-        profile = ram_profile(n_shape(validate(53, 67)))
-        assert (profile.mu, profile.ram2, profile.w) == (2, False, 1)
+        shape = n_shape(validate(53, 67))
+        profile = ram_profile(shape)
+        assert (profile.mu, shape.dyadic_ramifies, shape.w) == (2, False, 1)
 
     def test_split_p_profile(self):
-        profile = ram_profile(n_shape(validate(101, 13)))
-        assert (profile.mu, profile.ram2, profile.h) == (4, True, 2)
+        shape = n_shape(validate(101, 13))
+        profile = ram_profile(shape)
+        assert (profile.mu, shape.dyadic_ramifies, shape.h) == (4, True, 2)
         kinds = [col.kind for col in profile.columns]
         assert kinds == ["sqrt_ell", "split_p", "split_p", "dyadic"]
 
@@ -136,10 +140,44 @@ class TestCharacterTable:
         assert eps[1] == -eps[2] and eps[3] == -eps[4]
 
 
+class TestPrimeTable:
+    def test_memo_table_equals_fresh_table(self, panel_ells):
+        for ell in panel_ells[:6]:
+            primes = PrimeTable(ell)
+            for n in valid_n_values(ell, 400):
+                shape = n_shape(validate(ell, n))
+                assert primes.character_table(shape) == character_table(shape, ell), (ell, n)
+
+    def test_symbols_once_per_prime_per_table(self, monkeypatch):
+        calls = []
+        real = rank.quartic_symbol
+        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
+        primes = PrimeTable(37)
+        for n in (67, 71, 4757, 2 * 4757):
+            rank_unified(validate(37, n), primes)
+        assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
+
+    def test_validates_ell(self):
+        with pytest.raises(EllNotFiveMod8):
+            PrimeTable(17)
+        with pytest.raises(InternalCheckError):
+            rank_unified(validate(13, 3), PrimeTable(37))
+
+
 class TestRStar:
     def _table(self, *rows):
         cols = (Column("sqrt_ell"),) * len(rows[0])
         return CharacterTable(5, cols, tuple(tuple(r) for r in rows))
+
+    @pytest.mark.parametrize("pattern", range(8))
+    def test_closed_form_matches_span_enumeration(self, pattern):
+        # bit i set: row i (-1, eps, -eps) is all-plus
+        rows = [[1, 1] if pattern >> i & 1 else [1, -1] for i in range(3)]
+        span = {(0, 0)}
+        for vec, row in zip(((1, 0), (0, 1), (1, 1)), rows):
+            if all(x == 1 for x in row) and vec not in span:
+                span |= {(a ^ vec[0], b ^ vec[1]) for a, b in span}
+        assert r_star(self._table(*rows)) == {1: 0, 2: 1, 4: 2}[len(span)]
 
     def test_from_real_fields(self):
         assert r_star(character_table(n_shape(validate(37, 13)), 37)) == 1

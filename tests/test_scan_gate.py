@@ -1,10 +1,16 @@
-"""Gate tests for the census: its exact bytes, and how often each per-field
-step runs."""
+"""Gate tests for the census: its exact bytes, how often each per-field and
+per-prime step runs, and the sieve it reads."""
 
 import hashlib
 import sys
 
-from qtr.cli import main, scan_rows
+import pytest
+
+from qtr.cli import _CHUNK, main, scan_rows
+from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
+from qtr.ntheory import factor_squarefree, legendre, squarefree_window
+from qtr.quartic import FieldInput
+from qtr.rank import PrimeTable
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
 SCAN_37_3000_SHA256 = "8fe8bed324dc67d6ade79c60ecb0dc2208fa464f7070c458a95c5c91fc68f986"
@@ -35,12 +41,168 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
     return calls
 
 
-def test_each_n_factored_once(monkeypatch):
+def test_census_work_is_per_prime(monkeypatch):
+    # The sieve gives each n its primes, so nothing is factored; each split
+    # prime's quartic symbols are computed once per scan, in its prime table.
     factored = count_calls(monkeypatch, "qtr.ntheory", "factorize")
-    profiles = count_calls(monkeypatch, "qtr.rank", "ram_profile")
     tables = count_calls(monkeypatch, "qtr.rank", "character_table")
+    symbols = count_calls(monkeypatch, "qtr.ntheory", "quartic_symbol")
     rows = scan_rows(37, 3000)
-    assert sorted(factored) == list(range(1, 3001))
     assert len(rows) == 1776
-    assert len(profiles) <= len(rows)
+    assert factored == []
     assert len(tables) <= len(rows)
+    split = {p for row in rows for p in factor_squarefree(row["n"])
+             if p not in (2, 37) and legendre(p, 37) == 1}
+    assert split and len(symbols) <= 2 * len(split)
+
+
+# sha256 of `qtr scan --ell ELL --n-max 3000 --format FMT [OPTIONS]`, pinned
+# before the census read a sieve.
+SCAN_3000_SHA256 = {
+    "5 csv":
+        "6af8f5cf4fc8e204b7ed8ed27d30e32f5b8b2e1bc366c1bffb7d54daabb18209",
+    "5 csv --include-skipped":
+        "7f1bd35505dc5e8e87f4b1663ff3f006faeadd61184234aa7716fd245c1a8764",
+    "5 csv --rank 2":
+        "f0ccf2db1ce8d82f8c17ed2c04a7576b2408798138cd68eb39131d89334936ec",
+    "5 csv --include-skipped --rank 2":
+        "c44bb76f21869c524e5efbdbbc291064fa23887ba50c8849ea123afb14c07ecc",
+    "5 text":
+        "9c2f6de1133e7fb0e6bcf37f76d3b4f739b3b4d2709071081f0e5b631bc2600c",
+    "5 text --include-skipped":
+        "c47be78cd69430c9a63ed40530f9caf6ce552e4c09a07f3b41c191388ff9cc54",
+    "5 text --rank 2":
+        "1947bd9a3ee2075a537b59a017b942508e3840dc45a71b967fa2ba85cf664632",
+    "5 text --include-skipped --rank 2":
+        "7cac1e2cf9c79b21ad21a92006268a3f01d0d31ebea8b5a4462181cd0f336459",
+    "5 json":
+        "535c9dd4019aebfc1d14567ae4c3edb30e8b34c772fd4e96f8616b5c3342dbc2",
+    "5 json --include-skipped":
+        "24eb0968ac9455ad1c7910e4c40036cacdecb93022ecf861ae4df517655d5e67",
+    "5 json --rank 2":
+        "3ba5b898a0b1fc06415e4eff1a0a1ff63a9a0f8b5eb36f1841266e840e2052bf",
+    "5 json --include-skipped --rank 2":
+        "97d067b9b05a37590c87224550e16d8c9bd4e8694299db35d1af7caad54a9216",
+    "13 csv":
+        "6a03dd2edcac0e646f7b76a6c462b6b12e5d8bfd0b8963acaa0dc314b5a2e983",
+    "13 csv --include-skipped":
+        "d51dd31da244211d90a5bbb342c2d8193a96ac380d103191a78b48a8e5129247",
+    "13 csv --rank 2":
+        "ee09fdea1f37a518957afcd3d9dab654628578ae750dbc7afa35ae23248885af",
+    "13 csv --include-skipped --rank 2":
+        "a3c479f66160a693c1212a89d9640c412fd354b563f3df1034da0c8feb4e6818",
+    "13 text":
+        "6f63f99085b0484f2bc1d68d2c4eb940b3c92db2b5d83a48b5cb91e242014bd2",
+    "13 text --include-skipped":
+        "45fa1bb560ce32a14b536bb1ebb2f2bcbf465755da12cbfbfb5120d2fbd8fee5",
+    "13 text --rank 2":
+        "31d0ba83cc3bff14b5fd455b2b17ed10a1e2df9e3996c0c61a6f19d3fea5b16b",
+    "13 text --include-skipped --rank 2":
+        "a15e4a66cd690cf75d05e9ad97d4a1343a4a302f2c0c89ae0d7b4a97cac8b021",
+    "13 json":
+        "76c1935ddb92f9a61c6214d536876642f5f33b8a0fe3ee813b35bf8deb9c3ea0",
+    "13 json --include-skipped":
+        "d3fb7a57b1379cef6a5fa2a4d3c35c9a480c4b876fa244303e7d22e740e96cd4",
+    "13 json --rank 2":
+        "67d0638a51396ccdd2ce7f2f66599e6437b7fca6303c72fcf4e012783ed81ea6",
+    "13 json --include-skipped --rank 2":
+        "716abfa4cca45f3d830b7ce99cb07bffddb5211ec230a04b79980e41db7ce539",
+    "197 csv":
+        "507e26cec9e6f5e17431b191b02bd43329ed917a9490fb94c6bfc564b1ae5c08",
+    "197 csv --include-skipped":
+        "e247e7d0701a0851cb7954b901ca63a8ab38bd22073a88fe811f6c564204ad35",
+    "197 csv --rank 2":
+        "52cd0075b5c970c9ef8c98715432e1b8f9ca3d0c7966d66cbc6594840a5d0617",
+    "197 csv --include-skipped --rank 2":
+        "cb2285156cd0e44b4758f60ffa463b36ad120b5e6d2ad911eed2f3d5bd7ae888",
+    "197 text":
+        "9f3ce822a0b21a6bddc3ac746209f3f0f94c7ce6c7be3cb162b55e19d952f2c7",
+    "197 text --include-skipped":
+        "9ad4b4bdb0421cff77f22aa9a0a1378fe4cd5e5197215a63567ca2671783cc71",
+    "197 text --rank 2":
+        "79115785480573b31c4f6aa5f8befbb0f15a225a310e4dc3bc0b54575a61f8f1",
+    "197 text --include-skipped --rank 2":
+        "4561a609104d8732ca4c64a4cd7a1ca413fc83aed0deb8b0c272a2af20232ff3",
+    "197 json":
+        "958da94405fde4dff578e25396910723f13a0c1d112c9adb116baf7111132359",
+    "197 json --include-skipped":
+        "16cb49775b715cb21cae0853258b9f4bd9715f93e6275aa1f632271b68d5e905",
+    "197 json --rank 2":
+        "749906cce8dea140258582ffbc2eb00a9c0f4bda25da3473417d40bd245f0291",
+    "197 json --include-skipped --rank 2":
+        "7125e5148868543d526278baac988f0b07ec1b113b148deb2aa37fdf0345f8a2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_3000_SHA256))
+def test_scan_bytes_for_every_format_and_option(capsys, monkeypatch, key):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    ell, fmt, *options = key.split()
+    argv = ["scan", "--ell", ell, "--n-max", "3000", "--format", fmt, *options]
+    for jobs in (("1", "2") if fmt == "csv" else ("1",)):
+        assert main(argv + ["--jobs", jobs]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SCAN_3000_SHA256[key], jobs
+
+
+HEADER = "n,delta,shape,mu,r_star,rank,case,conductor"
+
+
+@pytest.mark.parametrize("n_max,fmt,expected", [
+    ("0", "csv", HEADER + "\n"),
+    ("1", "csv", HEADER + "\n1,1,1,2,1,0,trivial,52\n"),
+    ("-5", "csv", HEADER + "\n"),
+    ("0", "text", ""),
+    ("-5", "text", ""),
+    ("0", "json", "[]\n"),
+    ("-5", "json", "[]\n"),
+])
+def test_scan_below_one_window(capsys, monkeypatch, n_max, fmt, expected):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    for jobs in ("1", "2"):
+        assert main(["scan", "--ell", "13", "--n-max", n_max, "--format", fmt, "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (3 * _CHUNK + 17, 5 * _CHUNK + 3)])
+def test_sieve_window_matches_factorization(lo, hi):
+    for n, primes in zip(range(lo, hi), squarefree_window(lo, hi)):
+        try:
+            expected = factor_squarefree(n)
+        except NotSquarefree:
+            expected = None
+        assert primes == expected, n
+
+
+def test_sieve_record_checks_its_primes():
+    tag = PrimeTable(37).tag
+    assert FieldInput.from_sieve(37, 2 * 3 * 67, [2, 3, 67], tag) == FieldInput(37, 2 * 3 * 67)
+    assert FieldInput.from_sieve(37, 4757, [67, 71], tag).shape == FieldInput(37, 4757).shape
+    with pytest.raises(InternalCheckError):
+        FieldInput.from_sieve(37, 15, [3, 7], tag)
+    # the same order as FieldInput(ell, n): NotSquarefree before NotCoprime
+    with pytest.raises(NotSquarefree):
+        FieldInput.from_sieve(37, 2 * 37 * 37, None, tag)
+    with pytest.raises(NotCoprime):
+        FieldInput.from_sieve(37, 74, [2, 37], tag)
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+@pytest.mark.parametrize("ell,error", [("17", "EllNotFiveMod8"), ("35", "EllNotPrime")])
+def test_bad_ell_exits_before_any_sieve_work(capsys, monkeypatch, command, ell, error):
+    sieved = count_calls(monkeypatch, "qtr.ntheory", "squarefree_window")
+    assert main([command, "--ell", ell, "--n-max", "3000", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert error in err and out == ""
+    assert sieved == []
+
+
+def test_csv_streams_one_window_at_a_time(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": writes.append})())
+    assert main(["scan", "--ell", "13", "--n-max", str(3 * _CHUNK), "--format", "csv"]) == 0
+    assert len(writes) == 4
+    assert writes[0] == HEADER + "\n"
+    for k, text in enumerate(writes[1:]):
+        ns = [int(line.split(",")[0]) for line in text.splitlines()]
+        assert k * _CHUNK < min(ns) and max(ns) <= (k + 1) * _CHUNK
