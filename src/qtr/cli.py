@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -417,8 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by build_parser() at first use;
+    parse_args leaves it unchanged, so every call in a process can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     fmt = args.format or os.environ.get("QTR_DEFAULT_FORMAT") or "text"
     if fmt not in FORMATS:
         print(f"error: unknown format {fmt!r} (choose from {', '.join(FORMATS)})",

@@ -7,7 +7,8 @@ wraps around or goes through floats.
 from __future__ import annotations
 
 import functools
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import InternalCheckError, NotQuadraticResidue, NotSquarefree
@@ -21,6 +22,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 1 << 16
+_BLOCK = 64  # primes per trial-division gcd
 
 
 def is_prime(m: int) -> bool:
@@ -71,7 +73,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -96,8 +98,24 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
+@functools.cache
+def _trial_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The primes 5 <= p < _TRIAL_LIMIT in ascending blocks of _BLOCK, each
+    as (first prime, product, primes); built at first use."""
+    primes = _primes_upto(_TRIAL_LIMIT)[2:]
+    blocks = []
+    for i in range(0, len(primes), _BLOCK):
+        chunk = tuple(primes[i : i + _BLOCK])
+        blocks.append((chunk[0], prod(chunk), chunk))
+    return tuple(blocks)
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Full factorization of n >= 1 as an ascending list of (prime, exponent)."""
+    """Full factorization of n >= 1 as an ascending list of (prime, exponent).
+
+    Trial division by every prime below _TRIAL_LIMIT, one gcd per block of
+    primes; only a block that shares a factor with n is divided through.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     acc: dict[int, int] = {}
@@ -105,19 +123,22 @@ def factorize(n: int) -> list[tuple[int, int]]:
         while n % p == 0:
             acc[p] = acc.get(p, 0) + 1
             n //= p
-    d = 5
-    while d <= _TRIAL_LIMIT and d * d <= n:
-        for q in (d, d + 2):  # 6k-1, 6k+1
-            while n % q == 0:
-                acc[q] = acc.get(q, 0) + 1
-                n //= q
-        d += 6
-    if d * d > n:
-        # Every prime below d has been divided out, so what is left is 1 or prime.
-        if n > 1:
-            acc[n] = 1
+    for first, product, primes in _trial_blocks():
+        if first * first > n:
+            break  # every prime below first is out, so n is 1 or prime
+        if gcd(product, n) == 1:
+            continue
+        for p in primes:
+            while n % p == 0:
+                acc[p] = acc.get(p, 0) + 1
+                n //= p
     else:
-        _factor_into(n, acc)
+        # Every prime below _TRIAL_LIMIT is out, so below its square n is 1 or prime.
+        if n >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+            _factor_into(n, acc)
+            n = 1
+    if n > 1:
+        acc[n] = 1
     return sorted(acc.items())
 
 
@@ -140,7 +161,7 @@ def _primes_upto(m: int) -> list[int]:
     for p in range(2, isqrt(m) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
-    return [p for p in range(m + 1) if flags[p]]
+    return list(compress(range(m + 1), flags))
 
 
 def squarefree_window(lo: int, hi: int) -> list[list[int] | None]:

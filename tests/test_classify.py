@@ -1,6 +1,10 @@
 from itertools import product
 
+import pytest
+
+from qtr import classify
 from qtr.classify import PATTERNS, classify_small_rank, enumerate_rank
+from qtr.errors import InternalCheckError
 from qtr.quad import SplittingType
 from qtr.quartic import validate
 from qtr.rank import NShape, rank_closed
@@ -33,6 +37,19 @@ class TestPatternTable:
             assert len(hits) <= 1, (delta, t1, t2, s1, s2, hits)
 
 
+    def test_index_by_t_s_partitions_the_patterns(self):
+        buckets = classify._BY_T_S
+        indexed = [p for bucket in buckets.values() for p in bucket]
+        assert sorted(p.pattern_id for p in indexed) == sorted(p.pattern_id for p in PATTERNS)
+        for key, bucket in buckets.items():
+            assert all((p.t, p.s) == key for p in bucket)
+        for delta, t1, t2, s1, s2 in product((1, 2), range(5), range(5), range(5), range(5)):
+            shape = synthetic_shape(delta, t1, t2, s1, s2)
+            for p in PATTERNS:
+                if p.matches(shape):
+                    assert (shape.t, shape.s) == (p.t, p.s), (p.pattern_id, shape)
+
+
 class TestClassify:
     def test_trivial(self):
         cls = classify_small_rank(validate(173, 1))
@@ -61,6 +78,13 @@ class TestClassify:
                     assert cls.rank == rank, (ell, n)
                 else:
                     assert cls.rank is None, (ell, n)
+
+
+    def test_overlap_in_a_bucket_is_an_internal_error(self, monkeypatch):
+        bucket = classify._BY_T_S[0, 0]
+        monkeypatch.setitem(classify._BY_T_S, (0, 0), bucket + bucket)
+        with pytest.raises(InternalCheckError, match="overlap on ell=173 n=1"):
+            classify_small_rank(validate(173, 1))
 
 
 class TestEnumerate:

@@ -1,7 +1,7 @@
 import random
 import subprocess
 import sys
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 import sympy
@@ -112,6 +112,37 @@ class TestFactorization:
                 prod *= p
             assert prod == n
             assert factors == sorted(set(factors))
+
+
+class TestTrialBlocks:
+    def test_blocks_cover_the_primes_below_the_limit(self):
+        blocks = ntheory._trial_blocks()
+        assert [p for _, _, primes in blocks for p in primes] == list(sympy.primerange(5, 2**16))
+        for first, product, primes in blocks:
+            assert first == primes[0]
+            assert product == prod(primes)
+        assert {len(primes) for _, _, primes in blocks[:-1]} == {ntheory._BLOCK}
+        assert blocks[-1][2][-1] == 65521
+
+    def test_primes_upto_matches_sympy(self):
+        for m in range(3001):
+            assert ntheory._primes_upto(m) == list(sympy.primerange(0, m + 1)), m
+        assert ntheory._primes_upto(2**16) == list(sympy.primerange(0, 2**16 + 1))
+
+    def test_factorize_at_block_edges_matches_sympy(self):
+        rng = random.Random(13)
+
+        def big_prime():
+            return sympy.nextprime(rng.randrange(2**24, 2**32 - 2**20))
+
+        cases = [65521**2, 65521 * 65537, 65537**2, 2**32 - 1, 2**32 + 1]
+        for _, _, primes in ntheory._trial_blocks():
+            for p in (primes[0], primes[-1]):
+                cases += [p, p * p, p * big_prime()]
+        for p in (5, 65519, 65521):
+            cases.append(p * big_prime() * big_prime())
+        for n in cases:
+            assert factorize(n) == sorted(sympy.factorint(n).items()), n
 
 
 class TestLegendre:
