@@ -2,11 +2,11 @@
 
 ell is a prime = 5 (mod 8), eps0 the fundamental unit of Q(sqrt(ell)), and n a
 squarefree positive integer prime to ell.  The rank is computed two
-independent ways (closed-form case expressions, and the ambiguous-class
+independent ways (the paper's closed-form case table, and the ambiguous-class
 formula through explicit norm-residue character tables) which must agree.
 """
 
-from .classify import Classification, ShapePattern, classify_small_rank, enumerate_rank
+from .classify import Classification, ShapePattern, classify_small_rank
 from .errors import (
     EllNotFiveMod8,
     EllNotPrime,
@@ -27,11 +27,9 @@ from .quartic import (
     WilliamsForm,
     conductor,
     defining_polynomial,
-    from_williams,
     to_williams,
     validate,
     validate_ell,
-    zink_reduce,
 )
 from .rank import (
     CharacterTable,
@@ -52,7 +50,6 @@ __all__ = [
     "Classification",
     "ShapePattern",
     "classify_small_rank",
-    "enumerate_rank",
     "EllNotFiveMod8",
     "EllNotPrime",
     "FieldInputError",
@@ -79,11 +76,9 @@ __all__ = [
     "WilliamsForm",
     "conductor",
     "defining_polynomial",
-    "from_williams",
     "to_williams",
     "validate",
     "validate_ell",
-    "zink_reduce",
     "CharacterTable",
     "NShape",
     "RamProfile",

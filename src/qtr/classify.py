@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InternalCheckError, NotCoprime, NotSquarefree
-from .quartic import FieldInput, validate
-from .rank import NShape, rank_closed
+from .errors import InternalCheckError
+from .quartic import FieldInput, NShape
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,6 @@ class Classification:
     rank: Optional[int]
     pattern: Optional[ShapePattern]
 
-    @property
-    def at_least_4(self) -> bool:
-        return self.rank is None
-
 
 def classify_small_rank(field: FieldInput) -> Classification:
     shape = field.shape
@@ -119,22 +114,3 @@ def classify_small_rank(field: FieldInput) -> Classification:
         return Classification(hits[0].rank, hits[0])
     return Classification(None, None)
 
-
-def enumerate_rank(ell: int, n_max: int, target: int) -> list[int]:
-    """All valid n <= n_max whose 2-rank is target, ascending.
-
-    Targets 0..3 go through the shape patterns; larger targets fall back to
-    the closed-form rank.
-    """
-    out = []
-    for n in range(1, n_max + 1):
-        try:
-            field = validate(ell, n)
-        except (NotSquarefree, NotCoprime):
-            continue
-        if target <= 3:
-            if classify_small_rank(field).rank == target:
-                out.append(n)
-        elif rank_closed(field).rank == target:
-            out.append(n)
-    return out

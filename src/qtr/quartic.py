@@ -29,16 +29,16 @@ _DERIVED = dict(init=False, repr=False, compare=False)
 @dataclass(frozen=True)
 class NShape:
     """n = delta * (primes = 1 mod 4) * (primes = 3 mod 4), each tagged by its
-    behavior in k.  delta is 2 exactly when n is even.  Stored at build: the
-    counts t, s of p- and q-factors, t1/t2 and s1/s2 of the inert/split ones,
-    h and w of the primes of k above them; whether the prime above 2 ramifies
-    (unless n is odd with s odd, i.e. conductor exponent 0); mu, the number of
-    ramified primes of k; and tagged, every odd (prime, tag) ascending.
+    behavior in k.  delta is 2 exactly when n is even, and tagged holds every
+    odd (prime, tag) ascending.  Stored at build: the counts t, s of p- and
+    q-factors, t1/t2 and s1/s2 of the inert/split ones, h and w of the primes
+    of k above them; whether the prime above 2 ramifies (unless n is odd with
+    s odd, i.e. conductor exponent 0); and mu, the number of ramified primes
+    of k.
     """
 
     delta: int
-    plist: tuple[tuple[int, SplittingType], ...]  # p = 1 (mod 4), ascending
-    qlist: tuple[tuple[int, SplittingType], ...]  # q = 3 (mod 4), ascending
+    tagged: tuple[tuple[int, SplittingType], ...]
     t: int = field(**_DERIVED)
     s: int = field(**_DERIVED)
     t1: int = field(**_DERIVED)
@@ -49,27 +49,22 @@ class NShape:
     w: int = field(**_DERIVED)
     dyadic_ramifies: bool = field(**_DERIVED)
     mu: int = field(**_DERIVED)
-    tagged: tuple[tuple[int, SplittingType], ...] = field(**_DERIVED)
 
     def __post_init__(self) -> None:
-        t, s = len(self.plist), len(self.qlist)
-        t2 = [tag for _, tag in self.plist].count(SplittingType.SPLIT)
-        s2 = [tag for _, tag in self.qlist].count(SplittingType.SPLIT)
+        residues = [p % 4 for p, _ in self.tagged]
+        split = [p % 4 for p, tag in self.tagged if tag is SplittingType.SPLIT]
+        t, t2 = residues.count(1), split.count(1)
+        s, s2 = len(residues) - t, len(split) - t2
         h, w = t + t2, s + s2
         dyadic = not (self.delta == 1 and s % 2 == 1)
         # Frozen: the derived fields go straight into the instance dict.
         self.__dict__.update(t=t, s=s, t1=t - t2, t2=t2, s1=s - s2, s2=s2, h=h, w=w,
-                             dyadic_ramifies=dyadic, mu=1 + h + w + dyadic,
-                             tagged=tuple(sorted(self.plist + self.qlist)))
+                             dyadic_ramifies=dyadic, mu=1 + h + w + dyadic)
 
 
 def _shape_of(n: int, primes: Sequence[int], tag: Callable[[int], SplittingType]) -> NShape:
     """The shape of n from its ascending primes; tag(p) is how p splits in k."""
-    ps, qs = [], []
-    for p in primes:
-        if p != 2:
-            (ps if p % 4 == 1 else qs).append((p, tag(p)))
-    return NShape(2 - n % 2, tuple(ps), tuple(qs))
+    return NShape(2 - n % 2, tuple([(p, tag(p)) for p in primes if p != 2]))
 
 
 @dataclass(frozen=True)
@@ -158,24 +153,6 @@ def to_williams(field: FieldInput) -> WilliamsForm:
     if field.n % 2 == 1:
         return WilliamsForm(field.n, sq.b, sq.c)
     return WilliamsForm(field.n // 2, sq.c, sq.b)
-
-
-def from_williams(w: WilliamsForm, ell: int) -> int:
-    """Inverse of to_williams: n = 2a when b is odd, else n = a."""
-    if w.b * w.b + w.c * w.c != ell:
-        raise InternalCheckError(f"{w} does not satisfy b^2 + c^2 = {ell}")
-    return 2 * w.a if w.b % 2 == 1 else w.a
-
-
-def zink_reduce(a: int, b: int, c: int, ell: int, doubled: bool) -> WilliamsForm:
-    """Absorb a factor 2 in the radicand: 2a*(ell + b*sqrt) and a*(ell + c*sqrt)
-    generate the same field, so a doubled form is rewritten by swapping b and c.
-    """
-    if b * b + c * c != ell or a % 2 == 0 or c % 2 == 0:
-        raise InternalCheckError(f"({a}, {b}, {c}) is not a form for ell = {ell} with a, c odd")
-    if doubled:
-        return WilliamsForm(a, c, b)
-    return WilliamsForm(a, b, c)
 
 
 def conductor(w: WilliamsForm, ell: int) -> Conductor:

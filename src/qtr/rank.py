@@ -1,7 +1,7 @@
 """The 2-rank of the class group of K, computed along two independent paths.
 
-Path one ("closed"): dispatch on the factorization shape of n and apply the
-matching closed-form rank expression directly.
+Path one ("closed"): name the family of the shape of n (_case_tag) and look
+up its rank expression in the paper's case table (_CLOSED_RANK).
 
 Path two ("unified"): build the table of norm-residue characters of the units
 -1, eps, -eps at every prime of k = Q(sqrt(ell)) that ramifies in K, read off
@@ -9,15 +9,20 @@ which units are norms, and evaluate rank = mu + r* - 3.  Here mu counts the
 ramified primes of k (the real places never ramify: K is totally real), and
 k has one fundamental unit and contains -1, which fixes the constant 3.
 
-The two paths share only the shape extraction; their agreement everywhere is
-the central correctness check of the package.
+The two paths share the shape extraction (the stored NShape: its counts,
+the splitting of each prime, the dyadic rule and mu), the family name that
+both results carry, and the shape's r* (_shape_r_star), which the closed
+path reports and the unified path checks its table against.  The closed
+rank comes only from the case table and the unified rank only from the
+character table, so their agreement everywhere is the central correctness
+check of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InternalCheckError
 from .ntheory import quartic_symbol
@@ -249,55 +254,41 @@ def _case_tag(shape: NShape) -> str:
     return f"pq-{two}:q-{sub}"
 
 
-def _closed_rank(shape: NShape) -> int:
-    """Rank by the closed-form case expressions over the shape counts.
+# The paper's case table: the closed-form 2-rank of each family of
+# _case_tag, over the shape counts.  With no split q the unit -1 stays a
+# norm, so each q-inert entry is one more than its q-both entry at s2 = 0;
+# an unramified dyadic prime (no2) lowers the rank by one.
+_CLOSED_RANK: dict[str, Callable[[NShape], int]] = {
+    "trivial": lambda d: 0,
+    "p-only:inert": lambda d: d.t,
+    "p-only:split": lambda d: 2 * d.t,
+    "p-only:both": lambda d: d.t1 + 2 * d.t2,
+    "q-no2:inert": lambda d: d.s - 1,
+    "q-no2:split": lambda d: 2 * d.s - 2,
+    "q-no2:both": lambda d: d.s1 + 2 * d.s2 - 2,
+    "q-with2:inert": lambda d: d.s,
+    "q-with2:split": lambda d: 2 * d.s - 1,
+    "q-with2:both": lambda d: d.s1 + 2 * d.s2 - 1,
+    "pq-no2:q-inert": lambda d: d.h + d.s - 1,
+    "pq-no2:q-split": lambda d: d.h + 2 * d.s - 2,
+    "pq-no2:q-both": lambda d: d.h + d.s1 + 2 * d.s2 - 2,
+    "pq-with2:q-inert": lambda d: d.h + d.s,
+    "pq-with2:q-split": lambda d: d.h + 2 * d.s - 1,
+    "pq-with2:q-both": lambda d: d.h + d.s1 + 2 * d.s2 - 1,
+}
 
-    The q-cases hinge on whether any q splits: with no split q the unit -1
-    stays a norm, which raises the rank by one relative to the generic
-    expression, hence the s2 == 0 branches.
-    """
-    t, s = shape.t, shape.s
-    t1, t2 = shape.t1, shape.t2
-    s1, s2 = shape.s1, shape.s2
-    h = shape.h
-    if t == 0 and s == 0:
-        return 0
-    if s == 0:
-        if t2 == 0:
-            return t
-        if t1 == 0:
-            return 2 * t
-        return t1 + 2 * t2
-    if t == 0 and not shape.dyadic_ramifies:
-        if s2 == 0:
-            return s - 1
-        if s1 == 0:
-            return 2 * s - 2
-        return s1 + 2 * s2 - 2
-    if t == 0:
-        if s2 == 0:
-            return s
-        if s1 == 0:
-            return 2 * s - 1
-        return s1 + 2 * s2 - 1
-    if not shape.dyadic_ramifies:
-        if s2 == 0:
-            return h + s - 1
-        if s1 == 0:
-            return h + 2 * s - 2
-        return h + s1 + 2 * s2 - 2
-    if s2 == 0:
-        return h + s
-    if s1 == 0:
-        return h + 2 * s - 1
-    return h + s1 + 2 * s2 - 1
+
+def _shape_r_star(shape: NShape) -> int:
+    """r* from the shape alone: 1 exactly when no q-factor splits in k."""
+    return 1 if shape.s2 == 0 else 0
 
 
 def rank_closed(field: FieldInput) -> RankResult:
-    """2-rank via the closed-form case dispatch; never builds a table."""
+    """2-rank from the case table entry of the field's family; never builds
+    a table."""
     shape = field.shape
-    rs = 1 if shape.s2 == 0 else 0
-    return RankResult(shape.mu, rs, _closed_rank(shape), _case_tag(shape))
+    tag = _case_tag(shape)
+    return RankResult(shape.mu, _shape_r_star(shape), _CLOSED_RANK[tag](shape), tag)
 
 
 def rank_unified(field: FieldInput, primes: Optional[PrimeTable] = None) -> RankResult:
@@ -318,7 +309,7 @@ def rank_unified(field: FieldInput, primes: Optional[PrimeTable] = None) -> Rank
             f"(ell={field.ell}, n={field.n})"
         )
     rs = r_star(table)
-    rs_shortcut = 1 if shape.s2 == 0 else 0
+    rs_shortcut = _shape_r_star(shape)
     if rs != rs_shortcut:
         raise InternalCheckError(
             f"r* from table = {rs} but shape shortcut gives {rs_shortcut} "

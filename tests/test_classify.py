@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from qtr import classify
-from qtr.classify import PATTERNS, classify_small_rank, enumerate_rank
+from qtr.classify import PATTERNS, classify_small_rank
 from qtr.errors import InternalCheckError
 from qtr.quad import SplittingType
 from qtr.quartic import validate
@@ -15,10 +15,11 @@ I, S = SplittingType.INERT, SplittingType.SPLIT
 
 
 def synthetic_shape(delta, t1, t2, s1, s2):
-    """A shape with the requested counts; the predicates read only counts."""
-    ps = tuple((5 + 4 * i, I) for i in range(t1)) + tuple((998 + 4 * i, S) for i in range(t2))
-    qs = tuple((3 + 4 * j, I) for j in range(s1)) + tuple((999 + 4 * j, S) for j in range(s2))
-    return NShape(delta, ps, qs)
+    """A shape with the requested counts; the predicates read only counts.
+    The stand-in primes are 1 (mod 4) for p and 3 (mod 4) for q."""
+    ps = [(5 + 4 * i, I) for i in range(t1)] + [(997 + 4 * i, S) for i in range(t2)]
+    qs = [(3 + 4 * j, I) for j in range(s1)] + [(999 + 4 * j, S) for j in range(s2)]
+    return NShape(delta, tuple(sorted(ps + qs)))
 
 
 class TestPatternTable:
@@ -66,7 +67,7 @@ class TestClassify:
     def test_at_least_four(self):
         # 29 * 2 * 41 * 53 * 89: three p-factors with a split among them
         cls = classify_small_rank(validate(29, 2 * 41 * 53 * 89))
-        assert cls.at_least_4 and cls.pattern is None
+        assert cls.rank is None and cls.pattern is None
 
     def test_agreement_with_closed_rank(self, panel_ells):
         for ell in panel_ells:
@@ -88,21 +89,23 @@ class TestClassify:
 
 
 class TestEnumerate:
+    """Ranks over small ranges of n, read off classify_small_rank."""
+
     def test_rank0_bound_two(self):
-        assert enumerate_rank(37, 2, 0) == [1, 2]
+        assert [classify_small_rank(validate(37, n)).rank for n in (1, 2)] == [0, 0]
 
     def test_rank1_contains_inert_p(self):
-        assert 13 in enumerate_rank(37, 13, 1)
+        assert classify_small_rank(validate(37, 13)).rank == 1
 
     def test_rank3_contains_two_prime_product(self):
-        assert 3293 in enumerate_rank(5, 3293, 3)
+        # 3293 = 37 * 89 lies past the panel's n <= 3000
+        assert classify_small_rank(validate(5, 3293)).rank == 3
 
     def test_matches_closed_rank_for_large_target(self):
-        ns = enumerate_rank(29, 800, 4)
-        assert ns == sorted(set(ns))
-        for n in ns:
-            assert rank_closed(validate(29, n)).rank == 4
-        assert all(classify_small_rank(validate(29, n)).at_least_4 for n in ns)
+        ns = [n for n in valid_n_values(29, 800) if rank_closed(validate(29, n)).rank == 4]
+        assert ns
+        assert all(classify_small_rank(validate(29, n)).rank is None for n in ns)
 
     def test_rank0_prefix_for_ell_5(self):
-        assert enumerate_rank(5, 10, 0) == [1, 2, 3, 7]
+        ns = [n for n in valid_n_values(5, 10) if classify_small_rank(validate(5, n)).rank == 0]
+        assert ns == [1, 2, 3, 7]

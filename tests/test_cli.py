@@ -4,9 +4,12 @@ import sys
 
 import pytest
 
+from qtr import cli
 from qtr.cli import main, pool_size, shape_string
-from qtr.quartic import validate
-from qtr.rank import n_shape
+from qtr.quartic import Conductor, validate
+from qtr.rank import RankResult, n_shape
+
+from .test_quartic import valid_n_values
 
 
 def run(capsys, *argv):
@@ -142,6 +145,65 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--ell", "37", "--n-max", "3000")
         assert code == 0
         assert "1776 fields checked" in out and "FAIL" not in out
+
+
+class TestFailingChecksExit3:
+    """A check that fails mid-run exits 3 and names (ell, n) and the check."""
+
+    @pytest.fixture
+    def wrong_e_at_13(self, monkeypatch):
+        # n = 13 is odd, so its form has a = 13 and an even b
+        real = cli.conductor
+
+        def conductor(w, ell):
+            cond = real(w, ell)
+            if (w.a, w.b % 2) == (13, 0):
+                return Conductor(2 if cond.e == 0 else 0, cond.f)
+            return cond
+
+        monkeypatch.setattr(cli, "conductor", conductor)
+
+    def test_verify_text_names_the_bridge_failure(self, capsys, wrong_e_at_13):
+        code, out, _ = run(capsys, "verify", "--ell", "37", "--n-max", "300")
+        assert code == 3
+        checked = len(valid_n_values(37, 300))
+        assert out.splitlines() == [
+            f"ell = 37, n <= 300: {checked} fields checked",
+            f"  cross_path: {checked} pass, 0 fail",
+            f"  hilbert: {checked} pass, 0 fail",
+            f"  bridge: {checked - 1} pass, 1 fail",
+            f"  classify: {checked} pass, 0 fail",
+            "  FAIL ell=37 n=13 check=bridge",
+        ]
+
+    def test_verify_json_lists_the_bridge_failure(self, capsys, wrong_e_at_13):
+        code, out, _ = run(capsys, "verify", "--ell", "37", "--n-max", "300", "--format", "json")
+        assert code == 3
+        summary = json.loads(out)
+        assert summary["failures"] == [{"n": 13, "check": "bridge"}]
+        checked = len(valid_n_values(37, 300))
+        assert summary["fields_checked"] == checked
+        assert summary["passed"] == {"cross_path": checked, "hilbert": checked,
+                                     "bridge": checked - 1, "classify": checked}
+
+    def test_scan_csv_stops_after_the_first_window(self, capsys, monkeypatch):
+        _, first_window, _ = run(capsys, "scan", "--ell", "37", "--n-max", "512",
+                                 "--format", "csv")
+        real = cli.rank_closed
+
+        def rank_closed(field):
+            result = real(field)
+            if field.n != 515:  # 5 * 103, in the second window 513..1024
+                return result
+            return RankResult(result.mu + 1, result.r_star, result.rank + 1, result.case_tag)
+
+        monkeypatch.setattr(cli, "rank_closed", rank_closed)
+        code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "2000",
+                             "--format", "csv")
+        assert code == 3
+        assert out == first_window
+        assert out.startswith("n,delta,shape,mu,r_star,rank,case,conductor\n")
+        assert "ell=37 n=515" in err
 
 
 class TestSmallCommands:

@@ -1,4 +1,6 @@
 import pytest
+import sympy
+from sympy.solvers.diophantine.diophantine import diop_DN
 
 from qtr.ntheory import legendre
 from qtr.quad import SplittingType, fundamental_unit, splitting_type
@@ -25,6 +27,16 @@ class TestFundamentalUnit:
             unit = fundamental_unit(ell)
             assert unit.u**2 - ell * unit.v**2 == -4
             assert (unit.u, unit.v) == pell_oracle(ell, unit.v), ell
+
+    def test_least_v_solution_of_pell_below_10_4(self):
+        # sympy's fundamental solutions of u^2 - ell*v^2 = -4; eps0 is the one
+        # with least |v|, taken with u, v > 0
+        ells = [ell for ell in sympy.primerange(5, 10**4) if ell % 8 == 5]
+        assert len(ells) == 314
+        for ell in ells:
+            least = min(((abs(u), abs(v)) for u, v in diop_DN(ell, -4)), key=lambda s: s[1])
+            unit = fundamental_unit(ell)
+            assert (unit.u, unit.v) == least, ell
 
     def test_coordinates_positive(self):
         for ell in (5, 13, 29, 37, 53, 61, 101, 109, 149, 157, 173, 197):

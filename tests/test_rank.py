@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qtr import rank
@@ -17,6 +19,7 @@ from qtr.rank import (
     rank_unified,
 )
 
+from .test_classify import synthetic_shape
 from .test_quartic import valid_n_values
 
 I, S = SplittingType.INERT, SplittingType.SPLIT
@@ -25,7 +28,7 @@ I, S = SplittingType.INERT, SplittingType.SPLIT
 class TestNShape:
     def test_empty(self):
         shape = n_shape(validate(173, 1))
-        assert (shape.delta, shape.plist, shape.qlist) == (1, (), ())
+        assert (shape.delta, shape.tagged, shape.t, shape.s) == (1, (), 0, 0)
 
     def test_even_mixed(self):
         # 374 = 2 * 11 * 17; both odd primes are non-residues mod 29
@@ -33,14 +36,14 @@ class TestNShape:
         assert 17 % 29 not in squares and 11 % 29 not in squares
         shape = n_shape(validate(29, 374))
         assert shape.delta == 2
-        assert shape.plist == ((17, I),)
-        assert shape.qlist == ((11, I),)
+        assert shape.tagged == ((11, I), (17, I))
+        assert (shape.t, shape.s, shape.t2, shape.s2) == (1, 1, 0, 0)
 
     def test_inert_and_split_p(self):
         # 3293 = 37 * 89; mod 5: 37 = 2 (non-residue), 89 = 4 (residue)
         shape = n_shape(validate(5, 3293))
-        assert shape.plist == ((37, I), (89, S))
-        assert shape.qlist == ()
+        assert shape.tagged == ((37, I), (89, S))
+        assert (shape.t, shape.s) == (2, 0)
         assert (shape.t1, shape.t2, shape.h) == (1, 1, 3)
 
     def test_counts(self):
@@ -215,6 +218,21 @@ class TestRankClosed:
         assert rank_closed(validate(37, 13)).case_tag == "p-only:inert"
         assert rank_closed(validate(53, 67)).case_tag == "q-no2:inert"
         assert rank_closed(validate(13, 79)).case_tag == "q-no2:split"
+
+
+class TestCaseTable:
+    def test_one_entry_per_family_equal_to_the_class_formula(self):
+        # delta in {1, 2}, t1, t2, s1, s2 in 0..4: 1,250 shapes, including
+        # t = 4, which needs n >= 5*13*17*29 and so lies past the panel
+        reached = set()
+        for delta, t1, t2, s1, s2 in product((1, 2), range(5), range(5), range(5), range(5)):
+            shape = synthetic_shape(delta, t1, t2, s1, s2)
+            tag = rank._case_tag(shape)
+            reached.add(tag)
+            expected = shape.mu + (1 if shape.s2 == 0 else 0) - 3
+            assert rank._CLOSED_RANK[tag](shape) == expected, (delta, t1, t2, s1, s2, tag)
+        assert len(reached) == 16
+        assert sorted(rank._CLOSED_RANK) == sorted(reached)
 
 
 class TestRankResultGate:
