@@ -223,26 +223,21 @@ def quartic_symbol(a: int, p: int) -> int:
 
 
 class TwoSquares(NamedTuple):
-    b: int  # even leg; b = 2 (mod 4) when ell = 5 (mod 8)
+    b: int  # even leg, = 2 (mod 4)
     c: int  # odd leg
 
 
 @functools.lru_cache(maxsize=None)
 def two_squares(ell: int) -> TwoSquares:
-    """The decomposition ell = b^2 + c^2 of a prime ell = 1 (mod 4), b even.
+    """The decomposition ell = b^2 + c^2 of a prime ell = 5 (mod 8), b even.
 
     Cornacchia: seed the Euclidean remainder sequence with a square root of
-    -1 mod ell and stop at the first remainder below sqrt(ell).
+    -1 mod ell and stop at the first remainder below sqrt(ell).  2 is a
+    non-residue mod such an ell, so 2^((ell-1)/4) squares to -1.
     """
-    if ell % 4 != 1 or not is_prime(ell):
-        raise InternalCheckError(f"two_squares needs a prime = 1 (mod 4), got {ell}")
-    if ell % 8 == 5:
-        x = pow(2, (ell - 1) // 4, ell)  # 2 is a non-residue here
-    else:
-        d = 3
-        while legendre(d, ell) != -1:
-            d += 2
-        x = pow(d, (ell - 1) // 4, ell)
+    if ell % 8 != 5 or not is_prime(ell):
+        raise InternalCheckError(f"two_squares needs a prime = 5 (mod 8), got {ell}")
+    x = pow(2, (ell - 1) // 4, ell)
     if x * x % ell != ell - 1:
         raise InternalCheckError(f"no square root of -1 found mod {ell}")
     a, b = ell, x

@@ -38,41 +38,36 @@ def fundamental_unit(ell: int) -> FundamentalUnit:
     Expands w = (1 + sqrt(ell))/2 with the integer P,Q recursion
 
         a_i = floor((P_i + sqrt(ell)) / Q_i),
-        P_{i+1} = a_i Q_i - P_i,   Q_{i+1} = (ell - P_{i+1}^2) / Q_i,
+        P_{i+1} = a_i Q_i - P_i,   Q_{i+1} = (ell - P_{i+1}^2) / Q_i.
 
-    until a state (P, Q) repeats.  The repeating tail is the cycle of reduced
-    irrationals; multiplying its partial-quotient matrices gives the smallest
-    automorphism, i.e. the fundamental unit eps0 = C*beta + D where beta is
-    the state entering the cycle.  All intermediate values are exact ints:
-    convergent entries outgrow machine words even for small ell.
+    One step gives beta = w1 = 1/(w - a0) = (P1 + sqrt(ell))/Q1, which is
+    reduced: w1 > 1, and its conjugate 1/(w' - a0) lies in (-1, 0) because
+    w' - a0 < -1.  By Galois' theorem on purely periodic continued fractions
+    the expansion is periodic from w1 (for ell = 5, w1 = w).  So one walk
+    around the period from (P1, Q1) back to (P1, Q1), multiplying the
+    partial-quotient matrices on the way, gives the smallest automorphism,
+    i.e. the fundamental unit eps0 = C*beta + D.  All intermediate values are
+    exact ints: convergent entries outgrow machine words even for small ell.
     """
     if ell % 8 != 5:
         raise InternalCheckError(f"fundamental_unit needs ell = 5 (mod 8), got {ell}")
     root = isqrt(ell)
-    seen: dict[tuple[int, int], int] = {}
-    quots: list[int] = []
-    P, Q = 1, 2
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(quots)
+    P1 = 2 * ((1 + root) // 2) - 1  # a0 = floor(w), P0 = 1, Q0 = 2
+    Q1 = (ell - P1 * P1) // 2
+    P, Q = P1, Q1
+    # One trip around the period: (C, D) is the bottom row of the product
+    # of the matrices [[a, 1], [1, 0]], all eps0 = C*beta + D needs.
+    C, D = 0, 1
+    while True:
         a = (P + root) // Q
-        quots.append(a)
+        C, D = C * a + D, C
         P = a * Q - P
         Q = (ell - P * P) // Q
-    start = seen[(P, Q)]
+        if P == P1 and Q == Q1:
+            break
 
-    # One trip around the cycle: M = prod over [[a, 1], [1, 0]].
-    A, B, C, D = 1, 0, 0, 1
-    for a in quots[start:]:
-        A, B, C, D = A * a + B, A, C * a + D, C
-
-    # Re-walk the preperiod to recover beta = (P + sqrt(ell))/Q at the cycle.
-    P, Q = 1, 2
-    for a in quots[:start]:
-        P = a * Q - P
-        Q = (ell - P * P) // Q
-
-    u, ru = divmod(2 * (C * P + D * Q), Q)
-    v, rv = divmod(2 * C, Q)
+    u, ru = divmod(2 * (C * P1 + D * Q1), Q1)
+    v, rv = divmod(2 * C, Q1)
     if ru or rv or u <= 0 or v <= 0 or u * u - ell * v * v != -4:
         raise InternalCheckError(f"Pell identity u^2 - ell*v^2 = -4 fails: ell={ell} u={u} v={v}")
     return FundamentalUnit(u, v)

@@ -1,8 +1,10 @@
 """Shared test fixtures and tiny independent oracles."""
 
+import random
 from math import isqrt
 
 import pytest
+import sympy
 
 # The twelve base primes every range check runs over.
 PANEL_ELLS = (5, 13, 29, 37, 53, 61, 101, 109, 149, 157, 173, 197)
@@ -27,6 +29,21 @@ def pell_oracle(ell: int, cap: int):
         if r * r == x:
             return r, v
     return None
+
+
+def family_sample(seed: int, count: int) -> list[int]:
+    """count primes ell = 5 (mod 8) below 10^7, each the first at or above a
+    draw log-uniform in [10^4, 10^7), by sympy's primality test."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ell = int(10 ** rng.uniform(4, 7))
+        ell += (5 - ell) % 8
+        while not sympy.isprime(ell):
+            ell += 8
+        if ell < 10**7:
+            out.append(ell)
+    return out
 
 
 @pytest.fixture(scope="session")

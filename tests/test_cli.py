@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qtr import cli
+from qtr import cli, rank
 from qtr.cli import main, pool_size, shape_string
 from qtr.quartic import Conductor, validate
 from qtr.rank import RankResult, n_shape
@@ -204,6 +204,60 @@ class TestFailingChecksExit3:
         assert out == first_window
         assert out.startswith("n,delta,shape,mu,r_star,rank,case,conductor\n")
         assert "ell=37 n=515" in err
+
+
+class TestRankPathFailuresNamed:
+    """A check inside a rank path names (ell, n) and cross_path; in verify the
+    checks that read the rank results fail with it, and bridge still runs."""
+
+    def test_scan_names_the_inconsistent_closed_rank(self, capsys, monkeypatch):
+        # n = 41 is the first p-only:split field of ell = 37
+        monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split", lambda d: 2 * d.t + 1)
+        code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "100", "--format", "csv")
+        assert code == 3
+        assert out == "n,delta,shape,mu,r_star,rank,case,conductor\n"
+        assert err == ("internal error: ell=37 n=41 check=cross_path: inconsistent rank result: "
+                       "mu=4 r*=1 rank=3 case=p-only:split\n")
+
+    def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
+        real = rank.r_star
+
+        def r_star(table):
+            return real(table) ^ any(col.prime == 13 for col in table.columns)
+
+        monkeypatch.setattr(rank, "r_star", r_star)
+        code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "30")
+        assert code == 3
+        assert out.splitlines() == [
+            "ell = 37, n <= 30: 19 fields checked",
+            "  cross_path: 17 pass, 2 fail",
+            "  hilbert: 17 pass, 2 fail",
+            "  bridge: 19 pass, 0 fail",
+            "  classify: 17 pass, 2 fail",
+            *(f"  FAIL ell=37 n={n} check={check}"
+              for n in (13, 26) for check in ("cross_path", "hilbert", "classify")),
+        ]
+        assert [line.split(": ")[0] for line in err.splitlines()] == [
+            "ell=37 n=13 check=cross_path", "ell=37 n=26 check=cross_path"]
+        assert "r* from table" in err
+
+
+class TestParseTimeLimit:
+    """Input is parsed under CPython's 4300-digit int-to-str limit, which main
+    lifts only for the command it then runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ("rank", "--ell", "37", "--n", "1" + "0" * 4999),
+        # negative, so that a limit lifted before parsing ends in an empty scan
+        ("scan", "--ell", "37", "--n-max", "-1" + "0" * 4999),
+    ])
+    def test_over_long_int_exits_2(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestSmallCommands:

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.solvers.diophantine.diophantine import sum_of_squares
 
 from qtr import ntheory
 from qtr.errors import InternalCheckError, NotQuadraticResidue, NotSquarefree
@@ -19,7 +20,7 @@ from qtr.ntheory import (
     two_squares,
 )
 
-from .conftest import trial_division_is_prime
+from .conftest import family_sample, trial_division_is_prime
 
 
 class TestIsPrime:
@@ -240,12 +241,23 @@ class TestTwoSquares:
         assert two_squares(37) == (6, 1)
 
     def test_against_exhaustive_search_below_2000(self):
-        for ell in range(5, 2000):
-            if ell % 4 != 1 or not trial_division_is_prime(ell):
+        for ell in range(5, 2000, 8):
+            if not trial_division_is_prime(ell):
                 continue
             got = two_squares(ell)
             assert (got.b, got.c) == self.exhaustive(ell), ell
             assert got.b % 2 == 0 and got.c % 2 == 1
             assert got.b**2 + got.c**2 == ell
-            if ell % 8 == 5:
-                assert got.b % 4 == 2
+            assert got.b % 4 == 2
+
+    def test_the_one_representation_past_10_4(self):
+        for ell in family_sample(seed=0, count=200):
+            (x, y), = sum_of_squares(ell, 2)
+            b, c = (x, y) if x % 2 == 0 else (y, x)
+            assert b % 4 == 2
+            assert two_squares(ell) == (b, c), ell
+
+    @pytest.mark.parametrize("ell", [17, 41])
+    def test_prime_one_mod_eight_is_outside_the_family(self, ell):
+        with pytest.raises(InternalCheckError):
+            two_squares(ell)

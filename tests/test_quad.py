@@ -5,7 +5,7 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 from qtr.ntheory import legendre
 from qtr.quad import SplittingType, fundamental_unit, splitting_type
 
-from .conftest import pell_oracle, trial_division_is_prime
+from .conftest import family_sample, pell_oracle, trial_division_is_prime
 
 
 class TestFundamentalUnit:
@@ -34,6 +34,13 @@ class TestFundamentalUnit:
         ells = [ell for ell in sympy.primerange(5, 10**4) if ell % 8 == 5]
         assert len(ells) == 314
         for ell in ells:
+            least = min(((abs(u), abs(v)) for u, v in diop_DN(ell, -4)), key=lambda s: s[1])
+            unit = fundamental_unit(ell)
+            assert (unit.u, unit.v) == least, ell
+
+    def test_least_v_solution_of_pell_past_10_4(self):
+        # a seeded sample up to 10^7; diop_DN's cost grows with the period
+        for ell in family_sample(seed=0, count=15):
             least = min(((abs(u), abs(v)) for u, v in diop_DN(ell, -4)), key=lambda s: s[1])
             unit = fundamental_unit(ell)
             assert (unit.u, unit.v) == least, ell
