@@ -7,87 +7,14 @@ formula through explicit norm-residue character tables) which must agree.
 """
 
 from .classify import Classification, ShapePattern, classify_small_rank
-from .errors import (
-    EllNotFiveMod8,
-    EllNotPrime,
-    FieldInputError,
-    InternalCheckError,
-    JobsNotPositive,
-    NNotPositive,
-    NotCoprime,
-    NotQuadraticResidue,
-    NotSquarefree,
-)
+from .errors import (EllNotFiveMod8, EllNotPrime, FactorBudgetExceeded, FieldInputError,
+                     InternalCheckError, JobsNotPositive, NNotPositive, NotCoprime,
+                     NotQuadraticResidue, NotSquarefree, PeriodBudgetExceeded)
 from .ntheory import TwoSquares, factor_squarefree, factorize, is_prime, legendre, quartic_symbol, two_squares
 from .quad import FundamentalUnit, SplittingType, fundamental_unit, splitting_type
-from .quartic import (
-    Conductor,
-    DefiningPolynomial,
-    FieldInput,
-    WilliamsForm,
-    conductor,
-    defining_polynomial,
-    to_williams,
-    validate,
-    validate_ell,
-)
-from .rank import (
-    CharacterTable,
-    NShape,
-    RamProfile,
-    RankResult,
-    character_table,
-    n_shape,
-    r_star,
-    ram_profile,
-    rank_closed,
-    rank_unified,
-)
+from .quartic import (Conductor, DefiningPolynomial, FieldInput, WilliamsForm, conductor,
+                      defining_polynomial, to_williams, validate, validate_ell)
+from .rank import (CharacterTable, NShape, RamProfile, RankResult, character_table, n_shape, r_star,
+                   ram_profile, rank_closed, rank_unified)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Classification",
-    "ShapePattern",
-    "classify_small_rank",
-    "EllNotFiveMod8",
-    "EllNotPrime",
-    "FieldInputError",
-    "InternalCheckError",
-    "JobsNotPositive",
-    "NNotPositive",
-    "NotCoprime",
-    "NotQuadraticResidue",
-    "NotSquarefree",
-    "TwoSquares",
-    "factor_squarefree",
-    "factorize",
-    "is_prime",
-    "legendre",
-    "quartic_symbol",
-    "two_squares",
-    "FundamentalUnit",
-    "SplittingType",
-    "fundamental_unit",
-    "splitting_type",
-    "Conductor",
-    "DefiningPolynomial",
-    "FieldInput",
-    "WilliamsForm",
-    "conductor",
-    "defining_polynomial",
-    "to_williams",
-    "validate",
-    "validate_ell",
-    "CharacterTable",
-    "NShape",
-    "RamProfile",
-    "RankResult",
-    "character_table",
-    "n_shape",
-    "r_star",
-    "ram_profile",
-    "rank_closed",
-    "rank_unified",
-    "__version__",
-]

@@ -25,40 +25,42 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import prod
 
-from .classify import classify_small_rank
-from .errors import FieldInputError, InternalCheckError, JobsNotPositive, NotCoprime, NotSquarefree
-from .ntheory import squarefree_window
-from .quad import SplittingType, fundamental_unit
-from .quartic import FieldInput, conductor, defining_polynomial, to_williams, validate, validate_ell
-from .rank import NShape, PrimeTable, RankResult, agree, character_table, rank_closed, rank_unified
+from .classify import classify_small_rank, small_rank_pattern
+from .errors import FieldInputError, InternalCheckError, JobsNotPositive
+from .ntheory import squarefree_window, two_squares
+from .quad import fundamental_unit
+from .quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, defining_polynomial,
+                      dyadic_ramifies, prime_kind, to_williams, validate, validate_ell,
+                      williams_abc)
+from .rank import (DYADIC_PARTS, SQRT_ELL_PART, UNIT_LABELS, NShape, PrimeTable, RankResult,
+                   character_table, flat_ranks, rank_closed, rank_unified, unit_rows)
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
+_RANK = SCAN_FIELDS.index("rank")
 _CHUNK = 512
 
 
-def shape_string(shape: NShape) -> str:
-    """Compact shape of n: kind letters for the odd primes ascending, with
-    their split/inert tags, e.g. 'p·q·q [I,S,I]'; '1' when n is 1 or 2."""
-    if not shape.tagged:
+def _shape_text(kinds: list[str], tags: list[str]) -> str:
+    """Compact shape of n from the kind and tag letters of its odd primes
+    ascending, e.g. 'p·q·q [I,S,I]'; '1' when n is 1 or 2."""
+    if not kinds:
         return "1"
-    kinds = "·".join("p" if p % 4 == 1 else "q" for p, _ in shape.tagged)
-    tags = ",".join("S" if tag is SplittingType.SPLIT else "I" for _, tag in shape.tagged)
-    return f"{kinds} [{tags}]"
+    return f"{'·'.join(kinds)} [{','.join(tags)}]"
 
 
-def _row(field: FieldInput, closed: RankResult) -> dict:
-    return {
-        "n": field.n,
-        "delta": field.shape.delta,
-        "shape": shape_string(field.shape),
-        "mu": closed.mu,
-        "r_star": closed.r_star,
-        "rank": closed.rank,
-        "case": closed.case_tag,
-        "conductor": conductor(to_williams(field), field.ell).f,
-    }
+def shape_string(shape: NShape) -> str:
+    """The compact shape of a stored shape."""
+    letters = [KIND_LETTERS[prime_kind(prime, tag)] for prime, tag in shape.tagged]
+    return _shape_text([kind for kind, _ in letters], [tag for _, tag in letters])
+
+
+def _row(field: FieldInput, closed: RankResult) -> tuple:
+    """The scan row of one field, in SCAN_FIELDS order."""
+    return (field.n, field.shape.delta, shape_string(field.shape), closed.mu, closed.r_star,
+            closed.rank, closed.case_tag, conductor(to_williams(field), field.ell).f)
 
 
 def _windows(n_max: int):
@@ -67,40 +69,79 @@ def _windows(n_max: int):
         yield lo, min(lo + _CHUNK, n_max + 1)
 
 
-def _window_fields(primes: PrimeTable, lo: int, hi: int):
-    """(n, record) for each n in [lo, hi), read off the squarefree sieve; a
-    rejected n comes with the name of the hypothesis it fails instead."""
-    for n, factors in zip(range(lo, hi), squarefree_window(lo, hi)):
-        try:
-            yield n, FieldInput.from_sieve(primes.ell, n, factors, primes.tag)
-        except (NotSquarefree, NotCoprime) as exc:
-            yield n, type(exc).__name__
+def _cross_path(ell: int, n: int, exc: InternalCheckError) -> InternalCheckError:
+    """A failed check of either rank path, named by the field and cross_path."""
+    return InternalCheckError(f"ell={ell} n={n} check=cross_path: {exc}")
 
 
-def _ranks(field: FieldInput, primes: PrimeTable | None = None) -> tuple[RankResult, RankResult]:
-    """The field's rank by both paths, once they agree.  Any failed check
-    inside either path, or their disagreement, is raised as an
-    InternalCheckError that names (ell, n) and the cross_path check."""
+def _ranks(field: FieldInput) -> tuple[RankResult, RankResult]:
+    """The field's rank by both paths, once they agree."""
     try:
         closed = rank_closed(field)
-        unified = rank_unified(field, primes)
-        if not agree(closed, unified):
+        unified = rank_unified(field)
+        if closed != unified:
             raise InternalCheckError(f"rank paths disagree: closed={closed} unified={unified}")
     except InternalCheckError as exc:
-        raise InternalCheckError(f"ell={field.ell} n={field.n} check=cross_path: {exc}") from exc
+        raise _cross_path(field.ell, field.n, exc) from exc
     return closed, unified
 
 
-def _window_rows(primes: PrimeTable, lo: int, hi: int) -> list:
-    """('row', row) for each valid n in [lo, hi), once both rank paths agree,
-    and ('skip', {n, reason}) for each rejected one."""
-    out = []
-    for n, field in _window_fields(primes, lo, hi):
-        if isinstance(field, str):
-            out.append(("skip", {"n": n, "reason": field}))
+def _fields(primes: PrimeTable, lo: int, hi: int):
+    """The census step over n in [lo, hi), read off the squarefree sieve:
+    ("skip", n, reason) for a rejected n, checked in FieldInput's order, or
+    ("field", n, delta, dyadic, counts, kinds, tags, rows, (e, f)): the
+    counts [t1, t2, s1, s2], the odd primes' letters ascending, the rows -1,
+    eps, -eps of the character table (each prime's part memoized) and the
+    conductor's exponent and value."""
+    ell = primes.ell
+    legs = two_squares(ell)
+    for n, factors in zip(range(lo, hi), squarefree_window(lo, hi)):
+        if factors is None:
+            yield "skip", n, "NotSquarefree"
             continue
-        closed, _ = _ranks(field, primes)
-        out.append(("row", _row(field, closed)))
+        if prod(factors) != n:
+            raise InternalCheckError(f"sieve primes {factors} do not multiply to n = {n}")
+        if n % ell == 0:
+            yield "skip", n, "NotCoprime"
+            continue
+        counts = [0, 0, 0, 0]
+        kinds, tags = [], []
+        row_m1, row_eps = [*SQRT_ELL_PART.minus_one], [*SQRT_ELL_PART.eps]
+        for prime in factors:
+            if prime != 2:
+                kind, kind_letter, tag_letter, m1, eps = primes[prime]
+                counts[kind] += 1
+                kinds.append(kind_letter)
+                tags.append(tag_letter)
+                row_m1 += m1
+                row_eps += eps
+        delta = 2 - n % 2
+        s = counts[2] + counts[3]
+        dyadic = dyadic_ramifies(delta, s)
+        if dyadic:
+            row_m1 += DYADIC_PARTS[s % 2].minus_one
+            row_eps += DYADIC_PARTS[s % 2].eps
+        a, b, _ = williams_abc(n, legs)
+        yield ("field", n, delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps),
+               conductor_parts(a, b, ell))
+
+
+def _window_rows(primes: PrimeTable, lo: int, hi: int) -> list:
+    """("row", values in SCAN_FIELDS order) for each field with n in
+    [lo, hi), once both rank paths agree, and ("skip", n, reason) for each
+    rejected n."""
+    ell = primes.ell
+    out = []
+    for step in _fields(primes, lo, hi):
+        if step[0] == "skip":
+            out.append(step)
+            continue
+        _, n, delta, dyadic, counts, kinds, tags, rows, (_, f) = step
+        try:
+            mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
+        except InternalCheckError as exc:
+            raise _cross_path(ell, n, exc) from exc
+        out.append(("row", (n, delta, _shape_text(kinds, tags), mu, r_star, rank, case, f)))
     return out
 
 
@@ -133,21 +174,22 @@ def _scan_windows(ell: int, n_max: int, jobs: int):
     return _pooled(workers, [(ell, lo, hi) for lo, hi in windows])
 
 
-def _selected(results: list, include_skipped: bool, rank_filter: int | None) -> list[dict]:
+_NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
+
+
+def _selected(results: list, include_skipped: bool, rank_filter: int | None) -> list[tuple]:
+    """The output rows of one window's results, as value tuples; with
+    include_skipped, each has a reason, and a rejected n has only n and it."""
     rows = []
-    for kind, payload in results:
-        if kind == "skip":
+    for result in results:
+        if result[0] == "skip":
             if include_skipped:
-                row = {field: "" for field in SCAN_FIELDS}
-                row["n"] = payload["n"]
-                row["reason"] = payload["reason"]
-                rows.append(row)
+                rows.append((result[1], *_NO_ROW, result[2]))
             continue
-        if rank_filter is not None and payload["rank"] != rank_filter:
+        values = result[1]
+        if rank_filter is not None and values[_RANK] != rank_filter:
             continue
-        if include_skipped:
-            payload = dict(payload, reason="")
-        rows.append(payload)
+        rows.append((*values, "") if include_skipped else values)
     return rows
 
 
@@ -155,26 +197,26 @@ def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False
               rank_filter: int | None = None) -> list[dict]:
     """ScanRows ascending by n.  Windows are merged in order, so the output
     is identical for every jobs count."""
-    return [row for results in _scan_windows(ell, n_max, jobs)
-            for row in _selected(results, include_skipped, rank_filter)]
+    fields = (SCAN_FIELDS + ("reason",)) if include_skipped else SCAN_FIELDS
+    return [dict(zip(fields, values)) for results in _scan_windows(ell, n_max, jobs)
+            for values in _selected(results, include_skipped, rank_filter)]
 
 
-def _emit_table_rows(rows: list[dict], fields: tuple[str, ...], fmt: str,
-                     header: bool = True) -> None:
+def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str, header: bool = True) -> None:
+    """Write rows, each a sequence of values in fields order."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if header:
             writer.writerow(fields)
-        for row in rows:
-            writer.writerow([row[f] for f in fields])
+        writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
     elif fmt == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
     else:
         if not rows:
             return
-        cells = [[str(row[f]) for f in fields] for row in rows]
+        cells = [[str(x) for x in row] for row in rows]
         widths = [max(len(f), *(len(c[i]) for c in cells)) for i, f in enumerate(fields)]
         print("  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip())
         for c in cells:
@@ -186,18 +228,10 @@ def cmd_rank(args, fmt: str) -> int:
     closed, unified = _ranks(field)
     shape, table = field.shape, unified.table
     if fmt == "json":
-        print(json.dumps({
-            "ell": field.ell,
-            "n": field.n,
-            "rank": closed.rank,
-            "mu": closed.mu,
-            "r_star": closed.r_star,
-            "case": closed.case_tag,
-            "closed_rank": closed.rank,
-            "unified_rank": unified.rank,
-            "agree": True,
-            "table": table.to_json_obj(),
-        }, indent=2))
+        print(json.dumps({"ell": field.ell, "n": field.n, "rank": closed.rank, "mu": closed.mu,
+                          "r_star": closed.r_star, "case": closed.case_tag,
+                          "closed_rank": closed.rank, "unified_rank": unified.rank,
+                          "agree": True, "table": table.to_json_obj()}, indent=2))
     elif fmt == "csv":
         _emit_table_rows([_row(field, closed)], SCAN_FIELDS, "csv")
     else:
@@ -213,12 +247,12 @@ def cmd_scan(args, fmt: str) -> int:
     """CSV streams one window at a time; text needs every row for its column
     widths, and JSON is one document."""
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
+    windows = _scan_windows(args.ell, args.n_max, args.jobs)
     if fmt != "csv":
-        _emit_table_rows(scan_rows(args.ell, args.n_max, jobs=args.jobs,
-                                   include_skipped=args.include_skipped, rank_filter=args.rank),
+        _emit_table_rows([row for results in windows
+                          for row in _selected(results, args.include_skipped, args.rank)],
                          fields, fmt)
         return 0
-    windows = _scan_windows(args.ell, args.n_max, args.jobs)
     _emit_table_rows([], fields, fmt)
     for results in windows:
         _emit_table_rows(_selected(results, args.include_skipped, args.rank), fields, fmt,
@@ -229,41 +263,37 @@ def cmd_scan(args, fmt: str) -> int:
 def cmd_verify(args, fmt: str) -> int:
     """Re-check every built-in invariant over all valid n <= n_max."""
     primes = PrimeTable(args.ell)
-    checks = {"cross_path": 0, "hilbert": 0, "bridge": 0, "classify": 0}
+    ell = primes.ell
+    checks = dict.fromkeys(("cross_path", "hilbert", "bridge", "classify"), 0)
     failures: list[tuple[int, str]] = []
     fields_checked = 0
     for lo, hi in _windows(args.n_max):
-        for n, field in _window_fields(primes, lo, hi):
-            if isinstance(field, str):
+        for step in _fields(primes, lo, hi):
+            if step[0] == "skip":
                 continue
+            _, n, delta, dyadic, counts, _, _, rows, (e, _) = step
             fields_checked += 1
             try:
-                closed, unified = _ranks(field, primes)
+                rank = flat_ranks(ell, n, dyadic, *counts, rows)[2]
             except InternalCheckError as exc:
-                print(exc, file=sys.stderr)
-                closed = unified = None
-            e = conductor(to_williams(field), field.ell).e
-            small = classify_small_rank(field).rank  # None from rank 4 on
+                print(_cross_path(ell, n, exc), file=sys.stderr)
+                rank = None
+            pattern = small_rank_pattern(delta, *counts, ell, n)
+            small = pattern.rank if pattern else None  # None from rank 4 on
             # hilbert and classify read the rank results, so they fail with them
-            passed = {
-                "cross_path": closed is not None,
-                "hilbert": unified is not None and unified.table.row_products() == (1, 1, 1),
-                "bridge": (e == 0) == (not field.shape.dyadic_ramifies),
-                "classify": closed is not None
-                            and small == (closed.rank if closed.rank <= 3 else None),
-            }
-            for check, ok in passed.items():
+            passed = (
+                rank is not None,
+                rank is not None and tuple(map(prod, rows)) == (1, 1, 1),
+                (e == 0) == (not dyadic),
+                rank is not None and small == (rank if rank <= 3 else None),
+            )
+            for check, ok in zip(checks, passed):
                 if ok:
                     checks[check] += 1
                 else:
                     failures.append((n, check))
-    summary = {
-        "ell": args.ell,
-        "n_max": args.n_max,
-        "fields_checked": fields_checked,
-        "passed": checks,
-        "failures": [{"n": n, "check": c} for n, c in failures],
-    }
+    summary = {"ell": args.ell, "n_max": args.n_max, "fields_checked": fields_checked,
+               "passed": checks, "failures": [{"n": n, "check": c} for n, c in failures]}
     if fmt == "json":
         print(json.dumps(summary, indent=2))
     else:
@@ -281,7 +311,7 @@ def cmd_unit(args, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps({"ell": ell, "u": unit.u, "v": unit.v}, indent=2))
     elif fmt == "csv":
-        _emit_table_rows([{"ell": ell, "u": unit.u, "v": unit.v}], ("ell", "u", "v"), "csv")
+        _emit_table_rows([(ell, unit.u, unit.v)], ("ell", "u", "v"), "csv")
     else:
         print(f"eps0 = ({unit.u} + {unit.v}*sqrt({ell}))/2")
         print(f"u = {unit.u}")
@@ -300,7 +330,7 @@ def cmd_conductor(args, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
-        _emit_table_rows([payload], tuple(payload), "csv")
+        _emit_table_rows([tuple(payload.values())], tuple(payload), "csv")
     else:
         print(f"canonical form: a={w.a}, b={w.b}, c={w.c}  ({w.b}^2 + {w.c}^2 = {field.ell})")
         print(f"e = {cond.e}")
@@ -316,9 +346,7 @@ def cmd_poly(args, fmt: str) -> int:
                           "coefficients": list(poly.coefficients),
                           "pretty": str(poly)}, indent=2))
     elif fmt == "csv":
-        c4, c3, c2, c1, c0 = poly.coefficients
-        _emit_table_rows([{"ell": field.ell, "n": field.n,
-                           "c4": c4, "c3": c3, "c2": c2, "c1": c1, "c0": c0}],
+        _emit_table_rows([(field.ell, field.n, *poly.coefficients)],
                          ("ell", "n", "c4", "c3", "c2", "c1", "c0"), "csv")
     else:
         print(str(poly))
@@ -332,10 +360,8 @@ def cmd_table(args, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps({"ell": field.ell, "n": field.n, **table.to_json_obj()}, indent=2))
     elif fmt == "csv":
-        labels = table.column_labels()
-        rows = [dict({"unit": unit}, **dict(zip(labels, row)))
-                for unit, row in zip(("-1", "eps", "-eps"), table.entries)]
-        _emit_table_rows(rows, ("unit", *labels), "csv")
+        rows = [(unit, *row) for unit, row in zip(UNIT_LABELS, table.entries)]
+        _emit_table_rows(rows, ("unit", *table.column_labels()), "csv")
     else:
         print(table.to_text())
     return 0
@@ -352,9 +378,8 @@ def cmd_classify(args, fmt: str) -> int:
             "description": cls.pattern.description if cls.pattern else None,
         }, indent=2))
     elif fmt == "csv":
-        _emit_table_rows([{"ell": field.ell, "n": field.n,
-                           "rank": "" if cls.rank is None else cls.rank,
-                           "pattern": cls.pattern.pattern_id if cls.pattern else ""}],
+        _emit_table_rows([(field.ell, field.n, "" if cls.rank is None else cls.rank,
+                           cls.pattern.pattern_id if cls.pattern else "")],
                          ("ell", "n", "rank", "pattern"), "csv")
     else:
         if cls.pattern is None:

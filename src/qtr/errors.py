@@ -2,7 +2,8 @@
 
 
 class FieldInputError(ValueError):
-    """A pair (ell, n) that does not describe a field in the supported family."""
+    """A pair (ell, n) that does not describe a field in the supported family,
+    or one whose answer would take more than a budgeted amount of work."""
 
 
 class EllNotPrime(FieldInputError):
@@ -23,6 +24,14 @@ class NotSquarefree(FieldInputError):
 
 class NotCoprime(FieldInputError):
     pass
+
+
+class PeriodBudgetExceeded(FieldInputError):
+    """The unit of ell has a continued-fraction period past quad._PERIOD_BUDGET."""
+
+
+class FactorBudgetExceeded(FieldInputError):
+    """Pollard-Brent took more than ntheory._RHO_BUDGET steps on a factor of n."""
 
 
 class JobsNotPositive(ValueError):

@@ -9,21 +9,38 @@ carries everything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
-from typing import Callable, Sequence
 
 from .errors import (
     EllNotFiveMod8,
     EllNotPrime,
-    InternalCheckError,
     NNotPositive,
     NotCoprime,
-    NotSquarefree,
 )
-from .ntheory import factor_squarefree, is_prime, two_squares
+from .ntheory import TwoSquares, factor_squarefree, is_prime, two_squares
 from .quad import SplittingType, fundamental_unit, splitting_type
 
 _DERIVED = dict(init=False, repr=False, compare=False)
+
+# The letters of the four kinds of odd prime in n, in the order of the counts
+# t1, t2, s1, s2: p = 1 or q = 3 (mod 4), inert (I) or split (S) in k.
+KIND_LETTERS = (("p", "I"), ("p", "S"), ("q", "I"), ("q", "S"))
+
+
+def prime_kind(prime: int, tag: SplittingType) -> int:
+    """Which of the counts t1, t2, s1, s2 an odd prime of n bumps."""
+    return (2 if prime % 4 == 3 else 0) + (1 if tag is SplittingType.SPLIT else 0)
+
+
+def dyadic_ramifies(delta: int, s: int) -> bool:
+    """Whether the prime of k above 2 ramifies in K: always unless n is odd
+    with an odd number s of q-factors (conductor exponent 0)."""
+    return delta == 2 or s % 2 == 0
+
+
+def ramified_count(t1: int, t2: int, s1: int, s2: int, dyadic: bool) -> int:
+    """mu, the number of primes of k that ramify in K: sqrt(ell), one above
+    each inert odd prime of n, two above each split one, and the dyadic one."""
+    return 1 + t1 + 2 * t2 + s1 + 2 * s2 + dyadic
 
 
 @dataclass(frozen=True)
@@ -32,9 +49,8 @@ class NShape:
     behavior in k.  delta is 2 exactly when n is even, and tagged holds every
     odd (prime, tag) ascending.  Stored at build: the counts t, s of p- and
     q-factors, t1/t2 and s1/s2 of the inert/split ones, h and w of the primes
-    of k above them; whether the prime above 2 ramifies (unless n is odd with
-    s odd, i.e. conductor exponent 0); and mu, the number of ramified primes
-    of k.
+    of k above them; whether the prime above 2 ramifies; and mu, the number
+    of ramified primes of k.
     """
 
     delta: int
@@ -51,20 +67,15 @@ class NShape:
     mu: int = field(**_DERIVED)
 
     def __post_init__(self) -> None:
-        residues = [p % 4 for p, _ in self.tagged]
-        split = [p % 4 for p, tag in self.tagged if tag is SplittingType.SPLIT]
-        t, t2 = residues.count(1), split.count(1)
-        s, s2 = len(residues) - t, len(split) - t2
-        h, w = t + t2, s + s2
-        dyadic = not (self.delta == 1 and s % 2 == 1)
+        counts = [0, 0, 0, 0]
+        for prime, tag in self.tagged:
+            counts[prime_kind(prime, tag)] += 1
+        t1, t2, s1, s2 = counts
+        t, s = t1 + t2, s1 + s2
+        dyadic = dyadic_ramifies(self.delta, s)
         # Frozen: the derived fields go straight into the instance dict.
-        self.__dict__.update(t=t, s=s, t1=t - t2, t2=t2, s1=s - s2, s2=s2, h=h, w=w,
-                             dyadic_ramifies=dyadic, mu=1 + h + w + dyadic)
-
-
-def _shape_of(n: int, primes: Sequence[int], tag: Callable[[int], SplittingType]) -> NShape:
-    """The shape of n from its ascending primes; tag(p) is how p splits in k."""
-    return NShape(2 - n % 2, tuple([(p, tag(p)) for p in primes if p != 2]))
+        self.__dict__.update(t=t, s=s, t1=t1, t2=t2, s1=s1, s2=s2, h=t + t2, w=s + s2,
+                             dyadic_ramifies=dyadic, mu=ramified_count(t1, t2, s1, s2, dyadic))
 
 
 @dataclass(frozen=True)
@@ -86,30 +97,10 @@ class FieldInput:
         if n < 1:
             raise NNotPositive(f"n = {n} is not a positive integer")
         primes = tuple(factor_squarefree(n))  # raises NotSquarefree
-        self._set_primes(primes, lambda p: splitting_type(p, ell))
-
-    @classmethod
-    def from_sieve(cls, ell: int, n: int, primes: Sequence[int] | None,
-                   tag: Callable[[int], SplittingType]) -> FieldInput:
-        """The record of n >= 1 from a sieve, for an ell already validated.
-
-        primes are the ascending primes of n, or None when a square divides
-        n; tag(p) is how p splits in k.  The hypotheses on n are checked in
-        the same order as by FieldInput(ell, n), with the same errors.
-        """
-        if primes is None:
-            raise NotSquarefree(f"the square of a prime divides {n}")
-        if prod(primes) != n:
-            raise InternalCheckError(f"sieve primes {primes} do not multiply to n = {n}")
-        record = object.__new__(cls)
-        record.__dict__.update(ell=ell, n=n)
-        record._set_primes(tuple(primes), tag)
-        return record
-
-    def _set_primes(self, primes: tuple[int, ...], tag: Callable[[int], SplittingType]) -> None:
-        if self.n % self.ell == 0:
-            raise NotCoprime(f"gcd(n, ell) = {self.ell} > 1")
-        self.__dict__.update(primes=primes, shape=_shape_of(self.n, primes, tag))
+        if n % ell == 0:
+            raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
+        tagged = tuple([(p, splitting_type(p, ell)) for p in primes if p != 2])
+        self.__dict__.update(primes=primes, shape=NShape(2 - n % 2, tagged))
 
 
 @dataclass(frozen=True)
@@ -143,31 +134,39 @@ def validate(ell: int, n: int) -> FieldInput:
     return FieldInput(ell, n)
 
 
-def to_williams(field: FieldInput) -> WilliamsForm:
-    """Canonical (a, b, c) for the field of (ell, n).
+def williams_abc(n: int, legs: TwoSquares) -> tuple[int, int, int]:
+    """Canonical (a, b, c) for the field of n over ell = legs.b^2 + legs.c^2.
 
     n odd means the radicand carries no factor 2, so a = n and b is the even
-    leg of ell = b^2 + c^2; n even means n = 2a with the odd leg in the b slot.
+    leg of ell; n even means n = 2a with the odd leg in the b slot.
     """
-    sq = two_squares(field.ell)
-    if field.n % 2 == 1:
-        return WilliamsForm(field.n, sq.b, sq.c)
-    return WilliamsForm(field.n // 2, sq.c, sq.b)
+    if n % 2 == 1:
+        return n, legs.b, legs.c
+    return n // 2, legs.c, legs.b
 
 
-def conductor(w: WilliamsForm, ell: int) -> Conductor:
-    """Conductor f = 2^e * a * ell of the field with canonical form w.
+def to_williams(field: FieldInput) -> WilliamsForm:
+    return WilliamsForm(*williams_abc(field.n, two_squares(field.ell)))
+
+
+def conductor_parts(a: int, b: int, ell: int) -> tuple[int, int]:
+    """(e, f) of the conductor f = 2^e * a * ell of the form (a, b, c).
 
     Only the ell = 1 (mod 4) branches apply here (ell = 5 mod 8):
     e = 3 when b is odd, else 2 or 0 according to a + b mod 4.
     """
-    if w.b % 2 == 1:
+    if b % 2 == 1:
         e = 3
-    elif (w.a + w.b) % 4 == 3:
+    elif (a + b) % 4 == 3:
         e = 2
     else:
         e = 0
-    return Conductor(e, (1 << e) * w.a * ell)
+    return e, (1 << e) * a * ell
+
+
+def conductor(w: WilliamsForm, ell: int) -> Conductor:
+    """Conductor of the field with canonical form w."""
+    return Conductor(*conductor_parts(w.a, w.b, ell))
 
 
 @dataclass(frozen=True)

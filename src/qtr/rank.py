@@ -9,25 +9,28 @@ which units are norms, and evaluate rank = mu + r* - 3.  Here mu counts the
 ramified primes of k (the real places never ramify: K is totally real), and
 k has one fundamental unit and contains -1, which fixes the constant 3.
 
-The two paths share the shape extraction (the stored NShape: its counts,
-the splitting of each prime, the dyadic rule and mu), the family name that
-both results carry, and the shape's r* (_shape_r_star), which the closed
-path reports and the unified path checks its table against.  The closed
-rank comes only from the case table and the unified rank only from the
-character table, so their agreement everywhere is the central correctness
-check of the package.
+The two paths share the shape extraction (the counts t1, t2, s1, s2, the
+splitting of each prime, the dyadic rule and mu), the family name that both
+results carry, and the shape's r* (_shape_r_star), which the closed path
+reports and the unified path checks its table against.  The closed rank
+comes only from the case table and the unified rank only from the character
+table, so their agreement everywhere is the central correctness check of
+the package.
+
+Each rule and check is a function of plain ints, called by the single-field
+paths over a stored NShape and by the census (flat_ranks) over its counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
 from .ntheory import quartic_symbol
 from .quad import SplittingType, splitting_type
-from .quartic import FieldInput, NShape, validate_ell
+from .quartic import KIND_LETTERS, FieldInput, NShape, prime_kind, ramified_count, validate_ell
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
@@ -109,11 +112,14 @@ class RankResult:
     table: Optional[CharacterTable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rank != self.mu + self.r_star - 3 or self.rank < 0:
-            raise InternalCheckError(
-                f"inconsistent rank result: mu={self.mu} r*={self.r_star} "
-                f"rank={self.rank} case={self.case_tag}"
-            )
+        _check_rank(self.mu, self.r_star, self.rank, self.case_tag)
+
+
+def _check_rank(mu: int, r_star: int, rank: int, case_tag: str) -> None:
+    if rank != mu + r_star - 3 or rank < 0:
+        raise InternalCheckError(
+            f"inconsistent rank result: mu={mu} r*={r_star} rank={rank} case={case_tag}"
+        )
 
 
 def n_shape(field: FieldInput) -> NShape:
@@ -124,9 +130,9 @@ def n_shape(field: FieldInput) -> NShape:
 _SQRT_ELL = Column("sqrt_ell")
 _DYADIC = Column("dyadic", 2)
 # sqrt(ell): (+, -) -- eps reduces to a non-residue mod sqrt(ell).
-_SQRT_ELL_PART = PrimePart((_SQRT_ELL,), (1,), (-1,))
+SQRT_ELL_PART = PrimePart((_SQRT_ELL,), (1,), (-1,))
 # dyadic: (+, (-1)^(s+1)), indexed by the parity of s, the number of q-factors.
-_DYADIC_PARTS = (PrimePart((_DYADIC,), (1,), (-1,)), PrimePart((_DYADIC,), (1,), (1,)))
+DYADIC_PARTS = (PrimePart((_DYADIC,), (1,), (-1,)), PrimePart((_DYADIC,), (1,), (1,)))
 
 
 def _odd_columns(prime: int, tag: SplittingType) -> tuple[Column, ...]:
@@ -176,10 +182,12 @@ def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
     return PrimePart(columns, (-1, -1), (sym, -sym))
 
 
-def _table(shape: NShape, ell: int, part) -> CharacterTable:
-    """The character table with each odd prime's PrimePart from part(prime, tag).
-    The -eps row is the entrywise product of the other two."""
-    groups = _in_column_order(shape, _SQRT_ELL_PART, part, _DYADIC_PARTS[shape.s % 2])
+def character_table(shape: NShape, ell: int) -> CharacterTable:
+    """Norm-residue characters of -1 and eps at each ramified prime: the
+    fixed sqrt(ell) and dyadic columns, and each odd prime's _prime_part,
+    computed afresh.  The -eps row is the entrywise product of the other two."""
+    groups = _in_column_order(shape, SQRT_ELL_PART, lambda prime, tag: _prime_part(prime, tag, ell),
+                              DYADIC_PARTS[shape.s % 2])
     columns: list[Column] = []
     row_m1: list[int] = []
     row_eps: list[int] = []
@@ -187,137 +195,140 @@ def _table(shape: NShape, ell: int, part) -> CharacterTable:
         columns += cols
         row_m1 += m1
         row_eps += eps
-    row_meps = tuple([a * b for a, b in zip(row_m1, row_eps)])
-    return CharacterTable(ell, tuple(columns), (tuple(row_m1), tuple(row_eps), row_meps))
+    return CharacterTable(ell, tuple(columns), unit_rows(tuple(row_m1), tuple(row_eps)))
 
 
-def character_table(shape: NShape, ell: int) -> CharacterTable:
-    """Norm-residue characters of -1 and eps at each ramified prime: the
-    fixed sqrt(ell) and dyadic columns, and each odd prime's _prime_part,
-    computed afresh."""
-    return _table(shape, ell, lambda prime, tag: _prime_part(prime, tag, ell))
+def unit_rows(row_m1: Sequence[int], row_eps: Sequence[int]) -> tuple:
+    """The rows -1, eps, -eps; the -eps row is the entrywise product of the
+    other two."""
+    return row_m1, row_eps, tuple([a * b for a, b in zip(row_m1, row_eps)])
 
 
-class PrimeTable:
-    """What a census of one ell learns about each odd prime: how it splits
-    in k and its part of the character table, each computed once.
-
-    Building it validates ell.  It lives for one scan or verify call and is
-    then dropped; a direct character_table call never reads it.
-    """
+class PrimeTable(dict):
+    """What a census of one ell reads about an odd prime of n, computed at its
+    first lookup: table[prime] is (which of t1, t2, s1, s2 it bumps, its kind
+    and tag letters, its -1 and eps entries).  Building it validates ell; it
+    lives for one scan or verify call, and character_table never reads it."""
 
     def __init__(self, ell: int):
+        super().__init__()
         self.ell = validate_ell(ell)
-        self._tags: dict[int, SplittingType] = {}
-        self._parts: dict[int, PrimePart] = {}
 
-    def tag(self, prime: int) -> SplittingType:
-        tag = self._tags.get(prime)
-        if tag is None:
-            tag = self._tags[prime] = splitting_type(prime, self.ell)
-        return tag
-
-    def part(self, prime: int, tag: SplittingType) -> PrimePart:
-        part = self._parts.get(prime)
-        if part is None:
-            part = self._parts[prime] = _prime_part(prime, tag, self.ell)
-        return part
-
-    def character_table(self, shape: NShape) -> CharacterTable:
-        return _table(shape, self.ell, self.part)
+    def __missing__(self, prime: int) -> tuple[int, str, str, tuple[int, ...], tuple[int, ...]]:
+        tag = splitting_type(prime, self.ell)
+        kind = prime_kind(prime, tag)
+        part = _prime_part(prime, tag, self.ell)
+        entry = self[prime] = (kind, *KIND_LETTERS[kind], part.minus_one, part.eps)
+        return entry
 
 
 def r_star(table: CharacterTable) -> int:
-    """Index exponent of norm units: a unit is a norm from K exactly when its
+    """Index exponent of norm units, read off the table's rows."""
+    return _rows_r_star(table.entries)
+
+
+def _rows_r_star(rows: Sequence[Sequence[int]]) -> int:
+    """r* of the rows -1, eps, -eps: a unit is a norm from K exactly when its
     character row is all +1.  The all-plus rows generate a subgroup of
     {+-1, +-eps} modulo squares, and r* is its 2-log.  Over F_2 x F_2 the
     units -1, eps, -eps are (1,0), (0,1), (1,1): any two are independent,
     so k of them span a group of 2-log min(k, 2)."""
-    return min([row.count(1) == len(row) for row in table.entries].count(True), 2)
+    return min([-1 not in row for row in rows].count(True), 2)
 
 
-def _case_tag(shape: NShape) -> str:
+def _case_tag(dyadic: bool, t1: int, t2: int, s1: int, s2: int) -> str:
     """Which shape family (and q-tag subcase) the field falls in.
 
     Families split by which odd primes occur and whether the dyadic prime
     ramifies ("with2"/"no2"); subcases by the split/inert mix.
     """
-    two = "with2" if shape.dyadic_ramifies else "no2"
-    if shape.t == 0 and shape.s == 0:
-        return "trivial"
-    if shape.s == 0:
-        sub = "inert" if shape.t2 == 0 else ("split" if shape.t1 == 0 else "both")
+    if s1 + s2 == 0:
+        if t1 + t2 == 0:
+            return "trivial"
+        sub = "inert" if t2 == 0 else ("split" if t1 == 0 else "both")
         return f"p-only:{sub}"
-    sub = "inert" if shape.s2 == 0 else ("split" if shape.s1 == 0 else "both")
-    if shape.t == 0:
+    two = "with2" if dyadic else "no2"
+    sub = "inert" if s2 == 0 else ("split" if s1 == 0 else "both")
+    if t1 + t2 == 0:
         return f"q-{two}:{sub}"
     return f"pq-{two}:q-{sub}"
 
 
-# The paper's case table: the closed-form 2-rank of each family of
-# _case_tag, over the shape counts.  With no split q the unit -1 stays a
-# norm, so each q-inert entry is one more than its q-both entry at s2 = 0;
-# an unramified dyadic prime (no2) lowers the rank by one.
-_CLOSED_RANK: dict[str, Callable[[NShape], int]] = {
-    "trivial": lambda d: 0,
-    "p-only:inert": lambda d: d.t,
-    "p-only:split": lambda d: 2 * d.t,
-    "p-only:both": lambda d: d.t1 + 2 * d.t2,
-    "q-no2:inert": lambda d: d.s - 1,
-    "q-no2:split": lambda d: 2 * d.s - 2,
-    "q-no2:both": lambda d: d.s1 + 2 * d.s2 - 2,
-    "q-with2:inert": lambda d: d.s,
-    "q-with2:split": lambda d: 2 * d.s - 1,
-    "q-with2:both": lambda d: d.s1 + 2 * d.s2 - 1,
-    "pq-no2:q-inert": lambda d: d.h + d.s - 1,
-    "pq-no2:q-split": lambda d: d.h + 2 * d.s - 2,
-    "pq-no2:q-both": lambda d: d.h + d.s1 + 2 * d.s2 - 2,
-    "pq-with2:q-inert": lambda d: d.h + d.s,
-    "pq-with2:q-split": lambda d: d.h + 2 * d.s - 1,
-    "pq-with2:q-both": lambda d: d.h + d.s1 + 2 * d.s2 - 1,
+# The paper's case table: the closed-form 2-rank of each family of _case_tag,
+# over the counts t1, t2, s1, s2 (t1 + 2*t2 primes of k lie above the p's).
+# With no split q the unit -1 stays a norm, so each q-inert entry is one more
+# than its q-both entry at s2 = 0; an unramified dyadic prime lowers it by one.
+_CLOSED_RANK: dict[str, Callable[[int, int, int, int], int]] = {
+    "trivial": lambda t1, t2, s1, s2: 0,
+    "p-only:inert": lambda t1, t2, s1, s2: t1 + t2,
+    "p-only:split": lambda t1, t2, s1, s2: 2 * (t1 + t2),
+    "p-only:both": lambda t1, t2, s1, s2: t1 + 2 * t2,
+    "q-no2:inert": lambda t1, t2, s1, s2: s1 + s2 - 1,
+    "q-no2:split": lambda t1, t2, s1, s2: 2 * (s1 + s2) - 2,
+    "q-no2:both": lambda t1, t2, s1, s2: s1 + 2 * s2 - 2,
+    "q-with2:inert": lambda t1, t2, s1, s2: s1 + s2,
+    "q-with2:split": lambda t1, t2, s1, s2: 2 * (s1 + s2) - 1,
+    "q-with2:both": lambda t1, t2, s1, s2: s1 + 2 * s2 - 1,
+    "pq-no2:q-inert": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + s2 - 1,
+    "pq-no2:q-split": lambda t1, t2, s1, s2: t1 + 2 * t2 + 2 * (s1 + s2) - 2,
+    "pq-no2:q-both": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + 2 * s2 - 2,
+    "pq-with2:q-inert": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + s2,
+    "pq-with2:q-split": lambda t1, t2, s1, s2: t1 + 2 * t2 + 2 * (s1 + s2) - 1,
+    "pq-with2:q-both": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + 2 * s2 - 1,
 }
 
 
-def _shape_r_star(shape: NShape) -> int:
+def _shape_r_star(s2: int) -> int:
     """r* from the shape alone: 1 exactly when no q-factor splits in k."""
-    return 1 if shape.s2 == 0 else 0
+    return 1 if s2 == 0 else 0
+
+
+def _check_table(mu: int, rs: int, shape_mu: int, shape_rs: int, ell: int, n: int) -> None:
+    """The table's mu and r* against the shape's."""
+    if mu != shape_mu:
+        raise InternalCheckError(
+            f"mu mismatch: {mu} table columns but {shape_mu} ramified primes (ell={ell}, n={n})"
+        )
+    if rs != shape_rs:
+        raise InternalCheckError(
+            f"r* from table = {rs} but shape shortcut gives {shape_rs} (ell={ell}, n={n})"
+        )
 
 
 def rank_closed(field: FieldInput) -> RankResult:
     """2-rank from the case table entry of the field's family; never builds
     a table."""
-    shape = field.shape
-    tag = _case_tag(shape)
-    return RankResult(shape.mu, _shape_r_star(shape), _CLOSED_RANK[tag](shape), tag)
+    d = field.shape
+    tag = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2)
+    return RankResult(d.mu, _shape_r_star(d.s2), _CLOSED_RANK[tag](d.t1, d.t2, d.s1, d.s2), tag)
 
 
-def rank_unified(field: FieldInput, primes: Optional[PrimeTable] = None) -> RankResult:
+def rank_unified(field: FieldInput) -> RankResult:
     """2-rank via mu + r* - 3 with r* read off the explicit character table,
-    which the result carries.  A census passes its PrimeTable for the field's
-    ell, so each prime's part of the table is computed once per census."""
-    shape = field.shape
-    if primes is None:
-        table = character_table(shape, field.ell)
-    elif primes.ell == field.ell:
-        table = primes.character_table(shape)
-    else:
-        raise InternalCheckError(f"prime table of ell={primes.ell} used for ell={field.ell}")
-    mu = len(table.columns)
-    if mu != shape.mu:
-        raise InternalCheckError(
-            f"mu mismatch: {mu} table columns but {shape.mu} ramified primes "
-            f"(ell={field.ell}, n={field.n})"
-        )
-    rs = r_star(table)
-    rs_shortcut = _shape_r_star(shape)
-    if rs != rs_shortcut:
-        raise InternalCheckError(
-            f"r* from table = {rs} but shape shortcut gives {rs_shortcut} "
-            f"(ell={field.ell}, n={field.n})"
-        )
-    return RankResult(mu, rs, mu + rs - 3, _case_tag(shape), table)
+    which the result carries."""
+    d = field.shape
+    table = character_table(d, field.ell)
+    mu, rs = len(table.columns), r_star(table)
+    _check_table(mu, rs, d.mu, _shape_r_star(d.s2), field.ell, field.n)
+    tag = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2)
+    return RankResult(mu, rs, mu + rs - 3, tag, table)
 
 
-def agree(a: RankResult, b: RankResult) -> bool:
-    """Whether two rank results give the same mu, r* and rank."""
-    return (a.mu, a.r_star, a.rank) == (b.mu, b.r_star, b.rank)
+def flat_ranks(ell: int, n: int, dyadic: bool, t1: int, t2: int, s1: int, s2: int,
+               rows: Sequence[Sequence[int]]) -> tuple[int, int, int, str]:
+    """(mu, r*, rank, case) of one census field by both paths, from its
+    counts and the flat rows -1, eps, -eps of its character table, with
+    every check that rank_closed, rank_unified and RankResult make, and
+    the two ranks' agreement."""
+    case = _case_tag(dyadic, t1, t2, s1, s2)
+    mu, rs = ramified_count(t1, t2, s1, s2, dyadic), _shape_r_star(s2)
+    closed = _CLOSED_RANK[case](t1, t2, s1, s2)
+    _check_rank(mu, rs, closed, case)
+    table_mu, table_rs = len(rows[0]), _rows_r_star(rows)
+    _check_table(table_mu, table_rs, mu, rs, ell, n)
+    unified = table_mu + table_rs - 3
+    _check_rank(table_mu, table_rs, unified, case)
+    if closed != unified:
+        raise InternalCheckError(f"rank paths disagree: closed rank {closed}, unified {unified}")
+    return mu, rs, closed, case
+

@@ -6,8 +6,8 @@ import pytest
 
 from qtr import cli, rank
 from qtr.cli import main, pool_size, shape_string
-from qtr.quartic import Conductor, validate
-from qtr.rank import RankResult, n_shape
+from qtr.quartic import validate
+from qtr.rank import n_shape
 
 from .test_quartic import valid_n_values
 
@@ -153,15 +153,15 @@ class TestFailingChecksExit3:
     @pytest.fixture
     def wrong_e_at_13(self, monkeypatch):
         # n = 13 is odd, so its form has a = 13 and an even b
-        real = cli.conductor
+        real = cli.conductor_parts
 
-        def conductor(w, ell):
-            cond = real(w, ell)
-            if (w.a, w.b % 2) == (13, 0):
-                return Conductor(2 if cond.e == 0 else 0, cond.f)
-            return cond
+        def conductor_parts(a, b, ell):
+            e, f = real(a, b, ell)
+            if (a, b % 2) == (13, 0):
+                return 2 if e == 0 else 0, f
+            return e, f
 
-        monkeypatch.setattr(cli, "conductor", conductor)
+        monkeypatch.setattr(cli, "conductor_parts", conductor_parts)
 
     def test_verify_text_names_the_bridge_failure(self, capsys, wrong_e_at_13):
         code, out, _ = run(capsys, "verify", "--ell", "37", "--n-max", "300")
@@ -189,15 +189,14 @@ class TestFailingChecksExit3:
     def test_scan_csv_stops_after_the_first_window(self, capsys, monkeypatch):
         _, first_window, _ = run(capsys, "scan", "--ell", "37", "--n-max", "512",
                                  "--format", "csv")
-        real = cli.rank_closed
+        real = cli.flat_ranks
 
-        def rank_closed(field):
-            result = real(field)
-            if field.n != 515:  # 5 * 103, in the second window 513..1024
-                return result
-            return RankResult(result.mu + 1, result.r_star, result.rank + 1, result.case_tag)
+        def flat_ranks(ell, n, dyadic, t1, t2, s1, s2, rows):
+            if n == 515:  # 5 * 103, in the second window 513..1024
+                t1 += 1  # the closed path counts one inert p too many
+            return real(ell, n, dyadic, t1, t2, s1, s2, rows)
 
-        monkeypatch.setattr(cli, "rank_closed", rank_closed)
+        monkeypatch.setattr(cli, "flat_ranks", flat_ranks)
         code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "2000",
                              "--format", "csv")
         assert code == 3
@@ -212,7 +211,8 @@ class TestRankPathFailuresNamed:
 
     def test_scan_names_the_inconsistent_closed_rank(self, capsys, monkeypatch):
         # n = 41 is the first p-only:split field of ell = 37
-        monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split", lambda d: 2 * d.t + 1)
+        monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split",
+                            lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1)
         code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "100", "--format", "csv")
         assert code == 3
         assert out == "n,delta,shape,mu,r_star,rank,case,conductor\n"
@@ -220,12 +220,16 @@ class TestRankPathFailuresNamed:
                        "mu=4 r*=1 rank=3 case=p-only:split\n")
 
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
-        real = rank.r_star
+        real = rank._prime_part
 
-        def r_star(table):
-            return real(table) ^ any(col.prime == 13 for col in table.columns)
+        def prime_part(prime, tag, ell):
+            # the -1 entry at 13 turns, so r* from the table drops to 0
+            part = real(prime, tag, ell)
+            if prime != 13:
+                return part
+            return part._replace(minus_one=tuple(-x for x in part.minus_one))
 
-        monkeypatch.setattr(rank, "r_star", r_star)
+        monkeypatch.setattr(rank, "_prime_part", prime_part)
         code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "30")
         assert code == 3
         assert out.splitlines() == [

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sympy.solvers.diophantine.diophantine import sum_of_squares
 
 from qtr import ntheory
-from qtr.errors import InternalCheckError, NotQuadraticResidue, NotSquarefree
+from qtr.cli import main
+from qtr.errors import FactorBudgetExceeded, InternalCheckError, NotQuadraticResidue, NotSquarefree
 from qtr.ntheory import (
     factor_squarefree,
     factorize,
@@ -70,6 +71,21 @@ class TestFactorization:
         # rho never splits a prime; running out of seeds names n
         with pytest.raises(InternalCheckError, match="1000003"):
             ntheory._pollard_brent(1000003)
+
+    def test_rho_budget_passes_and_one_less_fails(self, monkeypatch):
+        # rho splits this n after 1,022 squarings
+        n = 1000003 * 1000033
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1022)
+        assert ntheory._pollard_brent(n) in (1000003, 1000033)
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
+        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 1021 "):
+            ntheory._pollard_brent(n)
+
+    def test_rho_over_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
+        assert main(["rank", "--ell", "37", "--n", str(1000003 * 1000033)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: FactorBudgetExceeded: ")
 
     @given(st.integers(min_value=1, max_value=10**9))
     def test_refactor_roundtrip(self, n):

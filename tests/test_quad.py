@@ -1,7 +1,11 @@
 import pytest
 import sympy
+from sympy import continued_fraction_periodic
 from sympy.solvers.diophantine.diophantine import diop_DN
 
+from qtr import quad
+from qtr.cli import main
+from qtr.errors import PeriodBudgetExceeded
 from qtr.ntheory import legendre
 from qtr.quad import SplittingType, fundamental_unit, splitting_type
 
@@ -49,6 +53,31 @@ class TestFundamentalUnit:
         for ell in (5, 13, 29, 37, 53, 61, 101, 109, 149, 157, 173, 197):
             unit = fundamental_unit(ell)
             assert unit.u > 0 and unit.v > 0
+
+
+class TestPeriodBudget:
+    """fundamental_unit walks at most quad._PERIOD_BUDGET partial quotients."""
+
+    ELL = 100000037
+
+    def test_budget_passes_and_one_less_fails(self, monkeypatch):
+        # sympy's expansion of (1 + sqrt(ell))/2: one quotient, then the period
+        period = len(continued_fraction_periodic(1, 2, self.ELL)[-1])
+        assert period == 2579
+        monkeypatch.setattr(quad, "_PERIOD_BUDGET", period)
+        unit = fundamental_unit.__wrapped__(self.ELL)
+        assert unit.u ** 2 - self.ELL * unit.v ** 2 == -4
+        monkeypatch.setattr(quad, "_PERIOD_BUDGET", period - 1)
+        with pytest.raises(PeriodBudgetExceeded, match="ell = 100000037"):
+            fundamental_unit.__wrapped__(self.ELL)
+
+    @pytest.mark.parametrize("argv", [("unit",), ("poly", "--n", "3")], ids=["unit", "poly"])
+    def test_over_budget_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(quad, "_PERIOD_BUDGET", 2578)
+        fundamental_unit.cache_clear()
+        assert main([argv[0], "--ell", str(self.ELL), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: PeriodBudgetExceeded: ")
 
 
 class TestSplittingType:

@@ -5,7 +5,7 @@ import pytest
 from qtr import rank
 from qtr.errors import EllNotFiveMod8, InternalCheckError
 from qtr.quad import SplittingType
-from qtr.quartic import validate
+from qtr.quartic import KIND_LETTERS, prime_kind, validate
 from qtr.rank import (
     CharacterTable,
     Column,
@@ -145,11 +145,19 @@ class TestCharacterTable:
 
 class TestPrimeTable:
     def test_memo_table_equals_fresh_table(self, panel_ells):
+        # each odd prime's memo entry: its count, its letters, and its -1 and
+        # eps entries, which in column order are the fresh table's odd columns
         for ell in panel_ells[:6]:
             primes = PrimeTable(ell)
             for n in valid_n_values(ell, 400):
                 shape = n_shape(validate(ell, n))
-                assert primes.character_table(shape) == character_table(shape, ell), (ell, n)
+                entries = [primes[prime] for prime, _ in shape.tagged]
+                kinds = [prime_kind(prime, tag) for prime, tag in shape.tagged]
+                assert [entry[:3] for entry in entries] == [(k, *KIND_LETTERS[k]) for k in kinds]
+                minus_one, eps = sum((e[3] for e in entries), ()), sum((e[4] for e in entries), ())
+                fresh = character_table(shape, ell).entries
+                odd = slice(1, 1 + len(minus_one))
+                assert (fresh[0][odd], fresh[1][odd]) == (minus_one, eps), (ell, n)
 
     def test_symbols_once_per_prime_per_table(self, monkeypatch):
         calls = []
@@ -157,14 +165,13 @@ class TestPrimeTable:
         monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
         primes = PrimeTable(37)
         for n in (67, 71, 4757, 2 * 4757):
-            rank_unified(validate(37, n), primes)
+            for prime, _ in n_shape(validate(37, n)).tagged:
+                primes[prime]
         assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
 
     def test_validates_ell(self):
         with pytest.raises(EllNotFiveMod8):
             PrimeTable(17)
-        with pytest.raises(InternalCheckError):
-            rank_unified(validate(13, 3), PrimeTable(37))
 
 
 class TestRStar:
@@ -227,10 +234,10 @@ class TestCaseTable:
         reached = set()
         for delta, t1, t2, s1, s2 in product((1, 2), range(5), range(5), range(5), range(5)):
             shape = synthetic_shape(delta, t1, t2, s1, s2)
-            tag = rank._case_tag(shape)
+            tag = rank._case_tag(shape.dyadic_ramifies, t1, t2, s1, s2)
             reached.add(tag)
             expected = shape.mu + (1 if shape.s2 == 0 else 0) - 3
-            assert rank._CLOSED_RANK[tag](shape) == expected, (delta, t1, t2, s1, s2, tag)
+            assert rank._CLOSED_RANK[tag](t1, t2, s1, s2) == expected, (delta, t1, t2, s1, s2, tag)
         assert len(reached) == 16
         assert sorted(rank._CLOSED_RANK) == sorted(reached)
 

@@ -6,11 +6,12 @@ import sys
 
 import pytest
 
-from qtr.cli import _CHUNK, main, scan_rows
+from qtr import cli
+from qtr.cli import _CHUNK, main, scan_rows, shape_string
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, squarefree_window
-from qtr.quartic import FieldInput
-from qtr.rank import PrimeTable
+from qtr.quartic import FieldInput, conductor, to_williams
+from qtr.rank import PrimeTable, rank_closed, rank_unified
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
 SCAN_37_3000_SHA256 = "8fe8bed324dc67d6ade79c60ecb0dc2208fa464f7070c458a95c5c91fc68f986"
@@ -174,17 +175,48 @@ def test_sieve_window_matches_factorization(lo, hi):
         assert primes == expected, n
 
 
-def test_sieve_record_checks_its_primes():
-    tag = PrimeTable(37).tag
-    assert FieldInput.from_sieve(37, 2 * 3 * 67, [2, 3, 67], tag) == FieldInput(37, 2 * 3 * 67)
-    assert FieldInput.from_sieve(37, 4757, [67, 71], tag).shape == FieldInput(37, 4757).shape
-    with pytest.raises(InternalCheckError):
-        FieldInput.from_sieve(37, 15, [3, 7], tag)
+def test_sieve_record_checks_its_primes(monkeypatch):
+    primes = PrimeTable(37)
+    for n in (2 * 3 * 67, 4757):
+        assert cli._window_rows(primes, n, n + 1) == [("row", record_row(37, n))]
     # the same order as FieldInput(ell, n): NotSquarefree before NotCoprime
-    with pytest.raises(NotSquarefree):
-        FieldInput.from_sieve(37, 2 * 37 * 37, None, tag)
-    with pytest.raises(NotCoprime):
-        FieldInput.from_sieve(37, 74, [2, 37], tag)
+    assert cli._window_rows(primes, 2 * 37 * 37, 2 * 37 * 37 + 1) == [
+        ("skip", 2 * 37 * 37, "NotSquarefree")]
+    assert cli._window_rows(primes, 74, 75) == [("skip", 74, "NotCoprime")]
+    real = cli.squarefree_window
+
+    def squarefree_window(lo, hi):
+        return [[3, 7] if n == 15 else primes for n, primes in zip(range(lo, hi), real(lo, hi))]
+
+    monkeypatch.setattr(cli, "squarefree_window", squarefree_window)
+    message = r"sieve primes \[3, 7\] do not multiply to n = 15"
+    with pytest.raises(InternalCheckError, match=message):
+        cli._window_rows(primes, 1, 20)
+
+
+def record_row(ell, n):
+    """The scan row of (ell, n) from the single-field record path, once its
+    two rank paths agree."""
+    field = FieldInput(ell, n)
+    closed, unified = rank_closed(field), rank_unified(field)
+    assert (closed.mu, closed.r_star, closed.rank) == (unified.mu, unified.r_star, unified.rank)
+    return (n, field.shape.delta, shape_string(field.shape), closed.mu, closed.r_star,
+            closed.rank, closed.case_tag, conductor(to_williams(field), ell).f)
+
+
+@pytest.mark.parametrize("ell", [5, 13, 37, 197, 1000000021])
+def test_census_step_equals_the_record_path(ell):
+    # Every n <= 3000, in windows of the census, against FieldInput(ell, n):
+    # the row the census writes for a field, and the skip reason otherwise.
+    expected = []
+    for n in range(1, 3001):
+        try:
+            expected.append(("row", record_row(ell, n)))
+        except (NotSquarefree, NotCoprime) as exc:
+            expected.append(("skip", n, type(exc).__name__))
+    primes = PrimeTable(ell)
+    got = [step for lo, hi in cli._windows(3000) for step in cli._window_rows(primes, lo, hi)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("command", ["verify", "scan"])
