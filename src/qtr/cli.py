@@ -145,43 +145,16 @@ def _window_rows(primes: PrimeTable, lo: int, hi: int) -> list:
     return out
 
 
-def _scan_chunk(args: tuple[int, int, int]) -> list:
-    """One window of a scan in a pool worker, with its own prime table."""
-    ell, lo, hi = args
-    return _window_rows(PrimeTable(ell), lo, hi)
-
-
-def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
-    """Worker processes for a scan: at most one per chunk and one per CPU."""
-    return max(1, min(jobs, chunks, cpus or 1))
-
-
-def _pooled(workers: int, chunks: list):
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_scan_chunk, chunks)
-
-
-def _scan_windows(ell: int, n_max: int, jobs: int):
-    """The results of each window of a scan, in window order.  ell and jobs
-    are checked here, before any window is computed."""
-    primes = PrimeTable(ell)
-    if jobs < 1:
-        raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
-    windows = list(_windows(n_max))
-    workers = pool_size(jobs, len(windows), os.cpu_count())
-    if workers == 1:
-        return (_window_rows(primes, lo, hi) for lo, hi in windows)
-    return _pooled(workers, [(ell, lo, hi) for lo, hi in windows])
-
-
 _NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
 
 
-def _selected(results: list, include_skipped: bool, rank_filter: int | None) -> list[tuple]:
-    """The output rows of one window's results, as value tuples; with
-    include_skipped, each has a reason, and a rejected n has only n and it."""
+def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
+                 rank_filter: int | None, as_csv: bool) -> list[tuple] | str:
+    """One window of a scan: its output rows as value tuples, or as CSV text.
+    With include_skipped, each row has a reason, and a rejected n has only n
+    and it."""
     rows = []
-    for result in results:
+    for result in _window_rows(primes, lo, hi):
         if result[0] == "skip":
             if include_skipped:
                 rows.append((result[1], *_NO_ROW, result[2]))
@@ -190,7 +163,60 @@ def _selected(results: list, include_skipped: bool, rank_filter: int | None) -> 
         if rank_filter is not None and values[_RANK] != rank_filter:
             continue
         rows.append((*values, "") if include_skipped else values)
-    return rows
+    return _csv_text(rows) if as_csv else rows
+
+
+def _csv_text(rows: list) -> str:
+    """rows as CSV lines."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+_worker_primes: PrimeTable | None = None
+
+
+def _start_worker(ell: int) -> None:
+    """Pool initializer: the worker's one prime table, for every window it runs."""
+    global _worker_primes
+    _worker_primes = PrimeTable(ell)
+
+
+def _scan_chunk(args: tuple) -> list[tuple] | str:
+    """One window step in a pool worker, on the worker's prime table."""
+    return _window_step(_worker_primes, *args)
+
+
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on; os.cpu_count() counts the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
+    """Worker processes for a scan: at most one per chunk and one per CPU."""
+    return max(1, min(jobs, chunks, cpus or 1))
+
+
+def _pooled(workers: int, ell: int, steps: list):
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(ell,)) as pool:
+        yield from pool.map(_scan_chunk, steps)
+
+
+def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
+                  rank_filter: int | None, as_csv: bool):
+    """The output of each window of a scan (see _window_step), in window
+    order.  ell and jobs are checked here, before any window is computed."""
+    primes = PrimeTable(ell)
+    if jobs < 1:
+        raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
+    steps = [(lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max)]
+    workers = pool_size(jobs, len(steps), _usable_cpus())
+    if workers == 1:
+        return (_window_step(primes, *step) for step in steps)
+    return _pooled(workers, ell, steps)
 
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
@@ -198,19 +224,15 @@ def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False
     """ScanRows ascending by n.  Windows are merged in order, so the output
     is identical for every jobs count."""
     fields = (SCAN_FIELDS + ("reason",)) if include_skipped else SCAN_FIELDS
-    return [dict(zip(fields, values)) for results in _scan_windows(ell, n_max, jobs)
-            for values in _selected(results, include_skipped, rank_filter)]
+    return [dict(zip(fields, values))
+            for rows in _scan_windows(ell, n_max, jobs, include_skipped, rank_filter, False)
+            for values in rows]
 
 
-def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str, header: bool = True) -> None:
+def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str) -> None:
     """Write rows, each a sequence of values in fields order."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if header:
-            writer.writerow(fields)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(_csv_text([fields, *rows]))
     elif fmt == "json":
         print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
     else:
@@ -247,16 +269,14 @@ def cmd_scan(args, fmt: str) -> int:
     """CSV streams one window at a time; text needs every row for its column
     widths, and JSON is one document."""
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
-    windows = _scan_windows(args.ell, args.n_max, args.jobs)
+    windows = _scan_windows(args.ell, args.n_max, args.jobs, args.include_skipped, args.rank,
+                            fmt == "csv")
     if fmt != "csv":
-        _emit_table_rows([row for results in windows
-                          for row in _selected(results, args.include_skipped, args.rank)],
-                         fields, fmt)
+        _emit_table_rows([row for rows in windows for row in rows], fields, fmt)
         return 0
     _emit_table_rows([], fields, fmt)
-    for results in windows:
-        _emit_table_rows(_selected(results, args.include_skipped, args.rank), fields, fmt,
-                         header=False)
+    for text in windows:
+        sys.stdout.write(text)
     return 0
 
 

@@ -22,10 +22,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 1 << 16
 _BLOCK = 64  # primes per trial-division gcd
-# The most squarings of one _pollard_brent call, over all its seeds: ten times
-# the 212,094 of the hardest of the 3,467 calls behind the benchmark's request
-# pool (n with two primes of 24-32 bits).  The whole budget takes about 1.6 s
-# (shared 2-vCPU host, Python 3.11).
+# The most Pollard-Brent squarings of one factorize call, over all its splits
+# and seeds: ten times the 212,094 of the hardest of the 3,467 calls behind the
+# benchmark's request pool (n with two primes of 24-32 bits, so one split
+# each).  The whole budget takes about 1.6 s (shared 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
 
@@ -60,12 +60,13 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """Nontrivial factor of an odd composite n with no factor <= _TRIAL_LIMIT.
+def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
+    """Nontrivial factor of an odd composite n with no factor <= _TRIAL_LIMIT,
+    and the squarings it took.
 
     Brent's cycle variant with a fixed seed schedule, so repeated runs agree.
-    The squarings are counted, and checked against _RHO_BUDGET once per
-    batch of m, before its gcd: past it, FactorBudgetExceeded.
+    The squarings are counted, and checked against budget once per batch of
+    m, before its gcd: past it, FactorBudgetExceeded.
     """
     steps = 0
     for c in range(1, 64):
@@ -84,9 +85,9 @@ def _pollard_brent(n: int) -> int:
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 steps += batch
-                if steps > _RHO_BUDGET:
+                if steps > budget:
                     raise FactorBudgetExceeded(
-                        f"no factor of {n} found in {_RHO_BUDGET} Pollard-Brent steps")
+                        f"no factor of {n} found in {budget} Pollard-Brent steps")
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -96,19 +97,20 @@ def _pollard_brent(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
     raise InternalCheckError(f"Pollard-Brent found no factor of {n} in 63 seed schedules")
 
 
-def _factor_into(n: int, acc: dict[int, int]) -> None:
+def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
+    """Add the primes of n to acc, splitting with at most budget squarings in
+    all; the squarings left."""
     if n == 1:
-        return
+        return budget
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
-        return
-    d = _pollard_brent(n)
-    _factor_into(d, acc)
-    _factor_into(n // d, acc)
+        return budget
+    d, steps = _pollard_brent(n, budget)
+    return _factor_into(n // d, acc, _factor_into(d, acc, budget - steps))
 
 
 @functools.cache
@@ -148,7 +150,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     else:
         # Every prime below _TRIAL_LIMIT is out, so below its square n is 1 or prime.
         if n >= _TRIAL_LIMIT * _TRIAL_LIMIT:
-            _factor_into(n, acc)
+            _factor_into(n, acc, _RHO_BUDGET)
             n = 1
     if n > 1:
         acc[n] = 1

@@ -207,8 +207,9 @@ def unit_rows(row_m1: Sequence[int], row_eps: Sequence[int]) -> tuple:
 class PrimeTable(dict):
     """What a census of one ell reads about an odd prime of n, computed at its
     first lookup: table[prime] is (which of t1, t2, s1, s2 it bumps, its kind
-    and tag letters, its -1 and eps entries).  Building it validates ell; it
-    lives for one scan or verify call, and character_table never reads it."""
+    and tag letters, its -1 and eps entries).  Building it validates ell.
+    One lives for one scan or verify call, and a scan's pool builds one per
+    worker (cli._start_worker); character_table never reads it."""
 
     def __init__(self, ell: int):
         super().__init__()

@@ -70,20 +70,33 @@ class TestFactorization:
     def test_rho_exhaustion_is_a_named_internal_error(self):
         # rho never splits a prime; running out of seeds names n
         with pytest.raises(InternalCheckError, match="1000003"):
-            ntheory._pollard_brent(1000003)
+            ntheory._pollard_brent(1000003, ntheory._RHO_BUDGET)
 
-    def test_rho_budget_passes_and_one_less_fails(self, monkeypatch):
+    def test_rho_budget_passes_and_one_less_fails(self):
         # rho splits this n after 1,022 squarings
         n = 1000003 * 1000033
-        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1022)
-        assert ntheory._pollard_brent(n) in (1000003, 1000033)
-        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
+        factor, steps = ntheory._pollard_brent(n, 1022)
+        assert factor in (1000003, 1000033) and steps == 1022
         with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 1021 "):
-            ntheory._pollard_brent(n)
+            ntheory._pollard_brent(n, 1021)
 
     def test_rho_over_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
         assert main(["rank", "--ell", "37", "--n", str(1000003 * 1000033)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: FactorBudgetExceeded: ")
+
+    def test_one_rho_budget_covers_every_split(self, capsys, monkeypatch):
+        # rho splits this n in two, after 1,022 and then 1,790 squarings: each
+        # split fits a budget of 1,790, and only their sum fits the request
+        n = 1000003 * 1000033 * 1000037
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1022 + 1790)
+        assert factorize(n) == [(1000003, 1), (1000033, 1), (1000037, 1)]
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1022 + 1790 - 1)
+        with pytest.raises(FactorBudgetExceeded):
+            factorize(n)
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1790)
+        assert main(["rank", "--ell", "37", "--n", str(n)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: FactorBudgetExceeded: ")
 

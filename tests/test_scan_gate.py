@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qtr import cli
+from qtr import cli, rank
 from qtr.cli import _CHUNK, main, scan_rows, shape_string
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, squarefree_window
@@ -140,7 +140,7 @@ def test_scan_bytes_for_every_format_and_option(capsys, monkeypatch, key):
     monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     ell, fmt, *options = key.split()
     argv = ["scan", "--ell", ell, "--n-max", "3000", "--format", fmt, *options]
-    for jobs in (("1", "2") if fmt == "csv" else ("1",)):
+    for jobs in ("1", "2"):
         assert main(argv + ["--jobs", jobs]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SCAN_3000_SHA256[key], jobs
@@ -238,3 +238,51 @@ def test_csv_streams_one_window_at_a_time(monkeypatch):
     for k, text in enumerate(writes[1:]):
         ns = [int(line.split(",")[0]) for line in text.splitlines()]
         assert k * _CHUNK < min(ns) and max(ns) <= (k + 1) * _CHUNK
+
+
+def test_a_worker_fills_each_prime_once(monkeypatch):
+    # the pool's initializer builds the worker's one table, and every window
+    # the worker runs reads it
+    filled = count_calls(monkeypatch, "qtr.quad", "splitting_type")
+    monkeypatch.setattr(cli, "_worker_primes", None)
+    cli._start_worker(37)
+    first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))
+    assert filled and len(set(filled)) == len(filled)
+    seen = len(filled)
+    second = cli._scan_chunk((_CHUNK + 1, 2 * _CHUNK + 1, False, None, True))
+    assert len(filled) > seen and len(set(filled)) == len(filled)
+    primes = PrimeTable(37)
+    assert first + second == "".join(cli._window_step(primes, lo, hi, False, None, True)
+                                     for lo, hi in cli._windows(2 * _CHUNK))
+
+
+def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
+    # the pool's workers fork with the broken entry; the first window fails at
+    # n = 41, and the parent has written the same bytes as --jobs 1 before it
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split",
+                        lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    outputs = []
+    for jobs in ("1", "2"):
+        argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", jobs]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "ell=37 n=41 check=cross_path" in err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == HEADER + "\n"
+
+
+def test_one_usable_cpu_starts_no_pool(capsys, monkeypatch):
+    # the machine may have more CPUs than this process may run on
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one usable CPU")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256

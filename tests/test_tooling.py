@@ -31,24 +31,26 @@ def test_no_assert_statements():
 
 def test_invariants_hold_under_python_O():
     # -O strips asserts, and the package has none: the census bytes and a
-    # failing check's exit code are the same with it
-    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv"]
-    proc = subprocess.run([sys.executable, "-O", "-m", "qtr.cli", *argv],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCAN_37_3000_SHA256
-    script = "\n".join([
-        "import sys",
-        "from qtr import rank",
-        "from qtr.cli import main",
-        "if not sys.flags.optimize:",
-        "    sys.exit(5)",
-        "rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1",
-        "sys.exit(main(['scan', '--ell', '37', '--n-max', '100', '--format', 'csv']))",
-    ])
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 3
-    assert "ell=37 n=41 check=cross_path" in proc.stderr
+    # failing check's exit code are the same with it, in the pool's workers too
+    for jobs in ("1", "2"):
+        argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", jobs]
+        proc = subprocess.run([sys.executable, "-O", "-m", "qtr.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, jobs
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCAN_37_3000_SHA256, jobs
+        script = "\n".join([
+            "import sys",
+            "from qtr import rank",
+            "from qtr.cli import main",
+            "if not sys.flags.optimize:",
+            "    sys.exit(5)",
+            "rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1",
+            f"sys.exit(main({argv!r}))",
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True)
+        assert proc.returncode == 3, jobs
+        assert "ell=37 n=41 check=cross_path" in proc.stderr, jobs
 
 
 def test_traced_names_resolve():
