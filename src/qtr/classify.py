@@ -9,15 +9,13 @@ by the rank they pin down: r2.4 is the fourth rank-2 pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InternalCheckError
 from .quartic import FieldInput
 
 
-@dataclass(frozen=True)
-class ShapePattern:
+class ShapePattern(NamedTuple):
     """A shape with exactly t primes = 1 (mod 4) and s primes = 3 (mod 4) in
     n, on which rest(delta, t1, t2, s1, s2) holds."""
 
@@ -92,8 +90,7 @@ _BY_T_S: dict[tuple[int, int], tuple[ShapePattern, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """rank is 0..3 with the matching pattern, or None meaning rank >= 4."""
 
     rank: Optional[int]

@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import prod
 
 from .classify import classify_small_rank, small_rank_pattern
@@ -177,7 +176,8 @@ _worker_primes: PrimeTable | None = None
 
 
 def _start_worker(ell: int) -> None:
-    """Pool initializer: the worker's one prime table, for every window it runs."""
+    """The pool's one prime table, built before the workers fork, for every
+    window they run."""
     global _worker_primes
     _worker_primes = PrimeTable(ell)
 
@@ -199,10 +199,64 @@ def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(jobs, chunks, cpus or 1))
 
 
+def _run_worker(worker: int, workers: int, steps: list, write_fd: int) -> None:
+    """In forked child `worker`: steps worker, worker + workers, ... in
+    order, each result, or the exception it raised, pickled down write_fd."""
+    import pickle
+
+    with open(write_fd, "wb") as pipe:
+        for step in steps[worker::workers]:
+            try:
+                message = (True, _scan_chunk(step))
+            except Exception as exc:
+                message = (False, exc)
+            pickle.dump(message, pipe)
+            pipe.flush()
+            if not message[0]:
+                return
+
+
 def _pooled(workers: int, ell: int, steps: list):
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                             initargs=(ell,)) as pool:
-        yield from pool.map(_scan_chunk, steps)
+    """The steps' results in step order, from `workers` forked children
+    (_run_worker) that share one prime table built before they fork.  qtr
+    starts no threads, so forking is safe, and the children inherit the
+    module state a caller or a tracer has set."""
+    import pickle
+
+    _start_worker(ell)
+    readers, pids = [], []
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for reader in readers:
+                        reader.close()
+                    os.close(read_fd)
+                    _run_worker(worker, workers, steps, write_fd)
+                    code = 0
+                finally:
+                    # skip the parent's cleanup and its inherited stdio buffers
+                    os._exit(code)
+            pids.append(pid)
+            os.close(write_fd)
+            readers.append(open(read_fd, "rb"))
+        for index, (lo, hi, *_) in enumerate(steps):
+            try:
+                ok, result = pickle.load(readers[index % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise InternalCheckError(f"ell={ell} window n={lo}..{hi - 1}: "
+                                         f"its pool worker ended without a result") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
@@ -214,7 +268,7 @@ def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
     steps = [(lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max)]
     workers = pool_size(jobs, len(steps), _usable_cpus())
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         return (_window_step(primes, *step) for step in steps)
     return _pooled(workers, ell, steps)
 
@@ -238,11 +292,12 @@ def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str) -> None:
     else:
         if not rows:
             return
-        cells = [[str(x) for x in row] for row in rows]
-        widths = [max(len(f), *(len(c[i]) for c in cells)) for i, f in enumerate(fields)]
+        # one column at a time, so no second, all-str copy of the rows is kept
+        widths = [max(len(f), *map(len, map(str, column)))
+                  for f, column in zip(fields, zip(*rows))]
         print("  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip())
-        for c in cells:
-            print("  ".join(x.ljust(w) for x, w in zip(c, widths)).rstrip())
+        for row in rows:
+            print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)).rstrip())
 
 
 def cmd_rank(args, fmt: str) -> int:

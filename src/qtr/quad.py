@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InternalCheckError, PeriodBudgetExceeded
 from .ntheory import legendre
@@ -17,8 +17,7 @@ from .ntheory import legendre
 _PERIOD_BUDGET = 1 << 17
 
 
-@dataclass(frozen=True)
-class FundamentalUnit:
+class FundamentalUnit(NamedTuple):
     """eps0 = (u + v*sqrt(ell))/2 with u^2 - ell*v^2 = -4 and v minimal.
 
     For ell prime = 1 (mod 4) the fundamental unit has norm -1, so such a

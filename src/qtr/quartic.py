@@ -8,7 +8,7 @@ carries everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     EllNotFiveMod8,
@@ -18,8 +18,6 @@ from .errors import (
 )
 from .ntheory import TwoSquares, factor_squarefree, is_prime, two_squares
 from .quad import SplittingType, fundamental_unit, splitting_type
-
-_DERIVED = dict(init=False, repr=False, compare=False)
 
 # The letters of the four kinds of odd prime in n, in the order of the counts
 # t1, t2, s1, s2: p = 1 or q = 3 (mod 4), inert (I) or split (S) in k.
@@ -43,56 +41,64 @@ def ramified_count(t1: int, t2: int, s1: int, s2: int, dyadic: bool) -> int:
     return 1 + t1 + 2 * t2 + s1 + 2 * s2 + dyadic
 
 
-@dataclass(frozen=True)
-class NShape:
-    """n = delta * (primes = 1 mod 4) * (primes = 3 mod 4), each tagged by its
-    behavior in k.  delta is 2 exactly when n is even, and tagged holds every
-    odd (prime, tag) ascending.  Stored at build: the counts t, s of p- and
-    q-factors, t1/t2 and s1/s2 of the inert/split ones, h and w of the primes
-    of k above them; whether the prime above 2 ramifies; and mu, the number
-    of ramified primes of k.
-    """
-
+class _ShapeFields(NamedTuple):
     delta: int
     tagged: tuple[tuple[int, SplittingType], ...]
-    t: int = field(**_DERIVED)
-    s: int = field(**_DERIVED)
-    t1: int = field(**_DERIVED)
-    t2: int = field(**_DERIVED)
-    s1: int = field(**_DERIVED)
-    s2: int = field(**_DERIVED)
-    h: int = field(**_DERIVED)
-    w: int = field(**_DERIVED)
-    dyadic_ramifies: bool = field(**_DERIVED)
-    mu: int = field(**_DERIVED)
+    t: int
+    s: int
+    t1: int
+    t2: int
+    s1: int
+    s2: int
+    h: int
+    w: int
+    dyadic_ramifies: bool
+    mu: int
 
-    def __post_init__(self) -> None:
+
+class NShape(_ShapeFields):
+    """n = delta * (primes = 1 mod 4) * (primes = 3 mod 4), each tagged by its
+    behavior in k.  delta is 2 exactly when n is even, and tagged holds every
+    odd (prime, tag) ascending.  NShape(delta, tagged) derives the rest: the
+    counts t, s of p- and q-factors, t1/t2 and s1/s2 of the inert/split ones,
+    h and w of the primes of k above them; whether the prime above 2
+    ramifies; and mu, the number of ramified primes of k.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, delta: int, tagged: tuple[tuple[int, SplittingType], ...]):
         counts = [0, 0, 0, 0]
-        for prime, tag in self.tagged:
+        for prime, tag in tagged:
             counts[prime_kind(prime, tag)] += 1
         t1, t2, s1, s2 = counts
         t, s = t1 + t2, s1 + s2
-        dyadic = dyadic_ramifies(self.delta, s)
-        # Frozen: the derived fields go straight into the instance dict.
-        self.__dict__.update(t=t, s=s, t1=t1, t2=t2, s1=s1, s2=s2, h=t + t2, w=s + s2,
-                             dyadic_ramifies=dyadic, mu=ramified_count(t1, t2, s1, s2, dyadic))
+        dyadic = dyadic_ramifies(delta, s)
+        return super().__new__(cls, delta, tagged, t, s, t1, t2, s1, s2, t + t2, s + s2,
+                               dyadic, ramified_count(t1, t2, s1, s2, dyadic))
+
+    def __getnewargs__(self):
+        return self.delta, self.tagged
 
 
-@dataclass(frozen=True)
-class FieldInput:
-    """Valid (ell, n): ell prime = 5 (mod 8), n squarefree, coprime to ell.
-
-    The one record per field.  Building it checks each hypothesis in turn or
-    raises the named error, factors n once, and keeps its primes and shape.
-    """
-
+class _FieldFields(NamedTuple):
     ell: int
     n: int
-    primes: tuple[int, ...] = field(**_DERIVED)
-    shape: NShape = field(**_DERIVED)
+    primes: tuple[int, ...]
+    shape: NShape
 
-    def __post_init__(self) -> None:
-        ell, n = self.ell, self.n
+
+class FieldInput(_FieldFields):
+    """Valid (ell, n): ell prime = 5 (mod 8), n squarefree, coprime to ell.
+
+    The one record per field.  FieldInput(ell, n) checks each hypothesis in
+    turn or raises the named error, factors n once, and keeps its primes and
+    shape.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ell: int, n: int):
         validate_ell(ell)
         if n < 1:
             raise NNotPositive(f"n = {n} is not a positive integer")
@@ -100,11 +106,13 @@ class FieldInput:
         if n % ell == 0:
             raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
         tagged = tuple([(p, splitting_type(p, ell)) for p in primes if p != 2])
-        self.__dict__.update(primes=primes, shape=NShape(2 - n % 2, tagged))
+        return super().__new__(cls, ell, n, primes, NShape(2 - n % 2, tagged))
+
+    def __getnewargs__(self):
+        return self.ell, self.n
 
 
-@dataclass(frozen=True)
-class WilliamsForm:
+class WilliamsForm(NamedTuple):
     """Parameters of K = Q(sqrt(a*(ell + b*sqrt(ell)))), ell = b^2 + c^2.
 
     a is odd, squarefree and prime to ell; exactly one of b, c is odd.
@@ -115,8 +123,7 @@ class WilliamsForm:
     c: int
 
 
-@dataclass(frozen=True)
-class Conductor:
+class Conductor(NamedTuple):
     e: int  # one of 0, 2, 3
     f: int  # 2^e * a * ell
 
@@ -169,8 +176,7 @@ def conductor(w: WilliamsForm, ell: int) -> Conductor:
     return Conductor(*conductor_parts(w.a, w.b, ell))
 
 
-@dataclass(frozen=True)
-class DefiningPolynomial:
+class DefiningPolynomial(NamedTuple):
     """x^4 + c2*x^2 + c0, the minimal polynomial of sqrt(n*eps0*sqrt(ell)).
 
     c2 = -n*v*ell and c0 = n^2*ell, so the polynomial is Eisenstein at ell,

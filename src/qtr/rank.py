@@ -23,7 +23,6 @@ paths over a stored NShape and by the census (flat_ranks) over its counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -35,8 +34,7 @@ from .quartic import KIND_LETTERS, FieldInput, NShape, prime_kind, ramified_coun
 UNIT_LABELS = ("-1", "eps", "-eps")
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     """One ramified prime of k: the kind determines its character entries."""
 
     kind: str  # sqrt_ell | inert_p | split_p | inert_q | split_q | dyadic
@@ -51,8 +49,7 @@ class Column:
         return f"{self.prime}'" if self.conjugate else f"{self.prime}"
 
 
-@dataclass(frozen=True)
-class RamProfile:
+class RamProfile(NamedTuple):
     columns: tuple[Column, ...]
     mu: int
 
@@ -66,8 +63,7 @@ class PrimePart(NamedTuple):
     eps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """3 x mu matrix of +-1: rows -1, eps, -eps; one column per ramified prime."""
 
     ell: int
@@ -103,16 +99,38 @@ class CharacterTable:
         }
 
 
-@dataclass(frozen=True)
-class RankResult:
+class _RankFields(NamedTuple):
     mu: int
     r_star: int
     rank: int
     case_tag: str
-    table: Optional[CharacterTable] = field(default=None, repr=False, compare=False)
+    table: Optional[CharacterTable]
 
-    def __post_init__(self) -> None:
-        _check_rank(self.mu, self.r_star, self.rank, self.case_tag)
+
+class RankResult(_RankFields):
+    """A rank with its mu, r* and family, checked on construction; the
+    unified path's result carries its table, which equality, hashing and
+    repr leave out."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu: int, r_star: int, rank: int, case_tag: str,
+                table: Optional[CharacterTable] = None):
+        _check_rank(mu, r_star, rank, case_tag)
+        return super().__new__(cls, mu, r_star, rank, case_tag, table)
+
+    def __eq__(self, other):
+        return self[:4] == other[:4] if isinstance(other, RankResult) else NotImplemented
+
+    def __ne__(self, other):
+        return self[:4] != other[:4] if isinstance(other, RankResult) else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return (f"RankResult(mu={self.mu!r}, r_star={self.r_star!r}, rank={self.rank!r}, "
+                f"case_tag={self.case_tag!r})")
 
 
 def _check_rank(mu: int, r_star: int, rank: int, case_tag: str) -> None:

@@ -1,3 +1,4 @@
+import pickle
 from itertools import product
 
 import pytest
@@ -55,7 +56,8 @@ class TestNShape:
     def test_counts_are_stored_at_build(self):
         shape = n_shape(validate(13, 5 * 43 * 31 * 71))
         stored = {"t", "s", "t1", "t2", "s1", "s2", "h", "w", "dyadic_ramifies", "mu"}
-        assert stored <= set(vars(shape))
+        # fields of the record, filled once by NShape(delta, tagged)
+        assert stored <= set(shape._fields)
         # odd n with three q: the dyadic prime does not ramify
         assert (shape.h, shape.w, shape.dyadic_ramifies, shape.mu) == (1, 4, False, 6)
 
@@ -252,6 +254,30 @@ class TestRankResultGate:
     def test_consistent_result_accepted(self):
         result = RankResult(mu=3, r_star=1, rank=1, case_tag="p-only:inert")
         assert result.rank == result.mu + result.r_star - 3
+
+    def test_results_compare_without_their_table(self):
+        field = validate(101, 13)
+        closed, unified = rank_closed(field), rank_unified(field)
+        assert closed.table is None and unified.table is not None
+        assert closed == unified and not closed != unified
+        assert hash(closed) == hash(unified)
+        assert repr(unified) == "RankResult(mu=4, r_star=1, rank=2, case_tag='p-only:split')"
+
+
+class TestRecords:
+    def test_immutable(self):
+        field = validate(37, 2 * 17 * 31 * 83)
+        for record, name in ((field, "n"), (field.shape, "mu"), (rank_unified(field), "rank")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_pickle_round_trip(self):
+        # the derived records pickle by their constructor's arguments
+        field = validate(37, 2 * 17 * 31 * 83)
+        unified = rank_unified(field)
+        for record in (field, field.shape, unified, unified.table):
+            assert pickle.loads(pickle.dumps(record)) == record
+        assert pickle.loads(pickle.dumps(unified)).table == unified.table
 
 
 class TestRankUnified:

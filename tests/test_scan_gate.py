@@ -2,6 +2,8 @@
 per-prime step runs, and the sieve it reads."""
 
 import hashlib
+import os
+import subprocess
 import sys
 
 import pytest
@@ -22,6 +24,22 @@ def test_scan_csv_bytes(capsys, monkeypatch):
     assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_37_3000_SHA256
+
+
+# sha256 of `qtr scan --ell 37 --n-max 30000` in text, 59 windows sized
+# together, without and with --include-skipped.
+SCAN_TEXT_30000_SHA256 = {
+    (): "831d712b6e31a9ea526aacbf9d861dbf336068f78557e30b719f30ab61951d16",
+    ("--include-skipped",): "140b3bb62b6d4b0647f740a5580b02a97716134013112853b578705ec5d847aa",
+}
+
+
+@pytest.mark.parametrize("options", sorted(SCAN_TEXT_30000_SHA256))
+def test_scan_text_bytes(capsys, monkeypatch, options):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    assert main(["scan", "--ell", "37", "--n-max", "30000", *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_TEXT_30000_SHA256[options]
 
 
 def count_calls(monkeypatch, module: str, name: str) -> list:
@@ -271,6 +289,46 @@ def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
         assert "ell=37 n=41 check=cross_path" in err
         outputs.append(out)
     assert outputs[0] == outputs[1] == HEADER + "\n"
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_without_a_result_exits_3():
+    # in a fresh interpreter, so that a pool that waited forever would fail
+    # the timeout instead of stopping the suite
+    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    script = "\n".join([
+        "import os, sys",
+        "from qtr import cli",
+        "cli._usable_cpus = lambda: 2",
+        "cli._scan_chunk = lambda args: os._exit(0)",
+        f"code = cli.main({argv!r})",
+        "try:",
+        "    os.waitpid(-1, os.WNOHANG)",
+        "except ChildProcessError:",
+        "    sys.exit(code)",
+        "sys.exit(9)  # a worker was left unreaped",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == HEADER + "\n"
+    assert proc.stderr == ("internal error: ell=37 window n=1..512: "
+                           "its pool worker ended without a result\n")
+
+
+def test_without_fork_the_pool_runs_serially(capsys, monkeypatch):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(cli.os, "fork")
+    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256
 
 
 def test_one_usable_cpu_starts_no_pool(capsys, monkeypatch):
@@ -279,10 +337,10 @@ def test_one_usable_cpu_starts_no_pool(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
 
-    def no_pool(*args, **kwargs):
+    def no_pool():
         raise AssertionError("a pool was started on one usable CPU")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "fork", no_pool)
     argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256

@@ -29,6 +29,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_import_leaves_out_the_pool_and_dataclass_machinery():
+    # every qtr process pays for what `import qtr.cli` loads; the pool forks
+    # its workers itself, and the records are NamedTuples.  Modules that the
+    # interpreter loaded before the import do not count.
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import qtr.cli",
+        "print(*sorted(set(sys.modules) - before))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    added = set(proc.stdout.split())
+    assert "qtr.cli" in added
+    assert added & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} == set()
+
+
 def test_invariants_hold_under_python_O():
     # -O strips asserts, and the package has none: the census bytes and a
     # failing check's exit code are the same with it, in the pool's workers too
