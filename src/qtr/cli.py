@@ -12,7 +12,8 @@ Usage:
     qtr classify --ell 61 --n 14467
 
 Output format is text unless --format or QTR_DEFAULT_FORMAT says otherwise.
-Exit codes: 0 ok, 2 invalid input, 3 internal invariant violation.
+Exit codes: 0 ok, 1 stdout closed before the output was written (e.g. piped
+into head), 2 invalid input, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .quad import fundamental_unit
 from .quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, defining_polynomial,
                       dyadic_ramifies, prime_kind, to_williams, validate, validate_ell,
                       williams_abc)
-from .rank import (DYADIC_PARTS, SQRT_ELL_PART, UNIT_LABELS, NShape, PrimeTable, RankResult,
-                   character_table, flat_ranks, rank_closed, rank_unified, unit_rows)
+from .rank import (CLASS_ID_BITS, DYADIC_PARTS, SQRT_ELL_PART, UNIT_LABELS, NShape, PrimeTable,
+                   RankResult, character_table, flat_ranks, rank_closed, rank_unified, unit_rows)
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
@@ -88,10 +89,9 @@ def _ranks(field: FieldInput) -> tuple[RankResult, RankResult]:
 def _fields(primes: PrimeTable, lo: int, hi: int):
     """The census step over n in [lo, hi), read off the squarefree sieve:
     ("skip", n, reason) for a rejected n, checked in FieldInput's order, or
-    ("field", n, delta, dyadic, counts, kinds, tags, rows, (e, f)): the
-    counts [t1, t2, s1, s2], the odd primes' letters ascending, the rows -1,
-    eps, -eps of the character table (each prime's part memoized) and the
-    conductor's exponent and value."""
+    ("field", n, key, factors, (e, f)): the key of the shape class of n (its
+    parity and its odd primes' class ids ascending, CLASS_ID_BITS each; see
+    PrimeTable), its primes, and the conductor's exponent and value."""
     ell = primes.ell
     legs = two_squares(ell)
     for n, factors in zip(range(lo, hi), squarefree_window(lo, hi)):
@@ -103,44 +103,62 @@ def _fields(primes: PrimeTable, lo: int, hi: int):
         if n % ell == 0:
             yield "skip", n, "NotCoprime"
             continue
-        counts = [0, 0, 0, 0]
-        kinds, tags = [], []
-        row_m1, row_eps = [*SQRT_ELL_PART.minus_one], [*SQRT_ELL_PART.eps]
+        # digits base 2**CLASS_ID_BITS: delta (never 0) first, then the ids
+        key = 2 - n % 2
         for prime in factors:
             if prime != 2:
-                kind, kind_letter, tag_letter, m1, eps = primes[prime]
-                counts[kind] += 1
-                kinds.append(kind_letter)
-                tags.append(tag_letter)
-                row_m1 += m1
-                row_eps += eps
-        delta = 2 - n % 2
-        s = counts[2] + counts[3]
-        dyadic = dyadic_ramifies(delta, s)
-        if dyadic:
-            row_m1 += DYADIC_PARTS[s % 2].minus_one
-            row_eps += DYADIC_PARTS[s % 2].eps
+                key = key << CLASS_ID_BITS | primes[prime][5]
         a, b, _ = williams_abc(n, legs)
-        yield ("field", n, delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps),
-               conductor_parts(a, b, ell))
+        yield "field", n, key, factors, conductor_parts(a, b, ell)
+
+
+def _shape_class(primes: PrimeTable, n: int, factors: list[int]) -> tuple:
+    """What the census reads of the shape of n, from its primes' entries:
+    (delta, dyadic, counts [t1, t2, s1, s2], the odd primes' kind and tag
+    letters ascending, the rows -1, eps, -eps of the character table)."""
+    counts = [0, 0, 0, 0]
+    kinds, tags = [], []
+    row_m1, row_eps = [*SQRT_ELL_PART.minus_one], [*SQRT_ELL_PART.eps]
+    for prime in factors:
+        if prime != 2:
+            kind, kind_letter, tag_letter, m1, eps, _ = primes[prime]
+            counts[kind] += 1
+            kinds.append(kind_letter)
+            tags.append(tag_letter)
+            row_m1 += m1
+            row_eps += eps
+    delta = 2 - n % 2
+    s = counts[2] + counts[3]
+    dyadic = dyadic_ramifies(delta, s)
+    if dyadic:
+        row_m1 += DYADIC_PARTS[s % 2].minus_one
+        row_eps += DYADIC_PARTS[s % 2].eps
+    return delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps)
 
 
 def _window_rows(primes: PrimeTable, lo: int, hi: int) -> list:
     """("row", values in SCAN_FIELDS order) for each field with n in
     [lo, hi), once both rank paths agree, and ("skip", n, reason) for each
-    rejected n."""
+    rejected n.  The first field of each shape class builds its shape and
+    ranks (flat_ranks) and keeps them in primes.rows, unless a check fails;
+    the rest of the class reads them there."""
     ell = primes.ell
+    memo = primes.rows
     out = []
     for step in _fields(primes, lo, hi):
         if step[0] == "skip":
             out.append(step)
             continue
-        _, n, delta, dyadic, counts, kinds, tags, rows, (_, f) = step
-        try:
-            mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
-        except InternalCheckError as exc:
-            raise _cross_path(ell, n, exc) from exc
-        out.append(("row", (n, delta, _shape_text(kinds, tags), mu, r_star, rank, case, f)))
+        _, n, key, factors, (_, f) = step
+        shape = memo.get(key)
+        if shape is None:
+            delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, n, factors)
+            try:
+                mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
+            except InternalCheckError as exc:
+                raise _cross_path(ell, n, exc) from exc
+            shape = memo[key] = (delta, _shape_text(kinds, tags), mu, r_star, rank, case)
+        out.append(("row", (n, *shape, f)))
     return out
 
 
@@ -330,43 +348,62 @@ def cmd_scan(args, fmt: str) -> int:
         _emit_table_rows([row for rows in windows for row in rows], fields, fmt)
         return 0
     _emit_table_rows([], fields, fmt)
-    for text in windows:
-        sys.stdout.write(text)
+    try:
+        for text in windows:
+            sys.stdout.write(text)
+    finally:
+        windows.close()  # so a failed write still reaps the pool's workers
     return 0
 
 
-def cmd_verify(args, fmt: str) -> int:
-    """Re-check every built-in invariant over all valid n <= n_max."""
-    primes = PrimeTable(args.ell)
+_CHECKS = ("cross_path", "hilbert", "bridge", "classify")
+
+
+def _class_checks(primes: PrimeTable, n: int, factors: list[int]) -> tuple[bool, tuple]:
+    """The dyadic flag of the shape class of n, and whether the class passes
+    cross_path, hilbert and classify; a cross_path failure goes to stderr,
+    named by n."""
     ell = primes.ell
-    checks = dict.fromkeys(("cross_path", "hilbert", "bridge", "classify"), 0)
+    delta, dyadic, counts, _, _, rows = _shape_class(primes, n, factors)
+    try:
+        rank = flat_ranks(ell, n, dyadic, *counts, rows)[2]
+    except InternalCheckError as exc:
+        print(_cross_path(ell, n, exc), file=sys.stderr)
+        rank = None
+    pattern = small_rank_pattern(delta, *counts, ell, n)
+    small = pattern.rank if pattern else None  # None from rank 4 on
+    # hilbert and classify read the rank results, so they fail with them
+    return dyadic, (rank is not None,
+                    rank is not None and tuple(map(prod, rows)) == (1, 1, 1),
+                    rank is not None and small == (rank if rank <= 3 else None))
+
+
+def cmd_verify(args, fmt: str) -> int:
+    """Re-check every built-in invariant over all valid n <= n_max.  bridge
+    runs on every field; the other checks run once per shape class, whose
+    dyadic flag primes.checks keeps once all three pass.  A class that fails
+    one is checked again at each of its fields, so each failure names its n."""
+    primes = PrimeTable(args.ell)
+    memo = primes.checks
     failures: list[tuple[int, str]] = []
     fields_checked = 0
     for lo, hi in _windows(args.n_max):
         for step in _fields(primes, lo, hi):
             if step[0] == "skip":
                 continue
-            _, n, delta, dyadic, counts, _, _, rows, (e, _) = step
+            _, n, key, factors, (e, _) = step
             fields_checked += 1
-            try:
-                rank = flat_ranks(ell, n, dyadic, *counts, rows)[2]
-            except InternalCheckError as exc:
-                print(_cross_path(ell, n, exc), file=sys.stderr)
-                rank = None
-            pattern = small_rank_pattern(delta, *counts, ell, n)
-            small = pattern.rank if pattern else None  # None from rank 4 on
-            # hilbert and classify read the rank results, so they fail with them
-            passed = (
-                rank is not None,
-                rank is not None and tuple(map(prod, rows)) == (1, 1, 1),
-                (e == 0) == (not dyadic),
-                rank is not None and small == (rank if rank <= 3 else None),
-            )
-            for check, ok in zip(checks, passed):
-                if ok:
-                    checks[check] += 1
-                else:
-                    failures.append((n, check))
+            dyadic = memo.get(key)
+            if dyadic is None:
+                dyadic, (cross_path, hilbert, classify) = _class_checks(primes, n, factors)
+                if cross_path and hilbert and classify:
+                    memo[key] = dyadic
+                passed = (cross_path, hilbert, (e == 0) == (not dyadic), classify)
+                failures += [(n, check) for check, ok in zip(_CHECKS, passed) if not ok]
+            elif (e == 0) == dyadic:
+                failures.append((n, "bridge"))
+    checks = {check: fields_checked - sum(1 for _, c in failures if c == check)
+              for check in _CHECKS}
     summary = {"ell": args.ell, "n_max": args.n_max, "fields_checked": fields_checked,
                "passed": checks, "failures": [{"n": n, "check": c} for n, c in failures]}
     if fmt == "json":
@@ -374,7 +411,7 @@ def cmd_verify(args, fmt: str) -> int:
     else:
         print(f"ell = {args.ell}, n <= {args.n_max}: {fields_checked} fields checked")
         for name, count in checks.items():
-            print(f"  {name}: {count} pass, {sum(1 for _, c in failures if c == name)} fail")
+            print(f"  {name}: {count} pass, {fields_checked - count} fail")
         for n, c in failures:
             print(f"  FAIL ell={args.ell} n={n} check={c}")
     return 0 if not failures else 3
@@ -526,6 +563,13 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout was closed early, e.g. by `| head`: point it at devnull so
+        # the flush at shutdown does not raise again (the Python docs' recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
         sys.set_int_max_str_digits(previous)
 

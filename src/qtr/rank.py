@@ -222,22 +222,45 @@ def unit_rows(row_m1: Sequence[int], row_eps: Sequence[int]) -> tuple:
     return row_m1, row_eps, tuple([a * b for a, b in zip(row_m1, row_eps)])
 
 
+# Bits of one class id in the census's shape-class key (cli._fields).
+CLASS_ID_BITS = 8
+
+
 class PrimeTable(dict):
     """What a census of one ell reads about an odd prime of n, computed at its
     first lookup: table[prime] is (which of t1, t2, s1, s2 it bumps, its kind
-    and tag letters, its -1 and eps entries).  Building it validates ell.
+    and tag letters, its -1 and eps entries, its class id).  Primes whose
+    first five values are equal share one entry and one id, numbered from 0
+    in the order they first appear, so a field's shape (its counts, letters,
+    rows, ranks and checks) depends only on its parity and the class ids of
+    its odd primes ascending.  Building it validates ell.
+
     One lives for one scan or verify call, and a scan's pool builds one per
-    worker (cli._start_worker); character_table never reads it."""
+    worker (cli._start_worker); each keeps the census's memo per shape class,
+    `rows` for scan and `checks` for verify.  character_table never reads it.
+    """
 
     def __init__(self, ell: int):
         super().__init__()
         self.ell = validate_ell(ell)
+        self._entries: dict[tuple, tuple] = {}
+        self.rows: dict[int, tuple] = {}
+        self.checks: dict[int, bool] = {}
 
-    def __missing__(self, prime: int) -> tuple[int, str, str, tuple[int, ...], tuple[int, ...]]:
+    def __missing__(self, prime: int) -> tuple:
         tag = splitting_type(prime, self.ell)
         kind = prime_kind(prime, tag)
         part = _prime_part(prime, tag, self.ell)
-        entry = self[prime] = (kind, *KIND_LETTERS[kind], part.minus_one, part.eps)
+        value = (kind, *KIND_LETTERS[kind], part.minus_one, part.eps)
+        entry = self._entries.get(value)
+        if entry is None:
+            # at most six without a fault (inert p, inert q, and split p or q
+            # with sigma or tau = +-1); past the id width, keys would collide
+            if len(self._entries) == 1 << CLASS_ID_BITS:
+                raise InternalCheckError(f"ell={self.ell} prime={prime}: more than "
+                                         f"{1 << CLASS_ID_BITS} distinct prime entries")
+            entry = self._entries[value] = (*value, len(self._entries))
+        self[prime] = entry
         return entry
 
 

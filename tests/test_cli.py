@@ -7,7 +7,7 @@ import pytest
 from qtr import cli, rank
 from qtr.cli import main, pool_size, shape_string
 from qtr.quartic import validate
-from qtr.rank import n_shape
+from qtr.rank import n_shape, rank_closed
 
 from .test_quartic import valid_n_values
 
@@ -192,7 +192,9 @@ class TestFailingChecksExit3:
         real = cli.flat_ranks
 
         def flat_ranks(ell, n, dyadic, t1, t2, s1, s2, rows):
-            if n == 515:  # 5 * 103, in the second window 513..1024
+            # 2 * 3 * 7 * 13, in the second window 513..1024, is the first
+            # field of its shape class, so the census runs flat_ranks on it
+            if n == 546:
                 t1 += 1  # the closed path counts one inert p too many
             return real(ell, n, dyadic, t1, t2, s1, s2, rows)
 
@@ -202,7 +204,7 @@ class TestFailingChecksExit3:
         assert code == 3
         assert out == first_window
         assert out.startswith("n,delta,shape,mu,r_star,rank,case,conductor\n")
-        assert "ell=37 n=515" in err
+        assert "ell=37 n=546" in err
 
 
 class TestRankPathFailuresNamed:
@@ -244,6 +246,26 @@ class TestRankPathFailuresNamed:
         assert [line.split(": ")[0] for line in err.splitlines()] == [
             "ell=37 n=13 check=cross_path", "ell=37 n=26 check=cross_path"]
         assert "r* from table" in err
+
+    def test_verify_names_every_field_of_a_failing_class(self, capsys, monkeypatch):
+        # a shape class whose check fails is checked again at each of its
+        # fields, so every p-only:inert field (5, 13, 17, ... share one
+        # class) fails under its own n
+        inert = [n for n in valid_n_values(37, 300)
+                 if rank_closed(validate(37, n)).case_tag == "p-only:inert"]
+        assert inert[:3] == [5, 10, 13]
+        real = rank._CLOSED_RANK["p-only:inert"]
+        monkeypatch.setitem(rank._CLOSED_RANK, "p-only:inert",
+                            lambda t1, t2, s1, s2: real(t1, t2, s1, s2) + 1)
+        code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "300")
+        assert code == 3
+        checked = len(valid_n_values(37, 300))
+        assert f"  bridge: {checked} pass, 0 fail" in out.splitlines()
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            f"  FAIL ell=37 n={n} check={check}"
+            for n in inert for check in ("cross_path", "hilbert", "classify")]
+        assert [line.split(": ")[0] for line in err.splitlines()] == [
+            f"ell=37 n={n} check=cross_path" for n in inert]
 
 
 class TestParseTimeLimit:

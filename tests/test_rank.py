@@ -5,6 +5,7 @@ import pytest
 
 from qtr import rank
 from qtr.errors import EllNotFiveMod8, InternalCheckError
+from qtr.ntheory import is_prime
 from qtr.quad import SplittingType
 from qtr.quartic import KIND_LETTERS, prime_kind, validate
 from qtr.rank import (
@@ -174,6 +175,33 @@ class TestPrimeTable:
     def test_validates_ell(self):
         with pytest.raises(EllNotFiveMod8):
             PrimeTable(17)
+
+    def test_equal_entries_share_a_class_id(self, monkeypatch):
+        primes = PrimeTable(37)
+        ids = {p: primes[p][5] for p in (3, 5, 7, 13, 17, 19)}
+        assert ids[5] == ids[13] == ids[17]  # inert p
+        assert primes[3][:3] == primes[7][:3] and ids[3] != ids[7]  # split q, tau -1 and +1
+        assert sorted(set(ids.values())) == [0, 1, 2, 3]
+        real = rank._prime_part
+
+        def prime_part(prime, tag, ell):
+            # a wrong entry at 29, otherwise an inert p like 5
+            part = real(prime, tag, ell)
+            return part._replace(eps=(-1,)) if prime == 29 else part
+
+        monkeypatch.setattr(rank, "_prime_part", prime_part)
+        assert primes[29][5] == 4 and primes[41][5] == 5  # 41 splits
+
+    def test_a_class_id_fits_its_bits(self, monkeypatch):
+        # past 2**CLASS_ID_BITS distinct entries the census keys would collide
+        monkeypatch.setattr(rank, "_prime_part",
+                            lambda prime, tag, ell: rank.PrimePart((), (prime,), (1,)))
+        primes = PrimeTable(37)
+        odd = [p for p in range(3, 5000, 2) if is_prime(p) and p != 37]
+        for p in odd[:1 << rank.CLASS_ID_BITS]:
+            primes[p]
+        with pytest.raises(InternalCheckError, match="more than 256 distinct prime entries"):
+            primes[odd[1 << rank.CLASS_ID_BITS]]
 
 
 class TestRStar:

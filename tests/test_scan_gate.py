@@ -12,7 +12,8 @@ from qtr import cli, rank
 from qtr.cli import _CHUNK, main, scan_rows, shape_string
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, squarefree_window
-from qtr.quartic import FieldInput, conductor, to_williams
+from qtr.quad import splitting_type
+from qtr.quartic import FieldInput, conductor, prime_kind, to_williams
 from qtr.rank import PrimeTable, rank_closed, rank_unified
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
@@ -62,10 +63,13 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
 
 def test_census_work_is_per_prime(monkeypatch):
     # The sieve gives each n its primes, so nothing is factored; each split
-    # prime's quartic symbols are computed once per scan, in its prime table.
+    # prime's quartic symbols are computed once per scan, in its prime table,
+    # and both rank paths run once per shape class: n's parity and its odd
+    # primes' entries ascending.
     factored = count_calls(monkeypatch, "qtr.ntheory", "factorize")
     tables = count_calls(monkeypatch, "qtr.rank", "character_table")
     symbols = count_calls(monkeypatch, "qtr.ntheory", "quartic_symbol")
+    ranked = count_calls(monkeypatch, "qtr.rank", "flat_ranks")
     rows = scan_rows(37, 3000)
     assert len(rows) == 1776
     assert factored == []
@@ -73,6 +77,15 @@ def test_census_work_is_per_prime(monkeypatch):
     split = {p for row in rows for p in factor_squarefree(row["n"])
              if p not in (2, 37) and legendre(p, 37) == 1}
     assert split and len(symbols) <= 2 * len(split)
+
+    def entry(p):
+        tag = splitting_type(p, 37)
+        part = rank._prime_part(p, tag, 37)
+        return prime_kind(p, tag), part.minus_one, part.eps
+
+    classes = {(row["n"] % 2, tuple(entry(p) for p in factor_squarefree(row["n"]) if p != 2))
+               for row in rows}
+    assert 0 < len(ranked) <= len(classes) < len(rows) / 4
 
 
 # sha256 of `qtr scan --ell ELL --n-max 3000 --format FMT [OPTIONS]`, pinned
@@ -222,19 +235,37 @@ def record_row(ell, n):
             closed.rank, closed.case_tag, conductor(to_williams(field), ell).f)
 
 
-@pytest.mark.parametrize("ell", [5, 13, 37, 197, 1000000021])
-def test_census_step_equals_the_record_path(ell):
-    # Every n <= 3000, in windows of the census, against FieldInput(ell, n):
-    # the row the census writes for a field, and the skip reason otherwise.
+def record_steps(ell, lo, hi):
+    """For each n in [lo, hi), the row of record_row, or the skip reason
+    FieldInput(ell, n) raises."""
     expected = []
-    for n in range(1, 3001):
+    for n in range(lo, hi):
         try:
             expected.append(("row", record_row(ell, n)))
         except (NotSquarefree, NotCoprime) as exc:
             expected.append(("skip", n, type(exc).__name__))
+    return expected
+
+
+@pytest.mark.parametrize("ell", [5, 13, 37, 197, 1000000021])
+def test_census_step_equals_the_record_path(ell):
+    # Every n <= 3000, in windows of the census, against FieldInput(ell, n):
+    # the row the census writes for a field, and the skip reason otherwise.
     primes = PrimeTable(ell)
     got = [step for lo, hi in cli._windows(3000) for step in cli._window_rows(primes, lo, hi)]
-    assert got == expected
+    assert got == record_steps(ell, 1, 3001)
+
+
+@pytest.mark.parametrize("ell", [37, 1000000021])
+def test_census_rows_past_1e5_equal_the_record_path(ell):
+    # the memo of shape classes is filled by the first window, then read in
+    # windows far past it
+    primes = PrimeTable(ell)
+    cli._window_rows(primes, 1, _CHUNK + 1)
+    warm = len(primes.rows)
+    for lo in (100_001, 524_289, 999_489):
+        assert cli._window_rows(primes, lo, lo + _CHUNK) == record_steps(ell, lo, lo + _CHUNK)
+    assert 0 < warm < len(primes.rows)
 
 
 @pytest.mark.parametrize("command", ["verify", "scan"])
@@ -298,15 +329,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_worker_that_dies_without_a_result_exits_3():
-    # in a fresh interpreter, so that a pool that waited forever would fail
-    # the timeout instead of stopping the suite
-    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
-    script = "\n".join([
+def scan_script(argv, *patches):
+    """A fresh interpreter's script: qtr's main(argv) on two usable CPUs,
+    after the patch lines; it exits with main's code once every forked
+    worker is reaped, and with 9 otherwise."""
+    return "\n".join([
         "import os, sys",
         "from qtr import cli",
         "cli._usable_cpus = lambda: 2",
-        "cli._scan_chunk = lambda args: os._exit(0)",
+        *patches,
         f"code = cli.main({argv!r})",
         "try:",
         "    os.waitpid(-1, os.WNOHANG)",
@@ -314,12 +345,35 @@ def test_a_worker_that_dies_without_a_result_exits_3():
         "    sys.exit(code)",
         "sys.exit(9)  # a worker was left unreaped",
     ])
+
+
+def test_a_worker_that_dies_without_a_result_exits_3():
+    # in a fresh interpreter, so that a pool that waited forever would fail
+    # the timeout instead of stopping the suite
+    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    script = scan_script(argv, "cli._scan_chunk = lambda args: os._exit(0)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 3
     assert proc.stdout == HEADER + "\n"
     assert proc.stderr == ("internal error: ell=37 window n=1..512: "
                            "its pool worker ended without a result\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_closed_stdout_exits_1_quietly(jobs):
+    # the reader, like `| head -1`, closes the pipe after the first line
+    argv = ["scan", "--ell", "37", "--n-max", "300000", "--format", "csv", "--jobs", jobs]
+    proc = subprocess.Popen([sys.executable, "-c", scan_script(argv)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == HEADER + "\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err
+    assert proc.returncode == 1
 
 
 def test_without_fork_the_pool_runs_serially(capsys, monkeypatch):
