@@ -136,51 +136,56 @@ def _shape_class(primes: PrimeTable, n: int, factors: list[int]) -> tuple:
     return delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps)
 
 
-def _window_rows(primes: PrimeTable, lo: int, hi: int) -> list:
-    """("row", values in SCAN_FIELDS order) for each field with n in
-    [lo, hi), once both rank paths agree, and ("skip", n, reason) for each
-    rejected n.  The first field of each shape class builds its shape and
-    ranks (flat_ranks) and keeps them in primes.rows, unless a check fails;
-    the rest of the class reads them there."""
+def _shape_row(primes: PrimeTable, n: int, factors: list[int]) -> tuple[tuple, str]:
+    """What a shape class gives each of its scan rows, once both rank paths
+    agree: the values between n and the conductor in SCAN_FIELDS order, and
+    those values as CSV text (_csv_text, so the csv module does the
+    quoting)."""
     ell = primes.ell
-    memo = primes.rows
-    out = []
-    for step in _fields(primes, lo, hi):
-        if step[0] == "skip":
-            out.append(step)
-            continue
-        _, n, key, factors, (_, f) = step
-        shape = memo.get(key)
-        if shape is None:
-            delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, n, factors)
-            try:
-                mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
-            except InternalCheckError as exc:
-                raise _cross_path(ell, n, exc) from exc
-            shape = memo[key] = (delta, _shape_text(kinds, tags), mu, r_star, rank, case)
-        out.append(("row", (n, *shape, f)))
-    return out
+    delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, n, factors)
+    try:
+        mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
+    except InternalCheckError as exc:
+        raise _cross_path(ell, n, exc) from exc
+    values = (delta, _shape_text(kinds, tags), mu, r_star, rank, case)
+    return values, _csv_text([values])[:-1]
 
 
 _NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
+_NO_ROW_CSV = "," * len(SCAN_FIELDS)
+_CLASS_RANK = _RANK - 1  # the rank's index in a class's values
 
 
 def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
                  rank_filter: int | None, as_csv: bool) -> list[tuple] | str:
-    """One window of a scan: its output rows as value tuples, or as CSV text.
-    With include_skipped, each row has a reason, and a rejected n has only n
-    and it."""
-    rows = []
-    for result in _window_rows(primes, lo, hi):
-        if result[0] == "skip":
+    """One window of a scan: the rows of n in [lo, hi) that include_skipped
+    and rank_filter keep, as value tuples in SCAN_FIELDS order, or as CSV
+    text.  With include_skipped, each row has a reason, and a rejected n has
+    only n and it.  The first field of each shape class builds its values
+    and their text (_shape_row) and keeps them in primes.rows, unless a check
+    fails; the rest of the class reads them there, so its CSV line is n, the
+    class's text and the conductor."""
+    memo = primes.rows
+    end = ",\n" if include_skipped else "\n"
+    out = []
+    for step in _fields(primes, lo, hi):
+        if step[0] == "skip":
             if include_skipped:
-                rows.append((result[1], *_NO_ROW, result[2]))
+                _, n, reason = step
+                out.append(f"{n}{_NO_ROW_CSV}{reason}\n" if as_csv else (n, *_NO_ROW, reason))
             continue
-        values = result[1]
-        if rank_filter is not None and values[_RANK] != rank_filter:
+        _, n, key, factors, (_, f) = step
+        shape = memo.get(key)
+        if shape is None:
+            shape = memo[key] = _shape_row(primes, n, factors)
+        values, text = shape
+        if rank_filter is not None and values[_CLASS_RANK] != rank_filter:
             continue
-        rows.append((*values, "") if include_skipped else values)
-    return _csv_text(rows) if as_csv else rows
+        if as_csv:
+            out.append(f"{n},{text},{f}{end}")
+        else:
+            out.append((n, *values, f, "") if include_skipped else (n, *values, f))
+    return "".join(out) if as_csv else out
 
 
 def _csv_text(rows: list) -> str:

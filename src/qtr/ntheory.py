@@ -7,6 +7,7 @@ wraps around or goes through floats.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -179,6 +180,24 @@ def _primes_upto(m: int) -> list[int]:
     return list(compress(range(m + 1), flags))
 
 
+# Every prime <= the bound, ascending, and the bound: the base primes of
+# squarefree_window, kept for the process (its callers pass only a window)
+# and sieved again only when a window needs primes past the bound.
+_sieve_base: tuple[list[int], int] = ([], 1)
+
+
+def _base_primes(m: int) -> list[int]:
+    """The primes <= m, ascending, as a prefix of _sieve_base, which first
+    grows to at least twice its bound when m passes it."""
+    global _sieve_base
+    primes, bound = _sieve_base
+    if m > bound:
+        bound = max(m, 2 * bound)
+        primes = _primes_upto(bound)
+        _sieve_base = primes, bound
+    return primes[:bisect_right(primes, m)]
+
+
 def squarefree_window(lo: int, hi: int) -> list[list[int] | None]:
     """For each n in [lo, hi), 1 <= lo: its ascending primes, or None when
     the square of a prime divides n.
@@ -191,7 +210,7 @@ def squarefree_window(lo: int, hi: int) -> list[list[int] | None]:
     size = hi - lo
     factors: list[list[int]] = [[] for _ in range(size)]
     rest = list(range(lo, hi))
-    for p in _primes_upto(isqrt(hi - 1)):
+    for p in _base_primes(isqrt(hi - 1)):
         for i in range(-lo % p, size, p):
             factors[i].append(p)
             rest[i] //= p

@@ -179,8 +179,9 @@ def ram_profile(shape: NShape) -> RamProfile:
     return RamProfile(columns, len(columns))
 
 
-def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
-    """The character-table entry rule for one odd prime of n.
+def _prime_entries(prime: int, tag: SplittingType, ell: int) -> tuple[tuple, tuple]:
+    """The character-table entry rule for one odd prime of n: its -1 and eps
+    entries, one per column of _odd_columns.
 
     (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
       inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
@@ -191,13 +192,17 @@ def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
         in the two conjugate columns, tau = (q/ell)_4 * (ell/q)_4.
     sigma and tau take two quartic symbols, once per call.
     """
-    columns = _odd_columns(prime, tag)
     if tag is not SplittingType.SPLIT:
-        return PrimePart(columns, (1,), (1 if prime % 4 == 1 else -1,))
+        return (1,), (1 if prime % 4 == 1 else -1,)
     sym = quartic_symbol(prime, ell) * quartic_symbol(ell, prime)
     if prime % 4 == 1:
-        return PrimePart(columns, (1, 1), (sym, sym))
-    return PrimePart(columns, (-1, -1), (sym, -sym))
+        return (1, 1), (sym, sym)
+    return (-1, -1), (sym, -sym)
+
+
+def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
+    """One odd prime's columns of the character table with their entries."""
+    return PrimePart(_odd_columns(prime, tag), *_prime_entries(prime, tag, ell))
 
 
 def character_table(shape: NShape, ell: int) -> CharacterTable:
@@ -233,11 +238,13 @@ class PrimeTable(dict):
     first five values are equal share one entry and one id, numbered from 0
     in the order they first appear, so a field's shape (its counts, letters,
     rows, ranks and checks) depends only on its parity and the class ids of
-    its odd primes ascending.  Building it validates ell.
+    its odd primes ascending.  Building it validates ell.  A fill runs the
+    entry rule (_prime_entries) and builds no columns.
 
     One lives for one scan or verify call, and a scan's pool builds one per
     worker (cli._start_worker); each keeps the census's memo per shape class,
-    `rows` for scan and `checks` for verify.  character_table never reads it.
+    `rows` for scan (the class's values and their CSV text) and `checks` for
+    verify.  character_table never reads it.
     """
 
     def __init__(self, ell: int):
@@ -250,8 +257,7 @@ class PrimeTable(dict):
     def __missing__(self, prime: int) -> tuple:
         tag = splitting_type(prime, self.ell)
         kind = prime_kind(prime, tag)
-        part = _prime_part(prime, tag, self.ell)
-        value = (kind, *KIND_LETTERS[kind], part.minus_one, part.eps)
+        value = (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, self.ell))
         entry = self._entries.get(value)
         if entry is None:
             # at most six without a fault (inert p, inert q, and split p or q

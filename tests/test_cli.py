@@ -222,16 +222,16 @@ class TestRankPathFailuresNamed:
                        "mu=4 r*=1 rank=3 case=p-only:split\n")
 
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
-        real = rank._prime_part
+        real = rank._prime_entries
 
-        def prime_part(prime, tag, ell):
+        def prime_entries(prime, tag, ell):
             # the -1 entry at 13 turns, so r* from the table drops to 0
-            part = real(prime, tag, ell)
+            minus_one, eps = real(prime, tag, ell)
             if prime != 13:
-                return part
-            return part._replace(minus_one=tuple(-x for x in part.minus_one))
+                return minus_one, eps
+            return tuple(-x for x in minus_one), eps
 
-        monkeypatch.setattr(rank, "_prime_part", prime_part)
+        monkeypatch.setattr(rank, "_prime_entries", prime_entries)
         code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "30")
         assert code == 3
         assert out.splitlines() == [

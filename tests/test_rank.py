@@ -182,20 +182,19 @@ class TestPrimeTable:
         assert ids[5] == ids[13] == ids[17]  # inert p
         assert primes[3][:3] == primes[7][:3] and ids[3] != ids[7]  # split q, tau -1 and +1
         assert sorted(set(ids.values())) == [0, 1, 2, 3]
-        real = rank._prime_part
+        real = rank._prime_entries
 
-        def prime_part(prime, tag, ell):
+        def prime_entries(prime, tag, ell):
             # a wrong entry at 29, otherwise an inert p like 5
-            part = real(prime, tag, ell)
-            return part._replace(eps=(-1,)) if prime == 29 else part
+            minus_one, eps = real(prime, tag, ell)
+            return (minus_one, (-1,)) if prime == 29 else (minus_one, eps)
 
-        monkeypatch.setattr(rank, "_prime_part", prime_part)
+        monkeypatch.setattr(rank, "_prime_entries", prime_entries)
         assert primes[29][5] == 4 and primes[41][5] == 5  # 41 splits
 
     def test_a_class_id_fits_its_bits(self, monkeypatch):
         # past 2**CLASS_ID_BITS distinct entries the census keys would collide
-        monkeypatch.setattr(rank, "_prime_part",
-                            lambda prime, tag, ell: rank.PrimePart((), (prime,), (1,)))
+        monkeypatch.setattr(rank, "_prime_entries", lambda prime, tag, ell: ((prime,), (1,)))
         primes = PrimeTable(37)
         odd = [p for p in range(3, 5000, 2) if is_prime(p) and p != 37]
         for p in odd[:1 << rank.CLASS_ID_BITS]:

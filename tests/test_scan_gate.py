@@ -5,10 +5,11 @@ import hashlib
 import os
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
-from qtr import cli, rank
+from qtr import cli, ntheory, rank
 from qtr.cli import _CHUNK, main, scan_rows, shape_string
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, squarefree_window
@@ -25,6 +26,21 @@ def test_scan_csv_bytes(capsys, monkeypatch):
     assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_37_3000_SHA256
+
+
+# sha256 of `qtr scan --ell 37 --n-max 30000 --format csv`, the census of
+# perfbench/reference.json.
+SCAN_37_30000_SHA256 = "4179f51ef12ad8b688ce6c9ed42dc4c156d68a32c21d0b60b97c415d48b173bd"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_csv_bytes(capsys, monkeypatch, jobs):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", jobs]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_37_30000_SHA256
 
 
 # sha256 of `qtr scan --ell 37 --n-max 30000` in text, 59 windows sized
@@ -206,14 +222,40 @@ def test_sieve_window_matches_factorization(lo, hi):
         assert primes == expected, n
 
 
+def test_sieve_base_grows_across_windows(monkeypatch):
+    # from an empty base list, the census's windows cross several growths of
+    # it, and a window below its bound afterwards reads a prefix
+    monkeypatch.setattr(ntheory, "_sieve_base", ([], 1))
+    bounds = set()
+    for lo, hi in [*cli._windows(20000), (1, _CHUNK + 1), (3001, 3011)]:
+        for n, primes in zip(range(lo, hi), squarefree_window(lo, hi)):
+            try:
+                expected = factor_squarefree(n)
+            except NotSquarefree:
+                expected = None
+            assert primes == expected, n
+        bounds.add(ntheory._sieve_base[1])
+    assert len(bounds) >= 4 and max(bounds) >= isqrt(20000)
+
+
+def window_rows(primes, lo, hi):
+    """The census's rows of n in [lo, hi), as `scan --include-skipped` keeps
+    them, in value tuples."""
+    return cli._window_step(primes, lo, hi, True, None, False)
+
+
+SKIPPED = ("",) * 7
+
+
 def test_sieve_record_checks_its_primes(monkeypatch):
     primes = PrimeTable(37)
     for n in (2 * 3 * 67, 4757):
-        assert cli._window_rows(primes, n, n + 1) == [("row", record_row(37, n))]
+        assert window_rows(primes, n, n + 1) == [(*record_row(37, n), "")]
+        assert cli._window_step(primes, n, n + 1, False, None, False) == [record_row(37, n)]
     # the same order as FieldInput(ell, n): NotSquarefree before NotCoprime
-    assert cli._window_rows(primes, 2 * 37 * 37, 2 * 37 * 37 + 1) == [
-        ("skip", 2 * 37 * 37, "NotSquarefree")]
-    assert cli._window_rows(primes, 74, 75) == [("skip", 74, "NotCoprime")]
+    assert window_rows(primes, 2 * 37 * 37, 2 * 37 * 37 + 1) == [
+        (2 * 37 * 37, *SKIPPED, "NotSquarefree")]
+    assert window_rows(primes, 74, 75) == [(74, *SKIPPED, "NotCoprime")]
     real = cli.squarefree_window
 
     def squarefree_window(lo, hi):
@@ -222,7 +264,7 @@ def test_sieve_record_checks_its_primes(monkeypatch):
     monkeypatch.setattr(cli, "squarefree_window", squarefree_window)
     message = r"sieve primes \[3, 7\] do not multiply to n = 15"
     with pytest.raises(InternalCheckError, match=message):
-        cli._window_rows(primes, 1, 20)
+        window_rows(primes, 1, 20)
 
 
 def record_row(ell, n):
@@ -236,14 +278,15 @@ def record_row(ell, n):
 
 
 def record_steps(ell, lo, hi):
-    """For each n in [lo, hi), the row of record_row, or the skip reason
-    FieldInput(ell, n) raises."""
+    """For each n in [lo, hi), the row of record_row with an empty reason,
+    or n and the skip reason FieldInput(ell, n) raises: window_rows from the
+    record path."""
     expected = []
     for n in range(lo, hi):
         try:
-            expected.append(("row", record_row(ell, n)))
+            expected.append((*record_row(ell, n), ""))
         except (NotSquarefree, NotCoprime) as exc:
-            expected.append(("skip", n, type(exc).__name__))
+            expected.append((n, *SKIPPED, type(exc).__name__))
     return expected
 
 
@@ -252,7 +295,7 @@ def test_census_step_equals_the_record_path(ell):
     # Every n <= 3000, in windows of the census, against FieldInput(ell, n):
     # the row the census writes for a field, and the skip reason otherwise.
     primes = PrimeTable(ell)
-    got = [step for lo, hi in cli._windows(3000) for step in cli._window_rows(primes, lo, hi)]
+    got = [row for lo, hi in cli._windows(3000) for row in window_rows(primes, lo, hi)]
     assert got == record_steps(ell, 1, 3001)
 
 
@@ -261,11 +304,39 @@ def test_census_rows_past_1e5_equal_the_record_path(ell):
     # the memo of shape classes is filled by the first window, then read in
     # windows far past it
     primes = PrimeTable(ell)
-    cli._window_rows(primes, 1, _CHUNK + 1)
+    window_rows(primes, 1, _CHUNK + 1)
     warm = len(primes.rows)
     for lo in (100_001, 524_289, 999_489):
-        assert cli._window_rows(primes, lo, lo + _CHUNK) == record_steps(ell, lo, lo + _CHUNK)
+        assert window_rows(primes, lo, lo + _CHUNK) == record_steps(ell, lo, lo + _CHUNK)
     assert 0 < warm < len(primes.rows)
+
+
+@pytest.mark.parametrize("ell", [5, 37, 197, 1000000021])
+@pytest.mark.parametrize("include_skipped", [False, True])
+@pytest.mark.parametrize("rank_filter", [None, 2])
+def test_csv_lines_equal_the_csv_module(ell, include_skipped, rank_filter):
+    # each CSV line is n, its class's text and the conductor; the csv module
+    # writes the same bytes from the step's value tuples, in the windows of
+    # n <= 3000 and in windows far past a warm first one
+    primes = PrimeTable(ell)
+    windows = [*cli._windows(3000), (100_001, 100_001 + _CHUNK), (999_489, 999_489 + _CHUNK)]
+    for lo, hi in windows:
+        text = cli._window_step(primes, lo, hi, include_skipped, rank_filter, True)
+        rows = cli._window_step(primes, lo, hi, include_skipped, rank_filter, False)
+        assert text == cli._csv_text(rows), (lo, hi)
+    assert text
+
+
+def test_census_builds_no_columns(capsys, monkeypatch):
+    # the prime table's fill runs the entry rule alone; only a character
+    # table builds its columns
+    columns = count_calls(monkeypatch, "qtr.rank", "_odd_columns")
+    assert len(scan_rows(37, 3000)) == 1776
+    assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0
+    assert columns == []
+    assert main(["table", "--ell", "37", "--n", "4757"]) == 0
+    assert columns == [67, 71]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["verify", "scan"])
