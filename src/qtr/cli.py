@@ -25,11 +25,11 @@ import io
 import json
 import os
 import sys
-from math import prod
+from math import isqrt, prod
 
 from .classify import classify_small_rank, small_rank_pattern
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive
-from .ntheory import squarefree_window, two_squares
+from .ntheory import base_primes, two_squares
 from .quad import fundamental_unit
 from .quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, defining_polynomial,
                       dyadic_ramifies, prime_kind, to_williams, validate, validate_ell,
@@ -86,48 +86,73 @@ def _ranks(field: FieldInput) -> tuple[RankResult, RankResult]:
     return closed, unified
 
 
-def _fields(primes: PrimeTable, lo: int, hi: int):
-    """The census step over n in [lo, hi), read off the squarefree sieve:
-    ("skip", n, reason) for a rejected n, checked in FieldInput's order, or
-    ("field", n, key, factors, (e, f)): the key of the shape class of n (its
-    parity and its odd primes' class ids ascending, CLASS_ID_BITS each; see
-    PrimeTable), its primes, and the conductor's exponent and value."""
+def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[tuple]:
+    """The census step over n in [lo, hi), 1 <= lo: for each n, ("skip", n,
+    reason), checked in FieldInput's order, or ("field", n, key, (e, f)),
+    the key of its shape class and the conductor's exponent and value.
+
+    A keyed segmented sieve: 2 and each prime p <= sqrt(hi - 1) are divided
+    out of their multiples into the product of the primes so far (0 at a
+    multiple of p^2), so a squarefree n leaves 1 or one larger prime.  The
+    key's digits base 2**CLASS_ID_BITS are delta (never 0), then the odd
+    primes' ids ascending (PrimeTable): a base prime's id is looked up once
+    per window, the leftover's last.  ell is never looked up.
+    """
     ell = primes.ell
     legs = two_squares(ell)
-    for n, factors in zip(range(lo, hi), squarefree_window(lo, hi)):
-        if factors is None:
-            yield "skip", n, "NotSquarefree"
-            continue
-        if prod(factors) != n:
-            raise InternalCheckError(f"sieve primes {factors} do not multiply to n = {n}")
-        if n % ell == 0:
-            yield "skip", n, "NotCoprime"
-            continue
-        # digits base 2**CLASS_ID_BITS: delta (never 0) first, then the ids
-        key = 2 - n % 2
-        for prime in factors:
-            if prime != 2:
-                key = key << CLASS_ID_BITS | primes[prime][5]
-        a, b, _ = williams_abc(n, legs)
-        yield "field", n, key, factors, conductor_parts(a, b, ell)
+    size = hi - lo
+    keys = [2 - n % 2 for n in range(lo, hi)]
+    rest = list(range(lo, hi))
+    product = [1] * size
+    for p in base_primes(max(2, isqrt(hi - 1))):
+        if p == 2 or p == ell:
+            for i in range(-lo % p, size, p):
+                rest[i] //= p
+                product[i] *= p
+        else:
+            class_id = primes[p]
+            for i in range(-lo % p, size, p):
+                keys[i] = keys[i] << CLASS_ID_BITS | class_id
+                rest[i] //= p
+                product[i] *= p
+        for i in range(-lo % (p * p), size, p * p):
+            product[i] = 0
+    out = []
+    for n, key, r, d in zip(range(lo, hi), keys, rest, product):
+        if not d:
+            out.append(("skip", n, "NotSquarefree"))
+        elif d * r != n:
+            raise InternalCheckError(f"sieve product {d} times rest {r} is not n = {n}")
+        elif n % ell == 0:
+            out.append(("skip", n, "NotCoprime"))
+        else:
+            if r > 1:
+                key = key << CLASS_ID_BITS | primes[r]
+            a, b, _ = williams_abc(n, legs)
+            out.append(("field", n, key, conductor_parts(a, b, ell)))
+    return out
 
 
-def _shape_class(primes: PrimeTable, n: int, factors: list[int]) -> tuple:
-    """What the census reads of the shape of n, from its primes' entries:
-    (delta, dyadic, counts [t1, t2, s1, s2], the odd primes' kind and tag
-    letters ascending, the rows -1, eps, -eps of the character table)."""
+def _shape_class(primes: PrimeTable, key: int) -> tuple:
+    """What the census reads of a shape class, from its key's digits (see
+    _keyed_fields) and the entries of its ids: (delta, dyadic, counts [t1,
+    t2, s1, s2], the odd primes' kind and tag letters ascending, the rows
+    -1, eps, -eps of the character table)."""
+    ids = []
+    while key >> CLASS_ID_BITS:
+        key, class_id = divmod(key, 1 << CLASS_ID_BITS)
+        ids.append(class_id)
+    delta = key
     counts = [0, 0, 0, 0]
     kinds, tags = [], []
     row_m1, row_eps = [*SQRT_ELL_PART.minus_one], [*SQRT_ELL_PART.eps]
-    for prime in factors:
-        if prime != 2:
-            kind, kind_letter, tag_letter, m1, eps, _ = primes[prime]
-            counts[kind] += 1
-            kinds.append(kind_letter)
-            tags.append(tag_letter)
-            row_m1 += m1
-            row_eps += eps
-    delta = 2 - n % 2
+    for class_id in reversed(ids):
+        kind, kind_letter, tag_letter, m1, eps = primes.entries[class_id]
+        counts[kind] += 1
+        kinds.append(kind_letter)
+        tags.append(tag_letter)
+        row_m1 += m1
+        row_eps += eps
     s = counts[2] + counts[3]
     dyadic = dyadic_ramifies(delta, s)
     if dyadic:
@@ -136,13 +161,13 @@ def _shape_class(primes: PrimeTable, n: int, factors: list[int]) -> tuple:
     return delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps)
 
 
-def _shape_row(primes: PrimeTable, n: int, factors: list[int]) -> tuple[tuple, str]:
-    """What a shape class gives each of its scan rows, once both rank paths
-    agree: the values between n and the conductor in SCAN_FIELDS order, and
-    those values as CSV text (_csv_text, so the csv module does the
-    quoting)."""
+def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str]:
+    """What the shape class of key gives each of its scan rows, once both
+    rank paths agree at n: the values between n and the conductor in
+    SCAN_FIELDS order, and those values as CSV text (_csv_text, so the csv
+    module does the quoting)."""
     ell = primes.ell
-    delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, n, factors)
+    delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, key)
     try:
         mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
     except InternalCheckError as exc:
@@ -168,16 +193,16 @@ def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
     memo = primes.rows
     end = ",\n" if include_skipped else "\n"
     out = []
-    for step in _fields(primes, lo, hi):
+    for step in _keyed_fields(primes, lo, hi):
         if step[0] == "skip":
             if include_skipped:
                 _, n, reason = step
                 out.append(f"{n}{_NO_ROW_CSV}{reason}\n" if as_csv else (n, *_NO_ROW, reason))
             continue
-        _, n, key, factors, (_, f) = step
+        _, n, key, (_, f) = step
         shape = memo.get(key)
         if shape is None:
-            shape = memo[key] = _shape_row(primes, n, factors)
+            shape = memo[key] = _shape_row(primes, n, key)
         values, text = shape
         if rank_filter is not None and values[_CLASS_RANK] != rank_filter:
             continue
@@ -198,15 +223,9 @@ def _csv_text(rows: list) -> str:
 _worker_primes: PrimeTable | None = None
 
 
-def _start_worker(ell: int) -> None:
-    """The pool's one prime table, built before the workers fork, for every
-    window they run."""
-    global _worker_primes
-    _worker_primes = PrimeTable(ell)
-
-
 def _scan_chunk(args: tuple) -> list[tuple] | str:
-    """One window step in a pool worker, on the worker's prime table."""
+    """One window step in a pool worker, on the scan's prime table, which
+    _pooled sets before the workers fork."""
     return _window_step(_worker_primes, *args)
 
 
@@ -239,14 +258,15 @@ def _run_worker(worker: int, workers: int, steps: list, write_fd: int) -> None:
                 return
 
 
-def _pooled(workers: int, ell: int, steps: list):
+def _pooled(workers: int, primes: PrimeTable, steps: list):
     """The steps' results in step order, from `workers` forked children
-    (_run_worker) that share one prime table built before they fork.  qtr
-    starts no threads, so forking is safe, and the children inherit the
-    module state a caller or a tracer has set."""
+    (_run_worker) that inherit the scan's prime table.  qtr starts no
+    threads, so forking is safe, and the children inherit the module state a
+    caller or a tracer has set."""
     import pickle
 
-    _start_worker(ell)
+    global _worker_primes
+    _worker_primes = primes
     readers, pids = [], []
     try:
         for worker in range(workers):
@@ -270,7 +290,7 @@ def _pooled(workers: int, ell: int, steps: list):
             try:
                 ok, result = pickle.load(readers[index % workers])
             except (EOFError, pickle.UnpicklingError):
-                raise InternalCheckError(f"ell={ell} window n={lo}..{hi - 1}: "
+                raise InternalCheckError(f"ell={primes.ell} window n={lo}..{hi - 1}: "
                                          f"its pool worker ended without a result") from None
             if not ok:
                 raise result
@@ -293,7 +313,7 @@ def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
     workers = pool_size(jobs, len(steps), _usable_cpus())
     if workers == 1 or not hasattr(os, "fork"):
         return (_window_step(primes, *step) for step in steps)
-    return _pooled(workers, ell, steps)
+    return _pooled(workers, primes, steps)
 
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
@@ -364,12 +384,12 @@ def cmd_scan(args, fmt: str) -> int:
 _CHECKS = ("cross_path", "hilbert", "bridge", "classify")
 
 
-def _class_checks(primes: PrimeTable, n: int, factors: list[int]) -> tuple[bool, tuple]:
-    """The dyadic flag of the shape class of n, and whether the class passes
-    cross_path, hilbert and classify; a cross_path failure goes to stderr,
-    named by n."""
+def _class_checks(primes: PrimeTable, n: int, key: int) -> tuple[bool, tuple]:
+    """The dyadic flag of the shape class of key, and whether the class
+    passes cross_path, hilbert and classify at n; a cross_path failure goes
+    to stderr, named by n."""
     ell = primes.ell
-    delta, dyadic, counts, _, _, rows = _shape_class(primes, n, factors)
+    delta, dyadic, counts, _, _, rows = _shape_class(primes, key)
     try:
         rank = flat_ranks(ell, n, dyadic, *counts, rows)[2]
     except InternalCheckError as exc:
@@ -393,14 +413,14 @@ def cmd_verify(args, fmt: str) -> int:
     failures: list[tuple[int, str]] = []
     fields_checked = 0
     for lo, hi in _windows(args.n_max):
-        for step in _fields(primes, lo, hi):
+        for step in _keyed_fields(primes, lo, hi):
             if step[0] == "skip":
                 continue
-            _, n, key, factors, (e, _) = step
+            _, n, key, (e, _) = step
             fields_checked += 1
             dyadic = memo.get(key)
             if dyadic is None:
-                dyadic, (cross_path, hilbert, classify) = _class_checks(primes, n, factors)
+                dyadic, (cross_path, hilbert, classify) = _class_checks(primes, n, key)
                 if cross_path and hilbert and classify:
                     memo[key] = dyadic
                 passed = (cross_path, hilbert, (e == 0) == (not dyadic), classify)

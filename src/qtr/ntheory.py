@@ -180,13 +180,13 @@ def _primes_upto(m: int) -> list[int]:
     return list(compress(range(m + 1), flags))
 
 
-# Every prime <= the bound, ascending, and the bound: the base primes of
-# squarefree_window, kept for the process (its callers pass only a window)
-# and sieved again only when a window needs primes past the bound.
+# Every prime <= the bound, ascending, and the bound: the base primes of the
+# census's sieve (cli._keyed_fields), kept for the process and sieved again
+# only when a window needs primes past the bound.
 _sieve_base: tuple[list[int], int] = ([], 1)
 
 
-def _base_primes(m: int) -> list[int]:
+def base_primes(m: int) -> list[int]:
     """The primes <= m, ascending, as a prefix of _sieve_base, which first
     grows to at least twice its bound when m passes it."""
     global _sieve_base
@@ -196,36 +196,6 @@ def _base_primes(m: int) -> list[int]:
         primes = _primes_upto(bound)
         _sieve_base = primes, bound
     return primes[:bisect_right(primes, m)]
-
-
-def squarefree_window(lo: int, hi: int) -> list[list[int] | None]:
-    """For each n in [lo, hi), 1 <= lo: its ascending primes, or None when
-    the square of a prime divides n.
-
-    A segmented sieve: every prime p <= sqrt(hi - 1) is divided out of its
-    multiples in the window, and a multiple of p^2 is marked.  What is left
-    of a squarefree n is 1 or one prime above sqrt(hi - 1), since two such
-    primes would multiply past n.  Memory is O(hi - lo).
-    """
-    size = hi - lo
-    factors: list[list[int]] = [[] for _ in range(size)]
-    rest = list(range(lo, hi))
-    for p in _base_primes(isqrt(hi - 1)):
-        for i in range(-lo % p, size, p):
-            factors[i].append(p)
-            rest[i] //= p
-        square = p * p
-        for i in range(-lo % square, size, square):
-            rest[i] = 0
-    out: list[list[int] | None] = []
-    for primes, r in zip(factors, rest):
-        if r == 0:
-            out.append(None)
-        else:
-            if r > 1:
-                primes.append(r)
-            out.append(primes)
-    return out
 
 
 def legendre(a: int, p: int) -> int:
@@ -242,15 +212,24 @@ def legendre(a: int, p: int) -> int:
 def quartic_symbol(a: int, p: int) -> int:
     """Rational quartic residue symbol (a/p)_4 in {-1, +1}.
 
-    Defined only when (a/p) = +1.  For p = 1 (mod 4) this is a^((p-1)/4)
-    read as a sign.  For p = 3 (mod 4) the squares mod p form a group of odd
-    order (p-1)/2, so every square is a fourth power and the symbol is +1.
+    Defined only when (a/p) = +1.  For p = 1 (mod 4) this is t = a^((p-1)/4)
+    read as a sign, and t^2 is Euler's criterion for (a/p), so one pow gives
+    both.  For p = 3 (mod 4) the squares mod p form a group of odd order
+    (p-1)/2, so every square is a fourth power and the symbol is +1.
     """
-    if legendre(a, p) != 1:
+    residue = a % p
+    if p % 4 == 1:
+        t = pow(residue, (p - 1) // 4, p)
+        euler = t * t % p
+        if residue and euler != 1 and euler != p - 1:
+            raise InternalCheckError(f"Euler's criterion failed for ({residue}/{p}): "
+                                     f"p is not an odd prime")
+        square = residue != 0 and euler == 1
+    else:
+        square = legendre(a, p) == 1
+        t = 1 if p % 4 == 3 else pow(residue, (p - 1) // 4, p)
+    if not square:
         raise NotQuadraticResidue(f"({a}/{p}) != +1, quartic symbol undefined")
-    if p % 4 == 3:
-        return 1
-    t = pow(a % p, (p - 1) // 4, p)
     if t != 1 and t != p - 1:
         raise InternalCheckError(f"({a}/{p})_4 is not a sign: p is not a prime")
     return 1 if t == 1 else -1

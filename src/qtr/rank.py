@@ -227,47 +227,48 @@ def unit_rows(row_m1: Sequence[int], row_eps: Sequence[int]) -> tuple:
     return row_m1, row_eps, tuple([a * b for a, b in zip(row_m1, row_eps)])
 
 
-# Bits of one class id in the census's shape-class key (cli._fields).
+# Bits of one class id in the census's shape-class key (cli._keyed_fields).
 CLASS_ID_BITS = 8
 
 
 class PrimeTable(dict):
-    """What a census of one ell reads about an odd prime of n, computed at its
-    first lookup: table[prime] is (which of t1, t2, s1, s2 it bumps, its kind
-    and tag letters, its -1 and eps entries, its class id).  Primes whose
-    first five values are equal share one entry and one id, numbered from 0
-    in the order they first appear, so a field's shape (its counts, letters,
-    rows, ranks and checks) depends only on its parity and the class ids of
-    its odd primes ascending.  Building it validates ell.  A fill runs the
-    entry rule (_prime_entries) and builds no columns.
-
-    One lives for one scan or verify call, and a scan's pool builds one per
-    worker (cli._start_worker); each keeps the census's memo per shape class,
-    `rows` for scan (the class's values and their CSV text) and `checks` for
-    verify.  character_table never reads it.
+    """The class ids a census of one ell reads for the odd primes of n, each
+    computed at its first lookup: table[prime] is an id, and table.entries[id]
+    what the census reads about every prime with that id (which of t1, t2,
+    s1, s2 it bumps, its kind and tag letters, its -1 and eps entries).
+    Primes with equal entries share one id, numbered from 0 as the entries
+    first appear, so a field's shape (its counts, letters, rows, ranks and
+    checks) depends only on its parity and its odd primes' ids ascending.
+    Building it validates ell.  A fill runs the entry rule (_prime_entries)
+    and builds no columns.  One lives for one scan or verify call (a scan's
+    pool forks with it) and keeps the census's memo per shape class: `rows`
+    for scan (the class's values and their CSV text), `checks` for verify.
+    character_table never reads it.
     """
 
     def __init__(self, ell: int):
         super().__init__()
         self.ell = validate_ell(ell)
-        self._entries: dict[tuple, tuple] = {}
+        self.entries: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
         self.rows: dict[int, tuple] = {}
         self.checks: dict[int, bool] = {}
 
-    def __missing__(self, prime: int) -> tuple:
+    def __missing__(self, prime: int) -> int:
         tag = splitting_type(prime, self.ell)
         kind = prime_kind(prime, tag)
-        value = (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, self.ell))
-        entry = self._entries.get(value)
-        if entry is None:
+        entry = (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, self.ell))
+        class_id = self._ids.get(entry)
+        if class_id is None:
             # at most six without a fault (inert p, inert q, and split p or q
             # with sigma or tau = +-1); past the id width, keys would collide
-            if len(self._entries) == 1 << CLASS_ID_BITS:
+            if len(self.entries) == 1 << CLASS_ID_BITS:
                 raise InternalCheckError(f"ell={self.ell} prime={prime}: more than "
                                          f"{1 << CLASS_ID_BITS} distinct prime entries")
-            entry = self._entries[value] = (*value, len(self._entries))
-        self[prime] = entry
-        return entry
+            class_id = self._ids[entry] = len(self.entries)
+            self.entries.append(entry)
+        self[prime] = class_id
+        return class_id
 
 
 def r_star(table: CharacterTable) -> int:

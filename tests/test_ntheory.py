@@ -252,6 +252,42 @@ class TestQuarticSymbol:
         assert quartic_symbol(a * a, p) == legendre(a, p) == 1
         assert quartic_symbol(a, p) ** 2 == 1
 
+    @staticmethod
+    def by_definition(a, p):
+        """(a/p)_4 by its definition: Euler's criterion (legendre) for (a/p),
+        then a^((p-1)/4) mod p read as a sign; the value or the error type."""
+        try:
+            if legendre(a, p) != 1:
+                raise NotQuadraticResidue(f"({a}/{p})")
+            if p % 4 == 3:
+                return 1
+            t = pow(a % p, (p - 1) // 4, p)
+            if t != 1 and t != p - 1:
+                raise InternalCheckError(f"({a}/{p})_4")
+            return 1 if t == 1 else -1
+        except (NotQuadraticResidue, InternalCheckError) as exc:
+            return type(exc)
+
+    def outcome(self, a, p):
+        try:
+            return quartic_symbol(a, p)
+        except (NotQuadraticResidue, InternalCheckError) as exc:
+            return type(exc)
+
+    def test_equals_the_definition_for_every_residue(self):
+        # every a mod p, and a few a outside 0..p-1, for every odd prime
+        # p < 2000 and for composites = 1 and 3 (mod 4), Carmichael numbers too
+        composites = [9, 15, 21, 25, 45, 65, 85, 91, 105, 561, 1105, 1729, 2465]
+        moduli = [p for p in range(3, 2000, 2) if is_prime(p)] + composites
+        for p in moduli:
+            outcomes = set()
+            for a in [*range(p), -1, p + 2, -p - 3]:
+                got = self.outcome(a, p)
+                assert got == self.by_definition(a, p), (a, p)
+                outcomes.add(got)
+            # a composite p raises InternalCheckError for some a, a prime never
+            assert (InternalCheckError in outcomes) == (p in composites), p
+
 
 class TestTwoSquares:
     def exhaustive(self, ell):

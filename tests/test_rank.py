@@ -154,7 +154,7 @@ class TestPrimeTable:
             primes = PrimeTable(ell)
             for n in valid_n_values(ell, 400):
                 shape = n_shape(validate(ell, n))
-                entries = [primes[prime] for prime, _ in shape.tagged]
+                entries = [primes.entries[primes[prime]] for prime, _ in shape.tagged]
                 kinds = [prime_kind(prime, tag) for prime, tag in shape.tagged]
                 assert [entry[:3] for entry in entries] == [(k, *KIND_LETTERS[k]) for k in kinds]
                 minus_one, eps = sum((e[3] for e in entries), ()), sum((e[4] for e in entries), ())
@@ -178,10 +178,11 @@ class TestPrimeTable:
 
     def test_equal_entries_share_a_class_id(self, monkeypatch):
         primes = PrimeTable(37)
-        ids = {p: primes[p][5] for p in (3, 5, 7, 13, 17, 19)}
+        ids = {p: primes[p] for p in (3, 5, 7, 13, 17, 19)}
         assert ids[5] == ids[13] == ids[17]  # inert p
-        assert primes[3][:3] == primes[7][:3] and ids[3] != ids[7]  # split q, tau -1 and +1
-        assert sorted(set(ids.values())) == [0, 1, 2, 3]
+        entries = primes.entries
+        assert entries[ids[3]][:3] == entries[ids[7]][:3] and ids[3] != ids[7]  # split q, tau -1, +1
+        assert sorted(set(ids.values())) == [0, 1, 2, 3] and len(entries) == 4
         real = rank._prime_entries
 
         def prime_entries(prime, tag, ell):
@@ -190,7 +191,8 @@ class TestPrimeTable:
             return (minus_one, (-1,)) if prime == 29 else (minus_one, eps)
 
         monkeypatch.setattr(rank, "_prime_entries", prime_entries)
-        assert primes[29][5] == 4 and primes[41][5] == 5  # 41 splits
+        assert primes[29] == 4 and primes[41] == 5  # 41 splits
+        assert entries[4][4] == (-1,) and entries[5][:3] == (1, "p", "S")
 
     def test_a_class_id_fits_its_bits(self, monkeypatch):
         # past 2**CLASS_ID_BITS distinct entries the census keys would collide

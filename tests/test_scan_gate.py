@@ -12,10 +12,11 @@ import pytest
 from qtr import cli, ntheory, rank
 from qtr.cli import _CHUNK, main, scan_rows, shape_string
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
-from qtr.ntheory import factor_squarefree, legendre, squarefree_window
+from qtr.ntheory import factor_squarefree, legendre, two_squares
 from qtr.quad import splitting_type
-from qtr.quartic import FieldInput, conductor, prime_kind, to_williams
-from qtr.rank import PrimeTable, rank_closed, rank_unified
+from qtr.quartic import (FieldInput, conductor, conductor_parts, prime_kind, to_williams,
+                         williams_abc)
+from qtr.rank import CLASS_ID_BITS, PrimeTable, rank_closed, rank_unified
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
 SCAN_37_3000_SHA256 = "8fe8bed324dc67d6ade79c60ecb0dc2208fa464f7070c458a95c5c91fc68f986"
@@ -212,28 +213,48 @@ def test_scan_below_one_window(capsys, monkeypatch, n_max, fmt, expected):
         assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (3 * _CHUNK + 17, 5 * _CHUNK + 3)])
+def factored_step(primes, n):
+    """The census step of n from factor_squarefree: the skip reason in
+    FieldInput's order, or the key folded from n's parity and its odd
+    primes' class ids ascending, and the conductor."""
+    try:
+        factors = factor_squarefree(n)
+    except NotSquarefree:
+        return "skip", n, "NotSquarefree"
+    ell = primes.ell
+    if n % ell == 0:
+        return "skip", n, "NotCoprime"
+    key = 2 - n % 2
+    for prime in factors:
+        if prime != 2:
+            key = key << CLASS_ID_BITS | primes[prime]
+    a, b, _ = williams_abc(n, two_squares(ell))
+    return "field", n, key, conductor_parts(a, b, ell)
+
+
+# (9797, 10001): the leftover 101 of 9797 = 97 * 101 is just above
+# sqrt(hi - 1) = 100; (10150, 10202): hi - 1 = 101^2, so 101 is a base prime
+# and its square is marked.
+@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (3 * _CHUNK + 17, 5 * _CHUNK + 3),
+                                   (9797, 10001), (10150, 10202),
+                                   (1_000_001, 1_000_001 + _CHUNK)])
 def test_sieve_window_matches_factorization(lo, hi):
-    for n, primes in zip(range(lo, hi), squarefree_window(lo, hi)):
-        try:
-            expected = factor_squarefree(n)
-        except NotSquarefree:
-            expected = None
-        assert primes == expected, n
+    # ell = 5 and 37 are base primes of every window here, 197 only of some
+    for ell in (5, 37, 197):
+        primes = PrimeTable(ell)
+        steps = cli._keyed_fields(primes, lo, hi)
+        assert steps == [factored_step(primes, n) for n in range(lo, hi)], ell
 
 
 def test_sieve_base_grows_across_windows(monkeypatch):
     # from an empty base list, the census's windows cross several growths of
     # it, and a window below its bound afterwards reads a prefix
     monkeypatch.setattr(ntheory, "_sieve_base", ([], 1))
+    primes = PrimeTable(37)
     bounds = set()
     for lo, hi in [*cli._windows(20000), (1, _CHUNK + 1), (3001, 3011)]:
-        for n, primes in zip(range(lo, hi), squarefree_window(lo, hi)):
-            try:
-                expected = factor_squarefree(n)
-            except NotSquarefree:
-                expected = None
-            assert primes == expected, n
+        steps = cli._keyed_fields(primes, lo, hi)
+        assert steps == [factored_step(primes, n) for n in range(lo, hi)], (lo, hi)
         bounds.add(ntheory._sieve_base[1])
     assert len(bounds) >= 4 and max(bounds) >= isqrt(20000)
 
@@ -256,15 +277,32 @@ def test_sieve_record_checks_its_primes(monkeypatch):
     assert window_rows(primes, 2 * 37 * 37, 2 * 37 * 37 + 1) == [
         (2 * 37 * 37, *SKIPPED, "NotSquarefree")]
     assert window_rows(primes, 74, 75) == [(74, *SKIPPED, "NotCoprime")]
-    real = cli.squarefree_window
-
-    def squarefree_window(lo, hi):
-        return [[3, 7] if n == 15 else primes for n, primes in zip(range(lo, hi), real(lo, hi))]
-
-    monkeypatch.setattr(cli, "squarefree_window", squarefree_window)
-    message = r"sieve primes \[3, 7\] do not multiply to n = 15"
+    # a composite "prime" 15 in the base list divides 15 inexactly
+    real = cli.base_primes
+    monkeypatch.setattr(cli, "base_primes", lambda m: [*real(m), 15])
+    message = r"sieve product 45 times rest 0 is not n = 15"
     with pytest.raises(InternalCheckError, match=message):
         window_rows(primes, 1, 20)
+
+
+@pytest.mark.parametrize("ell,coprime_n,square_n", [(5, 5 * 7, 25 * 3), (37, 37 * 41, 37 * 37 * 2),
+                                                    (197, 197 * 2, None)])
+def test_ell_is_never_in_the_prime_table(monkeypatch, ell, coprime_n, square_n):
+    # at N = 3e4, 5 and 37 are base primes of the sieve and 197 is a
+    # leftover; either way ell's multiples are skipped before a lookup
+    primes = PrimeTable(ell)
+    for lo, hi in cli._windows(30000):
+        cli._window_step(primes, lo, hi, True, None, True)
+    assert ell not in primes and len(primes) > 1000
+    if square_n is not None:
+        assert window_rows(primes, square_n, square_n + 1) == [(square_n, *SKIPPED, "NotSquarefree")]
+    assert window_rows(primes, coprime_n, coprime_n + 1) == [(coprime_n, *SKIPPED, "NotCoprime")]
+    # the product check runs before the NotCoprime skip
+    real = cli.base_primes
+    monkeypatch.setattr(cli, "base_primes", lambda m: [*real(m), coprime_n])
+    with pytest.raises(InternalCheckError, match=f"is not n = {coprime_n}$"):
+        window_rows(primes, coprime_n, coprime_n + 1)
+    assert ell not in primes
 
 
 def record_row(ell, n):
@@ -342,7 +380,7 @@ def test_census_builds_no_columns(capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["verify", "scan"])
 @pytest.mark.parametrize("ell,error", [("17", "EllNotFiveMod8"), ("35", "EllNotPrime")])
 def test_bad_ell_exits_before_any_sieve_work(capsys, monkeypatch, command, ell, error):
-    sieved = count_calls(monkeypatch, "qtr.ntheory", "squarefree_window")
+    sieved = count_calls(monkeypatch, "qtr.ntheory", "base_primes")
     assert main([command, "--ell", ell, "--n-max", "3000", "--format", "csv"]) == 2
     out, err = capsys.readouterr()
     assert error in err and out == ""
@@ -361,11 +399,9 @@ def test_csv_streams_one_window_at_a_time(monkeypatch):
 
 
 def test_a_worker_fills_each_prime_once(monkeypatch):
-    # the pool's initializer builds the worker's one table, and every window
-    # the worker runs reads it
+    # every window a worker runs reads the pool's one table
     filled = count_calls(monkeypatch, "qtr.quad", "splitting_type")
-    monkeypatch.setattr(cli, "_worker_primes", None)
-    cli._start_worker(37)
+    monkeypatch.setattr(cli, "_worker_primes", PrimeTable(37))
     first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))
     assert filled and len(set(filled)) == len(filled)
     seen = len(filled)
@@ -374,6 +410,18 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
     primes = PrimeTable(37)
     assert first + second == "".join(cli._window_step(primes, lo, hi, False, None, True)
                                      for lo, hi in cli._windows(2 * _CHUNK))
+
+
+def test_a_pooled_scan_builds_one_prime_table(capsys, monkeypatch):
+    # the workers fork with the table the scan built and validated
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    validated = count_calls(monkeypatch, "qtr.quartic", "validate_ell")
+    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256
+    assert validated == [37]
+    assert_no_child_left()
 
 
 def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,4 +89,18 @@ def test_traced_names_resolve():
         module, attr = name.rsplit(".", 1)
         if not hasattr(importlib.import_module(module), attr):
             missing.append(name)
+    assert missing == []
+
+
+README_NAME = re.compile(r"`(?:qtr\.)?(cli|rank|ntheory|quartic|quad|classify|errors)\.(\w+)")
+
+
+def test_readme_names_resolve():
+    # every backticked qtr.<module>.<name> or <module>.<name> in README.md
+    # names something the package has, so a deleted name cannot stay there
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names = set(README_NAME.findall(readme.read_text()))
+    assert len(names) > 20
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"qtr.{module}"), name)]
     assert missing == []
