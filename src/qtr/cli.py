@@ -86,50 +86,43 @@ def _ranks(field: FieldInput) -> tuple[RankResult, RankResult]:
     return closed, unified
 
 
-def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[tuple]:
-    """The census step over n in [lo, hi), 1 <= lo: for each n, ("skip", n,
-    reason), checked in FieldInput's order, or ("field", n, key, (e, f)),
-    the key of its shape class and the conductor's exponent and value.
+def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
+    """The census step over n in [lo, hi), 1 <= lo: for each n, the
+    hypothesis it fails, checked in FieldInput's order ("NotSquarefree" or
+    "NotCoprime"), or else the int key of its shape class.
 
-    A keyed segmented sieve: 2 and each prime p <= sqrt(hi - 1) are divided
-    out of their multiples into the product of the primes so far (0 at a
-    multiple of p^2), so a squarefree n leaves 1 or one larger prime.  The
+    A keyed segmented sieve: 2 and each prime p <= sqrt(hi - 1) are
+    multiplied into the product of the primes dividing n (0 at a multiple of
+    p^2), so a squarefree n is its product times 1 or one larger prime.  The
     key's digits base 2**CLASS_ID_BITS are delta (never 0), then the odd
     primes' ids ascending (PrimeTable): a base prime's id is looked up once
     per window, the leftover's last.  ell is never looked up.
     """
     ell = primes.ell
-    legs = two_squares(ell)
     size = hi - lo
     keys = [2 - n % 2 for n in range(lo, hi)]
-    rest = list(range(lo, hi))
     product = [1] * size
     for p in base_primes(max(2, isqrt(hi - 1))):
         if p == 2 or p == ell:
             for i in range(-lo % p, size, p):
-                rest[i] //= p
                 product[i] *= p
         else:
             class_id = primes[p]
             for i in range(-lo % p, size, p):
                 keys[i] = keys[i] << CLASS_ID_BITS | class_id
-                rest[i] //= p
                 product[i] *= p
         for i in range(-lo % (p * p), size, p * p):
             product[i] = 0
     out = []
-    for n, key, r, d in zip(range(lo, hi), keys, rest, product):
+    for n, key, d in zip(range(lo, hi), keys, product):
         if not d:
-            out.append(("skip", n, "NotSquarefree"))
-        elif d * r != n:
-            raise InternalCheckError(f"sieve product {d} times rest {r} is not n = {n}")
+            out.append("NotSquarefree")
+        elif n % d:
+            raise InternalCheckError(f"sieve product {d} times rest {n // d} is not n = {n}")
         elif n % ell == 0:
-            out.append(("skip", n, "NotCoprime"))
-        else:
-            if r > 1:
-                key = key << CLASS_ID_BITS | primes[r]
-            a, b, _ = williams_abc(n, legs)
-            out.append(("field", n, key, conductor_parts(a, b, ell)))
+            out.append("NotCoprime")
+        else:  # the leftover n // d is 1 or a prime
+            out.append(key << CLASS_ID_BITS | primes[n // d] if n > d else key)
     return out
 
 
@@ -161,19 +154,25 @@ def _shape_class(primes: PrimeTable, key: int) -> tuple:
     return delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps)
 
 
-def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str]:
+def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
     """What the shape class of key gives each of its scan rows, once both
     rank paths agree at n: the values between n and the conductor in
-    SCAN_FIELDS order, and those values as CSV text (_csv_text, so the csv
-    module does the quoting)."""
+    SCAN_FIELDS order, their CSV text (_csv_text, so the csv module does the
+    quoting), and f/n = 2^e * ell/delta, the same on the whole class: for
+    even n, b is the odd leg of ell, so e = 3; for odd n, b = 2 (mod 4) and
+    n = (-1)^s (mod 4), so e = 2 or 0 by the parity of s, which the key
+    fixes.  verify's bridge check still reads e at every field."""
     ell = primes.ell
     delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, key)
     try:
         mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
     except InternalCheckError as exc:
         raise _cross_path(ell, n, exc) from exc
+    f = conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
+    if f % n:
+        raise InternalCheckError(f"ell={ell} n={n} check=conductor: f = {f} is not a multiple of n")
     values = (delta, _shape_text(kinds, tags), mu, r_star, rank, case)
-    return values, _csv_text([values])[:-1]
+    return values, _csv_text([values])[:-1], f // n
 
 
 _NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
@@ -186,30 +185,26 @@ def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
     """One window of a scan: the rows of n in [lo, hi) that include_skipped
     and rank_filter keep, as value tuples in SCAN_FIELDS order, or as CSV
     text.  With include_skipped, each row has a reason, and a rejected n has
-    only n and it.  The first field of each shape class builds its values
-    and their text (_shape_row) and keeps them in primes.rows, unless a check
-    fails; the rest of the class reads them there, so its CSV line is n, the
-    class's text and the conductor."""
+    only n and it.  The first field of each shape class builds its values,
+    their text and f/n (_shape_row) and keeps them in primes.rows, unless a
+    check fails; the rest of the class reads them there, so its CSV line is
+    n, the class's text and n * f/n."""
     memo = primes.rows
-    end = ",\n" if include_skipped else "\n"
+    end, reason = (",\n", ("",)) if include_skipped else ("\n", ())
     out = []
-    for step in _keyed_fields(primes, lo, hi):
-        if step[0] == "skip":
+    for n, key in zip(range(lo, hi), _keyed_fields(primes, lo, hi)):
+        if type(key) is str:
             if include_skipped:
-                _, n, reason = step
-                out.append(f"{n}{_NO_ROW_CSV}{reason}\n" if as_csv else (n, *_NO_ROW, reason))
+                out.append(f"{n}{_NO_ROW_CSV}{key}\n" if as_csv else (n, *_NO_ROW, key))
             continue
-        _, n, key, (_, f) = step
         shape = memo.get(key)
         if shape is None:
             shape = memo[key] = _shape_row(primes, n, key)
-        values, text = shape
+        values, text, ratio = shape
         if rank_filter is not None and values[_CLASS_RANK] != rank_filter:
             continue
-        if as_csv:
-            out.append(f"{n},{text},{f}{end}")
-        else:
-            out.append((n, *values, f, "") if include_skipped else (n, *values, f))
+        f = n * ratio
+        out.append(f"{n},{text},{f}{end}" if as_csv else (n, *values, f, *reason))
     return "".join(out) if as_csv else out
 
 
@@ -318,8 +313,9 @@ def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
               rank_filter: int | None = None) -> list[dict]:
-    """ScanRows ascending by n.  Windows are merged in order, so the output
-    is identical for every jobs count."""
+    """The scan's rows as dicts keyed by SCAN_FIELDS (and "reason" with
+    include_skipped), ascending by n.  Windows are merged in order, so the
+    output is identical for every jobs count."""
     fields = (SCAN_FIELDS + ("reason",)) if include_skipped else SCAN_FIELDS
     return [dict(zip(fields, values))
             for rows in _scan_windows(ell, n_max, jobs, include_skipped, rank_filter, False)
@@ -410,13 +406,15 @@ def cmd_verify(args, fmt: str) -> int:
     one is checked again at each of its fields, so each failure names its n."""
     primes = PrimeTable(args.ell)
     memo = primes.checks
+    ell, legs = primes.ell, two_squares(primes.ell)
     failures: list[tuple[int, str]] = []
     fields_checked = 0
     for lo, hi in _windows(args.n_max):
-        for step in _keyed_fields(primes, lo, hi):
-            if step[0] == "skip":
+        for n, key in zip(range(lo, hi), _keyed_fields(primes, lo, hi)):
+            if type(key) is str:
                 continue
-            _, n, key, (e, _) = step
+            a, b, _ = williams_abc(n, legs)
+            e = conductor_parts(a, b, ell)[0]
             fields_checked += 1
             dyadic = memo.get(key)
             if dyadic is None:
@@ -536,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, *, n=False, n_max=False, scan_opts=False):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
         p.add_argument("--ell", type=int, required=True, help="prime = 5 (mod 8)")
         if n:
             p.add_argument("--n", type=int, required=True,
@@ -553,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("rank", cmd_rank, "rank by both paths, with the character table", n=True)
     add("scan", cmd_scan, "census of all valid n up to a bound", n_max=True, scan_opts=True)
-    add("verify", cmd_verify, "run all cross-checks over a range", n_max=True)
+    add("verify", cmd_verify, "run all cross-checks over a range (--format csv writes the "
+                              "text report)", n_max=True)
     add("unit", cmd_unit, "fundamental unit of Q(sqrt(ell))")
     add("conductor", cmd_conductor, "conductor of the field of (ell, n)", n=True)
     add("poly", cmd_poly, "defining polynomial of the field of (ell, n)", n=True)

@@ -242,7 +242,7 @@ class PrimeTable(dict):
     Building it validates ell.  A fill runs the entry rule (_prime_entries)
     and builds no columns.  One lives for one scan or verify call (a scan's
     pool forks with it) and keeps the census's memo per shape class: `rows`
-    for scan (the class's values and their CSV text), `checks` for verify.
+    for scan (the class's values, their CSV text and f/n), `checks` for verify.
     character_table never reads it.
     """
 

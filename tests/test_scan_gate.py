@@ -216,20 +216,18 @@ def test_scan_below_one_window(capsys, monkeypatch, n_max, fmt, expected):
 def factored_step(primes, n):
     """The census step of n from factor_squarefree: the skip reason in
     FieldInput's order, or the key folded from n's parity and its odd
-    primes' class ids ascending, and the conductor."""
+    primes' class ids ascending."""
     try:
         factors = factor_squarefree(n)
     except NotSquarefree:
-        return "skip", n, "NotSquarefree"
-    ell = primes.ell
-    if n % ell == 0:
-        return "skip", n, "NotCoprime"
+        return "NotSquarefree"
+    if n % primes.ell == 0:
+        return "NotCoprime"
     key = 2 - n % 2
     for prime in factors:
         if prime != 2:
             key = key << CLASS_ID_BITS | primes[prime]
-    a, b, _ = williams_abc(n, two_squares(ell))
-    return "field", n, key, conductor_parts(a, b, ell)
+    return key
 
 
 # (9797, 10001): the leftover 101 of 9797 = 97 * 101 is just above
@@ -257,6 +255,59 @@ def test_sieve_base_grows_across_windows(monkeypatch):
         assert steps == [factored_step(primes, n) for n in range(lo, hi)], (lo, hi)
         bounds.add(ntheory._sieve_base[1])
     assert len(bounds) >= 4 and max(bounds) >= isqrt(20000)
+
+
+def field_conductor(ell, n):
+    """The conductor of (ell, n) from the one conductor rule at n itself."""
+    return conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
+
+
+@pytest.mark.parametrize("ell", [5, 37, 197, 1000000021])
+def test_every_row_has_the_conductor_of_its_own_n(ell):
+    # the census reads f/n once per shape class; every row's conductor is
+    # still the rule's value at its own n, below 3e4 and in windows far past
+    # a warm first one
+    rows = [(row["n"], row["conductor"]) for row in scan_rows(ell, 30000)]
+    primes = PrimeTable(ell)
+    window_rows(primes, 1, _CHUNK + 1)
+    for lo in (100_001, 999_489):
+        rows += [(row[0], row[-2]) for row in window_rows(primes, lo, lo + _CHUNK) if row[-1] == ""]
+    assert len(rows) > 15_000 + 2 * 250
+    assert [f for _, f in rows] == [field_conductor(ell, n) for n, _ in rows]
+
+
+def test_scan_reads_the_conductor_once_per_shape_class(monkeypatch):
+    conductors = count_calls(monkeypatch, "qtr.quartic", "conductor_parts")
+    classes = count_calls(monkeypatch, "qtr.cli", "_shape_row")
+    rows = scan_rows(37, 3000)
+    assert len(rows) == 1776
+    assert 0 < len(conductors) == len(classes) < len(rows) / 4
+
+
+def test_verify_reads_the_conductor_at_every_field(capsys, monkeypatch):
+    conductors = count_calls(monkeypatch, "qtr.quartic", "conductor_parts")
+    assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0
+    assert "1776 fields checked" in capsys.readouterr().out
+    assert len(conductors) == 1776
+
+
+def test_a_conductor_off_its_class_ratio_is_named(capsys, monkeypatch):
+    # n = 41 is the first field of its shape class for ell = 37
+    real = cli.conductor_parts
+
+    def conductor_parts(a, b, ell):
+        e, f = real(a, b, ell)
+        return (e, f + 1) if a == 41 else (e, f)
+
+    monkeypatch.setattr(cli, "conductor_parts", conductor_parts)
+    with pytest.raises(InternalCheckError,
+                       match=r"^ell=37 n=41 check=conductor: f = 6069 is not a multiple of n$"):
+        scan_rows(37, 100)
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    assert main(["scan", "--ell", "37", "--n-max", "100", "--format", "csv"]) == 3
+    out, err = capsys.readouterr()
+    assert out == HEADER + "\n"
+    assert err == "internal error: ell=37 n=41 check=conductor: f = 6069 is not a multiple of n\n"
 
 
 def window_rows(primes, lo, hi):
