@@ -91,22 +91,23 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     hypothesis it fails, checked in FieldInput's order ("NotSquarefree" or
     "NotCoprime"), or else the int key of its shape class.
 
-    A keyed segmented sieve: 2 and each prime p <= sqrt(hi - 1) are
-    multiplied into the product of the primes dividing n (0 at a multiple of
-    p^2), so a squarefree n is its product times 1 or one larger prime.  The
-    key's digits base 2**CLASS_ID_BITS are delta (never 0), then the odd
-    primes' ids ascending (PrimeTable): a base prime's id is looked up once
-    per window, the leftover's last.  ell is never looked up.
+    A keyed segmented sieve: the product of the primes dividing n starts at
+    delta, and each odd prime p <= sqrt(hi - 1) is multiplied in (0 at a
+    multiple of p^2 or 4), so a squarefree n is its product times 1 or one
+    larger prime.  The key's digits base 2**CLASS_ID_BITS are delta (never
+    0), then the odd primes' ids ascending (PrimeTable): a base prime's id
+    is looked up once per window, the leftover's last.  ell is never looked up.
     """
     ell = primes.ell
     size = hi - lo
-    keys = [2 - n % 2 for n in range(lo, hi)]
-    product = [1] * size
+    # delta, 2 for even n and 1 for odd; an odd size leaves a spare last entry
+    keys = [2 - lo % 2, 1 + lo % 2] * ((size + 1) // 2)
+    product = keys[:]
     for p in base_primes(max(2, isqrt(hi - 1))):
-        if p == 2 or p == ell:
+        if p == ell:
             for i in range(-lo % p, size, p):
                 product[i] *= p
-        else:
+        elif p != 2:
             class_id = primes[p]
             for i in range(-lo % p, size, p):
                 keys[i] = keys[i] << CLASS_ID_BITS | class_id
@@ -431,6 +432,11 @@ def cmd_verify(args, fmt: str) -> int:
                "passed": checks, "failures": [{"n": n, "check": c} for n, c in failures]}
     if fmt == "json":
         print(json.dumps(summary, indent=2))
+    elif fmt == "csv":
+        _emit_table_rows([(name, count, fields_checked - count) for name, count in checks.items()],
+                         ("check", "pass", "fail"), "csv")
+        for n, c in failures:
+            print(f"FAIL ell={args.ell} n={n} check={c}", file=sys.stderr)
     else:
         print(f"ell = {args.ell}, n <= {args.n_max}: {fields_checked} fields checked")
         for name, count in checks.items():
@@ -551,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("rank", cmd_rank, "rank by both paths, with the character table", n=True)
     add("scan", cmd_scan, "census of all valid n up to a bound", n_max=True, scan_opts=True)
-    add("verify", cmd_verify, "run all cross-checks over a range (--format csv writes the "
-                              "text report)", n_max=True)
+    add("verify", cmd_verify, "run all cross-checks over a range (--format csv: one row per "
+                              "check, failures on stderr)", n_max=True)
     add("unit", cmd_unit, "fundamental unit of Q(sqrt(ell))")
     add("conductor", cmd_conductor, "conductor of the field of (ell, n)", n=True)
     add("poly", cmd_poly, "defining polynomial of the field of (ell, n)", n=True)

@@ -179,30 +179,36 @@ def ram_profile(shape: NShape) -> RamProfile:
     return RamProfile(columns, len(columns))
 
 
-def _prime_entries(prime: int, tag: SplittingType, ell: int) -> tuple[tuple, tuple]:
+def _split_sign(prime: int, ell: int, p_ell4: Optional[int] = None) -> int:
+    """The sign rule of a split prime: sigma or tau = (p/ell)_4 * (ell/p)_4.
+    (p/ell)_4 depends only on p mod ell, so a caller that keeps it per
+    residue class passes it in; (ell/p)_4 runs at every call."""
+    return (p_ell4 or quartic_symbol(prime, ell)) * quartic_symbol(ell, prime)
+
+
+def _prime_entries(prime: int, tag: SplittingType, sign: int) -> tuple[tuple, tuple]:
     """The character-table entry rule for one odd prime of n: its -1 and eps
-    entries, one per column of _odd_columns.
+    entries, one per column of _odd_columns, from p mod 4, its tag and, for
+    a split prime, its sign from _split_sign (unread otherwise).
 
     (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
       inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
         character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
-      split p = 1 (mod 4): (+, sigma) in both conjugate columns, where
-        sigma = (p/ell)_4 * (ell/p)_4.
+      split p = 1 (mod 4): (+, sigma) in both conjugate columns.
       split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
-        in the two conjugate columns, tau = (q/ell)_4 * (ell/q)_4.
-    sigma and tau take two quartic symbols, once per call.
+        in the two conjugate columns.
     """
     if tag is not SplittingType.SPLIT:
         return (1,), (1 if prime % 4 == 1 else -1,)
-    sym = quartic_symbol(prime, ell) * quartic_symbol(ell, prime)
     if prime % 4 == 1:
-        return (1, 1), (sym, sym)
-    return (-1, -1), (sym, -sym)
+        return (1, 1), (sign, sign)
+    return (-1, -1), (sign, -sign)
 
 
 def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
     """One odd prime's columns of the character table with their entries."""
-    return PrimePart(_odd_columns(prime, tag), *_prime_entries(prime, tag, ell))
+    sign = _split_sign(prime, ell) if tag is SplittingType.SPLIT else 0
+    return PrimePart(_odd_columns(prime, tag), *_prime_entries(prime, tag, sign))
 
 
 def character_table(shape: NShape, ell: int) -> CharacterTable:
@@ -236,13 +242,15 @@ class PrimeTable(dict):
     computed at its first lookup: table[prime] is an id, and table.entries[id]
     what the census reads about every prime with that id (which of t1, t2,
     s1, s2 it bumps, its kind and tag letters, its -1 and eps entries).
-    Primes with equal entries share one id, numbered from 0 as the entries
-    first appear, so a field's shape (its counts, letters, rows, ranks and
-    checks) depends only on its parity and its odd primes' ids ascending.
-    Building it validates ell.  A fill runs the entry rule (_prime_entries)
-    and builds no columns.  One lives for one scan or verify call (a scan's
-    pool forks with it) and keeps the census's memo per shape class: `rows`
-    for scan (the class's values, their CSV text and f/n), `checks` for verify.
+    The id is a function of the prime's code, 4 * sign + p mod 4, with sign 0
+    unless p splits in k (_split_sign).  The splitting and (p/ell)_4 run once
+    per residue class mod ell, (ell/p)_4 once per split prime, and the entry
+    rule (_prime_entries) once per code, as codes first appear, which numbers
+    the ids from 0.  So a field's shape (counts, letters, rows, ranks, checks)
+    depends on its parity and its odd primes' ids ascending.  Building it
+    validates ell.  One lives for one scan or verify call (a scan's pool forks
+    with it) and keeps the census's memo per shape class: `rows` for scan (the
+    class's values, their CSV text and f/n), `checks` for verify.
     character_table never reads it.
     """
 
@@ -250,23 +258,29 @@ class PrimeTable(dict):
         super().__init__()
         self.ell = validate_ell(ell)
         self.entries: list[tuple] = []
-        self._ids: dict[tuple, int] = {}
+        self._ids: dict[int, int] = {}
+        self._residues: dict[int, int] = {}  # p mod ell: (p/ell)_4, or 0 unsplit
         self.rows: dict[int, tuple] = {}
         self.checks: dict[int, bool] = {}
 
     def __missing__(self, prime: int) -> int:
-        tag = splitting_type(prime, self.ell)
-        kind = prime_kind(prime, tag)
-        entry = (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, self.ell))
-        class_id = self._ids.get(entry)
+        ell = self.ell
+        p_ell4 = self._residues.get(prime % ell)
+        if p_ell4 is None:
+            split = splitting_type(prime, ell) is SplittingType.SPLIT
+            p_ell4 = self._residues[prime % ell] = quartic_symbol(prime, ell) if split else 0
+        sign = _split_sign(prime, ell, p_ell4) if p_ell4 else 0
+        code = 4 * sign + prime % 4
+        class_id = self._ids.get(code)
         if class_id is None:
-            # at most six without a fault (inert p, inert q, and split p or q
-            # with sigma or tau = +-1); past the id width, keys would collide
+            # six codes without a fault: inert p or q, split p or q with sign +-1
             if len(self.entries) == 1 << CLASS_ID_BITS:
-                raise InternalCheckError(f"ell={self.ell} prime={prime}: more than "
+                raise InternalCheckError(f"ell={ell} prime={prime}: more than "
                                          f"{1 << CLASS_ID_BITS} distinct prime entries")
-            class_id = self._ids[entry] = len(self.entries)
-            self.entries.append(entry)
+            tag = SplittingType.SPLIT if sign else SplittingType.INERT
+            kind = prime_kind(prime, tag)
+            self.entries.append((kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, sign)))
+            class_id = self._ids[code] = len(self.entries) - 1
         self[prime] = class_id
         return class_id
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import pytest
 
 from qtr import cli, rank
 from qtr.cli import main, pool_size, shape_string
+from qtr.quad import SplittingType
 from qtr.quartic import validate
 from qtr.rank import n_shape, rank_closed
 
@@ -146,6 +149,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "1776 fields checked" in out and "FAIL" not in out
 
+    def test_csv_has_one_row_per_check(self, capsys):
+        code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "3000", "--format", "csv")
+        assert code == 0 and err == ""
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["check", "pass", "fail"], *([check, "1776", "0"] for check in cli._CHECKS)]
+
 
 class TestFailingChecksExit3:
     """A check that fails mid-run exits 3 and names (ell, n) and the check."""
@@ -186,6 +195,16 @@ class TestFailingChecksExit3:
         assert summary["passed"] == {"cross_path": checked, "hilbert": checked,
                                      "bridge": checked - 1, "classify": checked}
 
+    def test_verify_csv_counts_the_bridge_failure(self, capsys, wrong_e_at_13):
+        code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "300", "--format", "csv")
+        assert code == 3
+        checked = len(valid_n_values(37, 300))
+        assert list(csv.DictReader(io.StringIO(out))) == [
+            {"check": check, "pass": str(checked - failed), "fail": str(failed)}
+            for check, failed in (("cross_path", 0), ("hilbert", 0), ("bridge", 1),
+                                  ("classify", 0))]
+        assert err == "FAIL ell=37 n=13 check=bridge\n"
+
     def test_scan_csv_stops_after_the_first_window(self, capsys, monkeypatch):
         _, first_window, _ = run(capsys, "scan", "--ell", "37", "--n-max", "512",
                                  "--format", "csv")
@@ -224,10 +243,13 @@ class TestRankPathFailuresNamed:
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
         real = rank._prime_entries
 
-        def prime_entries(prime, tag, ell):
-            # the -1 entry at 13 turns, so r* from the table drops to 0
-            minus_one, eps = real(prime, tag, ell)
-            if prime != 13:
+        def prime_entries(prime, tag, sign):
+            # the -1 entries turn at the code of 7 (split q, tau = +1), which
+            # no other prime up to 30 has: at n = 7 and 14 the -1 row becomes
+            # all-plus, so r* from the table rises to 1; at 21 = 3*7 the
+            # split q = 3 keeps its -1 entries, and the field passes
+            minus_one, eps = real(prime, tag, sign)
+            if (prime % 4, tag, sign) != (3, SplittingType.SPLIT, 1):
                 return minus_one, eps
             return tuple(-x for x in minus_one), eps
 
@@ -241,10 +263,10 @@ class TestRankPathFailuresNamed:
             "  bridge: 19 pass, 0 fail",
             "  classify: 17 pass, 2 fail",
             *(f"  FAIL ell=37 n={n} check={check}"
-              for n in (13, 26) for check in ("cross_path", "hilbert", "classify")),
+              for n in (7, 14) for check in ("cross_path", "hilbert", "classify")),
         ]
         assert [line.split(": ")[0] for line in err.splitlines()] == [
-            "ell=37 n=13 check=cross_path", "ell=37 n=26 check=cross_path"]
+            "ell=37 n=7 check=cross_path", "ell=37 n=14 check=cross_path"]
         assert "r* from table" in err
 
     def test_verify_names_every_field_of_a_failing_class(self, capsys, monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 
 from qtr import rank
 from qtr.errors import EllNotFiveMod8, InternalCheckError
-from qtr.ntheory import is_prime
-from qtr.quad import SplittingType
+from qtr.ntheory import is_prime, legendre
+from qtr.quad import SplittingType, splitting_type
 from qtr.quartic import KIND_LETTERS, prime_kind, validate
 from qtr.rank import (
     CharacterTable,
@@ -161,6 +161,17 @@ class TestPrimeTable:
                 fresh = character_table(shape, ell).entries
                 odd = slice(1, 1 + len(minus_one))
                 assert (fresh[0][odd], fresh[1][odd]) == (minus_one, eps), (ell, n)
+        # at ell = 5 each residue class holds hundreds of these primes; at
+        # 1000000021 none holds two
+        for ell in (5, 1000000021):
+            primes = PrimeTable(ell)
+            for p in range(3, 20000, 2):
+                if p != ell and is_prime(p):
+                    tag = splitting_type(p, ell)
+                    kind = prime_kind(p, tag)
+                    part = rank._prime_part(p, tag, ell)
+                    assert primes.entries[primes[p]] == (kind, *KIND_LETTERS[kind],
+                                                         part.minus_one, part.eps), (ell, p)
 
     def test_symbols_once_per_prime_per_table(self, monkeypatch):
         calls = []
@@ -185,24 +196,29 @@ class TestPrimeTable:
         assert sorted(set(ids.values())) == [0, 1, 2, 3] and len(entries) == 4
         real = rank._prime_entries
 
-        def prime_entries(prime, tag, ell):
+        def prime_entries(prime, tag, sign):
             # a wrong entry at 29, otherwise an inert p like 5
-            minus_one, eps = real(prime, tag, ell)
+            minus_one, eps = real(prime, tag, sign)
             return (minus_one, (-1,)) if prime == 29 else (minus_one, eps)
 
         monkeypatch.setattr(rank, "_prime_entries", prime_entries)
-        assert primes[29] == 4 and primes[41] == 5  # 41 splits
-        assert entries[4][4] == (-1,) and entries[5][:3] == (1, "p", "S")
+        # the entry rule runs once per code: 29 takes the id of 5's code
+        assert primes[29] == ids[5] and len(entries) == 4
+        # in a fresh table the rule runs at 29, and its wrong entry is that
+        # of every inert p; 41 splits
+        fresh = PrimeTable(37)
+        assert fresh[29] == fresh[5] == fresh[13] == 0 and fresh[41] == 1
+        assert fresh.entries[0][4] == (-1,) and fresh.entries[1][:3] == (1, "p", "S")
 
     def test_a_class_id_fits_its_bits(self, monkeypatch):
-        # past 2**CLASS_ID_BITS distinct entries the census keys would collide
-        monkeypatch.setattr(rank, "_prime_entries", lambda prime, tag, ell: ((prime,), (1,)))
+        # past 2**CLASS_ID_BITS distinct codes the census keys would collide
+        monkeypatch.setattr(rank, "_split_sign", lambda prime, ell, p_ell4=None: prime)
         primes = PrimeTable(37)
-        odd = [p for p in range(3, 5000, 2) if is_prime(p) and p != 37]
-        for p in odd[:1 << rank.CLASS_ID_BITS]:
+        split = [p for p in range(3, 5000, 2) if is_prime(p) and legendre(p, 37) == 1]
+        for p in split[:1 << rank.CLASS_ID_BITS]:
             primes[p]
         with pytest.raises(InternalCheckError, match="more than 256 distinct prime entries"):
-            primes[odd[1 << rank.CLASS_ID_BITS]]
+            primes[split[1 << rank.CLASS_ID_BITS]]
 
 
 class TestRStar:

@@ -450,14 +450,21 @@ def test_csv_streams_one_window_at_a_time(monkeypatch):
 
 
 def test_a_worker_fills_each_prime_once(monkeypatch):
-    # every window a worker runs reads the pool's one table
-    filled = count_calls(monkeypatch, "qtr.quad", "splitting_type")
+    # every window a worker runs reads the pool's one table: (37/p)_4 runs
+    # once for each split prime p the table holds, the splitting rule once
+    # for each residue class mod 37
+    classes = count_calls(monkeypatch, "qtr.quad", "splitting_type")
+    filled = []
+    real = rank.quartic_symbol
+    monkeypatch.setattr(rank, "quartic_symbol",
+                        lambda a, p: (a == 37 and filled.append(p)) or real(a, p))
     monkeypatch.setattr(cli, "_worker_primes", PrimeTable(37))
     first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))
     assert filled and len(set(filled)) == len(filled)
     seen = len(filled)
     second = cli._scan_chunk((_CHUNK + 1, 2 * _CHUNK + 1, False, None, True))
     assert len(filled) > seen and len(set(filled)) == len(filled)
+    assert sorted(p % 37 for p in classes) == list(range(1, 37))
     primes = PrimeTable(37)
     assert first + second == "".join(cli._window_step(primes, lo, hi, False, None, True)
                                      for lo, hi in cli._windows(2 * _CHUNK))

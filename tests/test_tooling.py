@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import os
 import re
 import subprocess
 import sys
@@ -138,3 +139,33 @@ def test_readme_names_resolve():
     missing = [f"{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(f"qtr.{module}"), name)]
     assert missing == []
+
+
+def _other_supported_pythons() -> list[Path]:
+    """Every other CPython installed beside this one (a pyenv-style versions
+    directory) whose minor version pyproject.toml's requires-python admits."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    minimum = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    found = []
+    for python in sorted(Path(sys.base_prefix).parent.glob("3.*/bin/python3")):
+        version = re.match(r"3\.(\d+)", python.parents[1].name)
+        if (version and int(version.group(1)) >= minimum
+                and python.parents[1] != Path(sys.base_prefix)):
+            found.append(python)
+    return found
+
+
+def test_census_bytes_under_every_supported_python():
+    pythons = _other_supported_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= requires-python is installed beside this one")
+    src = str(Path(qtr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for python in pythons:
+        for jobs in ("1", "2"):
+            proc = subprocess.run([str(python), "-m", "qtr.cli", "scan", "--ell", "37", "--n-max",
+                                   "3000", "--format", "csv", "--jobs", jobs],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, (python, jobs, proc.stderr)
+            digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+            assert digest == SCAN_37_3000_SHA256, (python, jobs)
