@@ -31,11 +31,10 @@ from .classify import classify_small_rank, small_rank_pattern
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive
 from .ntheory import base_primes, two_squares
 from .quad import fundamental_unit
-from .quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, defining_polynomial,
-                      dyadic_ramifies, prime_kind, to_williams, validate, validate_ell,
-                      williams_abc)
-from .rank import (CLASS_ID_BITS, DYADIC_PARTS, SQRT_ELL_PART, UNIT_LABELS, NShape, PrimeTable,
-                   RankResult, character_table, flat_ranks, rank_closed, rank_unified, unit_rows)
+from .quartic import (conductor, conductor_parts, defining_polynomial, to_williams, validate,
+                      validate_ell, williams_abc)
+from .rank import (CLASS_ID_BITS, UNIT_LABELS, PrimeTable, character_table, flat_ranks, fresh_step,
+                   shape_class, table_from_rows)
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
@@ -51,39 +50,10 @@ def _shape_text(kinds: list[str], tags: list[str]) -> str:
     return f"{'·'.join(kinds)} [{','.join(tags)}]"
 
 
-def shape_string(shape: NShape) -> str:
-    """The compact shape of a stored shape."""
-    letters = [KIND_LETTERS[prime_kind(prime, tag)] for prime, tag in shape.tagged]
-    return _shape_text([kind for kind, _ in letters], [tag for _, tag in letters])
-
-
-def _row(field: FieldInput, closed: RankResult) -> tuple:
-    """The scan row of one field, in SCAN_FIELDS order."""
-    return (field.n, field.shape.delta, shape_string(field.shape), closed.mu, closed.r_star,
-            closed.rank, closed.case_tag, conductor(to_williams(field), field.ell).f)
-
-
 def _windows(n_max: int):
     """The windows [lo, hi) of n = 1..n_max, ascending, _CHUNK wide."""
     for lo in range(1, n_max + 1, _CHUNK):
         yield lo, min(lo + _CHUNK, n_max + 1)
-
-
-def _cross_path(ell: int, n: int, exc: InternalCheckError) -> InternalCheckError:
-    """A failed check of either rank path, named by the field and cross_path."""
-    return InternalCheckError(f"ell={ell} n={n} check=cross_path: {exc}")
-
-
-def _ranks(field: FieldInput) -> tuple[RankResult, RankResult]:
-    """The field's rank by both paths, once they agree."""
-    try:
-        closed = rank_closed(field)
-        unified = rank_unified(field)
-        if closed != unified:
-            raise InternalCheckError(f"rank paths disagree: closed={closed} unified={unified}")
-    except InternalCheckError as exc:
-        raise _cross_path(field.ell, field.n, exc) from exc
-    return closed, unified
 
 
 def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
@@ -127,32 +97,14 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     return out
 
 
-def _shape_class(primes: PrimeTable, key: int) -> tuple:
-    """What the census reads of a shape class, from its key's digits (see
-    _keyed_fields) and the entries of its ids: (delta, dyadic, counts [t1,
-    t2, s1, s2], the odd primes' kind and tag letters ascending, the rows
-    -1, eps, -eps of the character table)."""
-    ids = []
+def _class_step(primes: PrimeTable, key: int) -> tuple:
+    """delta and rank.shape_class of the shape class of key, whose digits
+    (see _keyed_fields) are delta and the ids of its odd primes' entries."""
+    entries = []
     while key >> CLASS_ID_BITS:
         key, class_id = divmod(key, 1 << CLASS_ID_BITS)
-        ids.append(class_id)
-    delta = key
-    counts = [0, 0, 0, 0]
-    kinds, tags = [], []
-    row_m1, row_eps = [*SQRT_ELL_PART.minus_one], [*SQRT_ELL_PART.eps]
-    for class_id in reversed(ids):
-        kind, kind_letter, tag_letter, m1, eps = primes.entries[class_id]
-        counts[kind] += 1
-        kinds.append(kind_letter)
-        tags.append(tag_letter)
-        row_m1 += m1
-        row_eps += eps
-    s = counts[2] + counts[3]
-    dyadic = dyadic_ramifies(delta, s)
-    if dyadic:
-        row_m1 += DYADIC_PARTS[s % 2].minus_one
-        row_eps += DYADIC_PARTS[s % 2].eps
-    return delta, dyadic, counts, kinds, tags, unit_rows(row_m1, row_eps)
+        entries.append(primes.entries[class_id])
+    return (key, *shape_class(key, entries[::-1]))
 
 
 def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
@@ -164,11 +116,8 @@ def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
     n = (-1)^s (mod 4), so e = 2 or 0 by the parity of s, which the key
     fixes.  verify's bridge check still reads e at every field."""
     ell = primes.ell
-    delta, dyadic, counts, kinds, tags, rows = _shape_class(primes, key)
-    try:
-        mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
-    except InternalCheckError as exc:
-        raise _cross_path(ell, n, exc) from exc
+    delta, dyadic, counts, kinds, tags, rows = _class_step(primes, key)
+    mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
     f = conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
     if f % n:
         raise InternalCheckError(f"ell={ell} n={n} check=conductor: f = {f} is not a multiple of n")
@@ -341,20 +290,25 @@ def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str) -> None:
 
 
 def cmd_rank(args, fmt: str) -> int:
+    """The field's fresh step, both rank paths on it (flat_ranks, as in the
+    census), and the character table of its rows."""
     field = validate(args.ell, args.n)
-    closed, unified = _ranks(field)
-    shape, table = field.shape, unified.table
+    ell, n, shape = field.ell, field.n, field.shape
+    dyadic, counts, kinds, tags, rows = fresh_step(shape, ell)
+    mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
+    if fmt == "csv":
+        _emit_table_rows([(n, shape.delta, _shape_text(kinds, tags), mu, r_star, rank, case,
+                           conductor(to_williams(field), ell).f)], SCAN_FIELDS, "csv")
+        return 0
+    table = table_from_rows(shape, ell, rows)
     if fmt == "json":
-        print(json.dumps({"ell": field.ell, "n": field.n, "rank": closed.rank, "mu": closed.mu,
-                          "r_star": closed.r_star, "case": closed.case_tag,
-                          "closed_rank": closed.rank, "unified_rank": unified.rank,
+        print(json.dumps({"ell": ell, "n": n, "rank": rank, "mu": mu, "r_star": r_star,
+                          "case": case, "closed_rank": rank, "unified_rank": rank,
                           "agree": True, "table": table.to_json_obj()}, indent=2))
-    elif fmt == "csv":
-        _emit_table_rows([_row(field, closed)], SCAN_FIELDS, "csv")
     else:
-        print(f"ell = {field.ell}  n = {field.n}  shape {shape_string(shape)}  delta={shape.delta}")
-        print(f"closed form : rank {closed.rank}  (case {closed.case_tag})")
-        print(f"class formula: rank {unified.rank}  (mu={unified.mu}, r*={unified.r_star})")
+        print(f"ell = {ell}  n = {n}  shape {_shape_text(kinds, tags)}  delta={shape.delta}")
+        print(f"closed form : rank {rank}  (case {case})")
+        print(f"class formula: rank {rank}  (mu={mu}, r*={r_star})")
         print(table.to_text())
         print("paths agree: yes")
     return 0
@@ -386,11 +340,11 @@ def _class_checks(primes: PrimeTable, n: int, key: int) -> tuple[bool, tuple]:
     passes cross_path, hilbert and classify at n; a cross_path failure goes
     to stderr, named by n."""
     ell = primes.ell
-    delta, dyadic, counts, _, _, rows = _shape_class(primes, key)
+    delta, dyadic, counts, _, _, rows = _class_step(primes, key)
     try:
         rank = flat_ranks(ell, n, dyadic, *counts, rows)[2]
     except InternalCheckError as exc:
-        print(_cross_path(ell, n, exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         rank = None
     pattern = small_rank_pattern(delta, *counts, ell, n)
     small = pattern.rank if pattern else None  # None from rank 4 on

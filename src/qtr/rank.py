@@ -9,16 +9,15 @@ which units are norms, and evaluate rank = mu + r* - 3.  Here mu counts the
 ramified primes of k (the real places never ramify: K is totally real), and
 k has one fundamental unit and contains -1, which fixes the constant 3.
 
-The two paths share the shape extraction (the counts t1, t2, s1, s2, the
-splitting of each prime, the dyadic rule and mu), the family name that both
-results carry, and the shape's r* (_shape_r_star), which the closed path
-reports and the unified path checks its table against.  The closed rank
-comes only from the case table and the unified rank only from the character
-table, so their agreement everywhere is the central correctness check of
-the package.
-
-Each rule and check is a function of plain ints, called by the single-field
-paths over a stored NShape and by the census (flat_ranks) over its counts.
+One shape step (shape_class) turns n's delta and its odd primes' entries
+into the counts t1, t2, s1, s2, letters, dyadic flag and rows -1, eps, -eps;
+the census reads the entries from its PrimeTable, the single-field path
+(fresh_step) computes them afresh.  Each path is stated once, over plain
+ints (_closed_rank, _unified_rank): flat_ranks runs both on one step,
+rank_closed and rank_unified one each.  They share the family name and the
+shape's r*, but the closed rank comes only from the case table and the
+unified rank only from the rows, so their agreement everywhere is the
+central correctness check of the package.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import InternalCheckError
 from .ntheory import quartic_symbol
 from .quad import SplittingType, splitting_type
-from .quartic import KIND_LETTERS, FieldInput, NShape, prime_kind, ramified_count, validate_ell
+from .quartic import (KIND_LETTERS, FieldInput, NShape, dyadic_ramifies, prime_kind, ramified_count,
+                      validate_ell)
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
@@ -52,15 +52,6 @@ class Column(NamedTuple):
 class RamProfile(NamedTuple):
     columns: tuple[Column, ...]
     mu: int
-
-
-class PrimePart(NamedTuple):
-    """One odd prime's columns of the character table, with their entries
-    for the units -1 and eps."""
-
-    columns: tuple[Column, ...]
-    minus_one: tuple[int, ...]
-    eps: tuple[int, ...]
 
 
 class CharacterTable(NamedTuple):
@@ -104,33 +95,16 @@ class _RankFields(NamedTuple):
     r_star: int
     rank: int
     case_tag: str
-    table: Optional[CharacterTable]
 
 
 class RankResult(_RankFields):
-    """A rank with its mu, r* and family, checked on construction; the
-    unified path's result carries its table, which equality, hashing and
-    repr leave out."""
+    """A rank with its mu, r* and family, checked on construction."""
 
     __slots__ = ()
 
-    def __new__(cls, mu: int, r_star: int, rank: int, case_tag: str,
-                table: Optional[CharacterTable] = None):
+    def __new__(cls, mu: int, r_star: int, rank: int, case_tag: str):
         _check_rank(mu, r_star, rank, case_tag)
-        return super().__new__(cls, mu, r_star, rank, case_tag, table)
-
-    def __eq__(self, other):
-        return self[:4] == other[:4] if isinstance(other, RankResult) else NotImplemented
-
-    def __ne__(self, other):
-        return self[:4] != other[:4] if isinstance(other, RankResult) else NotImplemented
-
-    def __hash__(self):
-        return hash(self[:4])
-
-    def __repr__(self):
-        return (f"RankResult(mu={self.mu!r}, r_star={self.r_star!r}, rank={self.rank!r}, "
-                f"case_tag={self.case_tag!r})")
+        return super().__new__(cls, mu, r_star, rank, case_tag)
 
 
 def _check_rank(mu: int, r_star: int, rank: int, case_tag: str) -> None:
@@ -147,10 +121,6 @@ def n_shape(field: FieldInput) -> NShape:
 
 _SQRT_ELL = Column("sqrt_ell")
 _DYADIC = Column("dyadic", 2)
-# sqrt(ell): (+, -) -- eps reduces to a non-residue mod sqrt(ell).
-SQRT_ELL_PART = PrimePart((_SQRT_ELL,), (1,), (-1,))
-# dyadic: (+, (-1)^(s+1)), indexed by the parity of s, the number of q-factors.
-DYADIC_PARTS = (PrimePart((_DYADIC,), (1,), (-1,)), PrimePart((_DYADIC,), (1,), (1,)))
 
 
 def _odd_columns(prime: int, tag: SplittingType) -> tuple[Column, ...]:
@@ -162,21 +132,15 @@ def _odd_columns(prime: int, tag: SplittingType) -> tuple[Column, ...]:
     return (Column(f"inert_{kind}", prime),)
 
 
-def _in_column_order(shape: NShape, sqrt_ell, odd, dyadic) -> list:
-    """The output order of the ramified primes of k: sqrt(ell) first, the odd
-    primes ascending with odd(prime, tag) each, dyadic last."""
-    out = [sqrt_ell]
-    out += [odd(prime, tag) for prime, tag in shape.tagged]
-    if shape.dyadic_ramifies:
-        out.append(dyadic)
-    return out
-
-
 def ram_profile(shape: NShape) -> RamProfile:
-    """Ramified primes of k in K, in the output order of the table columns."""
-    groups = _in_column_order(shape, (_SQRT_ELL,), _odd_columns, (_DYADIC,))
-    columns = tuple(col for group in groups for col in group)
-    return RamProfile(columns, len(columns))
+    """Ramified primes of k in K, in the output order of the table columns:
+    sqrt(ell) first, the odd primes ascending, the dyadic prime last."""
+    columns = [_SQRT_ELL]
+    for prime, tag in shape.tagged:
+        columns += _odd_columns(prime, tag)
+    if shape.dyadic_ramifies:
+        columns.append(_DYADIC)
+    return RamProfile(tuple(columns), len(columns))
 
 
 def _split_sign(prime: int, ell: int, p_ell4: Optional[int] = None) -> int:
@@ -205,32 +169,55 @@ def _prime_entries(prime: int, tag: SplittingType, sign: int) -> tuple[tuple, tu
     return (-1, -1), (sign, -sign)
 
 
-def _prime_part(prime: int, tag: SplittingType, ell: int) -> PrimePart:
-    """One odd prime's columns of the character table with their entries."""
-    sign = _split_sign(prime, ell) if tag is SplittingType.SPLIT else 0
-    return PrimePart(_odd_columns(prime, tag), *_prime_entries(prime, tag, sign))
+def _entry(prime: int, tag: SplittingType, sign: int) -> tuple:
+    """What the shape step reads about one odd prime of n: which of t1, t2,
+    s1, s2 it bumps, its kind and tag letters, and its -1 and eps entries."""
+    kind = prime_kind(prime, tag)
+    return (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, sign))
+
+
+def shape_class(delta: int, entries: Sequence[tuple]) -> tuple:
+    """The shape step: from n's delta and its odd primes' entries ascending
+    (_entry), (dyadic flag, counts [t1, t2, s1, s2], kind letters, tag
+    letters, rows -1, eps, -eps of the character table).  The rows are lists
+    in column order: sqrt(ell) with (+, -), as eps reduces to a non-residue
+    there; each odd prime's entries; and, when it ramifies, the dyadic prime
+    with (+, (-1)^(s+1)) for the number s of q-factors.  The -eps row is the
+    entrywise product of the other two."""
+    counts = [0, 0, 0, 0]
+    kinds, tags = [], []
+    row_m1, row_eps = [1], [-1]
+    for kind, kind_letter, tag_letter, m1, eps in entries:
+        counts[kind] += 1
+        kinds.append(kind_letter)
+        tags.append(tag_letter)
+        row_m1 += m1
+        row_eps += eps
+    s = counts[2] + counts[3]
+    dyadic = dyadic_ramifies(delta, s)
+    if dyadic:
+        row_m1.append(1)
+        row_eps.append(1 if s % 2 else -1)
+    return dyadic, counts, kinds, tags, (row_m1, row_eps, [a * b for a, b in zip(row_m1, row_eps)])
+
+
+def fresh_step(shape: NShape, ell: int) -> tuple:
+    """shape_class of a stored shape, each odd prime's sign computed afresh
+    by _split_sign: the single-field path, which builds no PrimeTable."""
+    return shape_class(shape.delta, [
+        _entry(prime, tag, _split_sign(prime, ell) if tag is SplittingType.SPLIT else 0)
+        for prime, tag in shape.tagged])
+
+
+def table_from_rows(shape: NShape, ell: int, rows: Sequence[Sequence[int]]) -> CharacterTable:
+    """The character table of a shape, with the rows of its step."""
+    return CharacterTable(ell, ram_profile(shape).columns, tuple(map(tuple, rows)))
 
 
 def character_table(shape: NShape, ell: int) -> CharacterTable:
-    """Norm-residue characters of -1 and eps at each ramified prime: the
-    fixed sqrt(ell) and dyadic columns, and each odd prime's _prime_part,
-    computed afresh.  The -eps row is the entrywise product of the other two."""
-    groups = _in_column_order(shape, SQRT_ELL_PART, lambda prime, tag: _prime_part(prime, tag, ell),
-                              DYADIC_PARTS[shape.s % 2])
-    columns: list[Column] = []
-    row_m1: list[int] = []
-    row_eps: list[int] = []
-    for cols, m1, eps in groups:
-        columns += cols
-        row_m1 += m1
-        row_eps += eps
-    return CharacterTable(ell, tuple(columns), unit_rows(tuple(row_m1), tuple(row_eps)))
-
-
-def unit_rows(row_m1: Sequence[int], row_eps: Sequence[int]) -> tuple:
-    """The rows -1, eps, -eps; the -eps row is the entrywise product of the
-    other two."""
-    return row_m1, row_eps, tuple([a * b for a, b in zip(row_m1, row_eps)])
+    """Norm-residue characters of -1, eps and -eps at each ramified prime,
+    from the shape's fresh step."""
+    return table_from_rows(shape, ell, fresh_step(shape, ell)[-1])
 
 
 # Bits of one class id in the census's shape-class key (cli._keyed_fields).
@@ -247,11 +234,12 @@ class PrimeTable(dict):
     per residue class mod ell, (ell/p)_4 once per split prime, and the entry
     rule (_prime_entries) once per code, as codes first appear, which numbers
     the ids from 0.  So a field's shape (counts, letters, rows, ranks, checks)
-    depends on its parity and its odd primes' ids ascending.  Building it
-    validates ell.  One lives for one scan or verify call (a scan's pool forks
-    with it) and keeps the census's memo per shape class: `rows` for scan (the
-    class's values, their CSV text and f/n), `checks` for verify.
-    character_table never reads it.
+    depends on its parity and its odd primes' ids ascending: shape_class reads
+    the entries of those ids.  Building it validates ell.  One lives for one
+    scan or verify call (a scan's pool forks with it) and keeps the census's
+    memo per shape class: `rows` for scan (the class's values, their CSV text
+    and f/n), `checks` for verify.  The single-field path (fresh_step) never
+    builds one.
     """
 
     def __init__(self, ell: int):
@@ -278,8 +266,7 @@ class PrimeTable(dict):
                 raise InternalCheckError(f"ell={ell} prime={prime}: more than "
                                          f"{1 << CLASS_ID_BITS} distinct prime entries")
             tag = SplittingType.SPLIT if sign else SplittingType.INERT
-            kind = prime_kind(prime, tag)
-            self.entries.append((kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, sign)))
+            self.entries.append(_entry(prime, tag, sign))
             class_id = self._ids[code] = len(self.entries) - 1
         self[prime] = class_id
         return class_id
@@ -346,52 +333,59 @@ def _shape_r_star(s2: int) -> int:
     return 1 if s2 == 0 else 0
 
 
-def _check_table(mu: int, rs: int, shape_mu: int, shape_rs: int, ell: int, n: int) -> None:
-    """The table's mu and r* against the shape's."""
-    if mu != shape_mu:
+def _closed_rank(case: str, mu: int, rs: int, t1: int, t2: int, s1: int, s2: int) -> int:
+    """The closed path: the case table's rank of the family, checked against
+    the shape's mu and r*."""
+    rank = _CLOSED_RANK[case](t1, t2, s1, s2)
+    _check_rank(mu, rs, rank, case)
+    return rank
+
+
+def _unified_rank(rows: Sequence[Sequence[int]], mu: int, rs: int, case: str,
+                  ell: int, n: int) -> int:
+    """The unified path: mu + r* - 3 with mu and r* read off the rows -1,
+    eps, -eps, each checked against the shape's."""
+    table_mu, table_rs = len(rows[0]), _rows_r_star(rows)
+    if table_mu != mu:
         raise InternalCheckError(
-            f"mu mismatch: {mu} table columns but {shape_mu} ramified primes (ell={ell}, n={n})"
-        )
-    if rs != shape_rs:
+            f"mu mismatch: {table_mu} table columns but {mu} ramified primes (ell={ell}, n={n})")
+    if table_rs != rs:
         raise InternalCheckError(
-            f"r* from table = {rs} but shape shortcut gives {shape_rs} (ell={ell}, n={n})"
-        )
+            f"r* from table = {table_rs} but shape shortcut gives {rs} (ell={ell}, n={n})")
+    rank = table_mu + table_rs - 3
+    _check_rank(table_mu, table_rs, rank, case)
+    return rank
 
 
 def rank_closed(field: FieldInput) -> RankResult:
-    """2-rank from the case table entry of the field's family; never builds
-    a table."""
+    """2-rank from the case table entry of the field's family; reads no
+    character entries."""
     d = field.shape
-    tag = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2)
-    return RankResult(d.mu, _shape_r_star(d.s2), _CLOSED_RANK[tag](d.t1, d.t2, d.s1, d.s2), tag)
+    case, rs = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2), _shape_r_star(d.s2)
+    return RankResult(d.mu, rs, _closed_rank(case, d.mu, rs, d.t1, d.t2, d.s1, d.s2), case)
 
 
 def rank_unified(field: FieldInput) -> RankResult:
-    """2-rank via mu + r* - 3 with r* read off the explicit character table,
-    which the result carries."""
+    """2-rank via mu + r* - 3, read off the rows of the field's fresh step."""
     d = field.shape
-    table = character_table(d, field.ell)
-    mu, rs = len(table.columns), r_star(table)
-    _check_table(mu, rs, d.mu, _shape_r_star(d.s2), field.ell, field.n)
-    tag = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2)
-    return RankResult(mu, rs, mu + rs - 3, tag, table)
+    case, rs = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2), _shape_r_star(d.s2)
+    rows = fresh_step(d, field.ell)[-1]
+    return RankResult(d.mu, rs, _unified_rank(rows, d.mu, rs, case, field.ell, field.n), case)
 
 
 def flat_ranks(ell: int, n: int, dyadic: bool, t1: int, t2: int, s1: int, s2: int,
                rows: Sequence[Sequence[int]]) -> tuple[int, int, int, str]:
-    """(mu, r*, rank, case) of one census field by both paths, from its
-    counts and the flat rows -1, eps, -eps of its character table, with
-    every check that rank_closed, rank_unified and RankResult make, and
-    the two ranks' agreement."""
+    """(mu, r*, rank, case) of one field by both paths, from the counts and
+    rows of its step, once the two ranks agree.  A failed check raises
+    InternalCheckError named by (ell, n) and cross_path."""
     case = _case_tag(dyadic, t1, t2, s1, s2)
     mu, rs = ramified_count(t1, t2, s1, s2, dyadic), _shape_r_star(s2)
-    closed = _CLOSED_RANK[case](t1, t2, s1, s2)
-    _check_rank(mu, rs, closed, case)
-    table_mu, table_rs = len(rows[0]), _rows_r_star(rows)
-    _check_table(table_mu, table_rs, mu, rs, ell, n)
-    unified = table_mu + table_rs - 3
-    _check_rank(table_mu, table_rs, unified, case)
-    if closed != unified:
-        raise InternalCheckError(f"rank paths disagree: closed rank {closed}, unified {unified}")
+    try:
+        closed = _closed_rank(case, mu, rs, t1, t2, s1, s2)
+        unified = _unified_rank(rows, mu, rs, case, ell, n)
+        if closed != unified:
+            raise InternalCheckError(
+                f"rank paths disagree: closed rank {closed}, unified {unified}")
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"ell={ell} n={n} check=cross_path: {exc}") from exc
     return mu, rs, closed, case
-

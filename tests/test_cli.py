@@ -7,10 +7,10 @@ import sys
 import pytest
 
 from qtr import cli, rank
-from qtr.cli import main, pool_size, shape_string
+from qtr.cli import main, pool_size
 from qtr.quad import SplittingType
 from qtr.quartic import validate
-from qtr.rank import n_shape, rank_closed
+from qtr.rank import fresh_step, rank_closed
 
 from .test_quartic import valid_n_values
 
@@ -41,6 +41,16 @@ class TestRankCommand:
         assert payload["rank"] == 2
         assert payload["closed_rank"] == payload["unified_rank"] == 2
         assert payload["table"]["columns"][0] == "sqrt(101)"
+
+    def test_reads_each_split_prime_once(self, capsys, monkeypatch):
+        # 4757 = 67 * 71 over ell = 37: the ranks and the printed table read
+        # one entry per prime, so each quartic symbol runs once
+        calls = []
+        real = rank.quartic_symbol
+        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
+        code, out, _ = run(capsys, "rank", "--ell", "37", "--n", "4757")
+        assert code == 0 and "67'" in out
+        assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
 
     def test_invalid_input_exits_2(self, capsys):
         code, _, err = run(capsys, "rank", "--ell", "37", "--n", "74")
@@ -240,6 +250,15 @@ class TestRankPathFailuresNamed:
         assert err == ("internal error: ell=37 n=41 check=cross_path: inconsistent rank result: "
                        "mu=4 r*=1 rank=3 case=p-only:split\n")
 
+    def test_rank_names_the_inconsistent_closed_rank(self, capsys, monkeypatch):
+        monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split",
+                            lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1)
+        code, out, err = run(capsys, "rank", "--ell", "37", "--n", "41")
+        assert code == 3
+        assert out == ""
+        assert err == ("internal error: ell=37 n=41 check=cross_path: inconsistent rank result: "
+                       "mu=4 r*=1 rank=3 case=p-only:split\n")
+
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
         real = rank._prime_entries
 
@@ -390,13 +409,17 @@ class TestFormatSelection:
 
 
 class TestShapeString:
+    @staticmethod
+    def shape_text(ell, n):
+        _, _, kinds, tags, _ = fresh_step(validate(ell, n).shape, ell)
+        return cli._shape_text(kinds, tags)
+
     def test_mixed_shape(self):
         # ascending primes 5, 31, 43, 71: only 43 is a residue mod 13
-        shape = n_shape(validate(13, 5 * 43 * 31 * 71))
-        assert shape_string(shape) == "p·q·q·q [I,I,S,I]"
+        assert self.shape_text(13, 5 * 43 * 31 * 71) == "p·q·q·q [I,I,S,I]"
 
     def test_trivial_shape(self):
-        assert shape_string(n_shape(validate(13, 2))) == "1"
+        assert self.shape_text(13, 2) == "1"
 
 
 def test_console_script_entry_point():

@@ -169,9 +169,9 @@ class TestPrimeTable:
                 if p != ell and is_prime(p):
                     tag = splitting_type(p, ell)
                     kind = prime_kind(p, tag)
-                    part = rank._prime_part(p, tag, ell)
+                    sign = rank._split_sign(p, ell) if tag is S else 0
                     assert primes.entries[primes[p]] == (kind, *KIND_LETTERS[kind],
-                                                         part.minus_one, part.eps), (ell, p)
+                                                         *rank._prime_entries(p, tag, sign)), (ell, p)
 
     def test_symbols_once_per_prime_per_table(self, monkeypatch):
         calls = []
@@ -300,12 +300,10 @@ class TestRankResultGate:
         result = RankResult(mu=3, r_star=1, rank=1, case_tag="p-only:inert")
         assert result.rank == result.mu + result.r_star - 3
 
-    def test_results_compare_without_their_table(self):
+    def test_both_paths_return_equal_records(self):
         field = validate(101, 13)
         closed, unified = rank_closed(field), rank_unified(field)
-        assert closed.table is None and unified.table is not None
-        assert closed == unified and not closed != unified
-        assert hash(closed) == hash(unified)
+        assert closed == unified and hash(closed) == hash(unified)
         assert repr(unified) == "RankResult(mu=4, r_star=1, rank=2, case_tag='p-only:split')"
 
 
@@ -320,9 +318,8 @@ class TestRecords:
         # the derived records pickle by their constructor's arguments
         field = validate(37, 2 * 17 * 31 * 83)
         unified = rank_unified(field)
-        for record in (field, field.shape, unified, unified.table):
+        for record in (field, field.shape, unified, character_table(field.shape, 37)):
             assert pickle.loads(pickle.dumps(record)) == record
-        assert pickle.loads(pickle.dumps(unified)).table == unified.table
 
 
 class TestRankUnified:
@@ -336,12 +333,6 @@ class TestRankUnified:
 
     def test_four_factor_example(self):
         assert rank_unified(validate(37, 2 * 17 * 31 * 83)).rank == 3
-
-    def test_carries_its_table(self):
-        field = validate(101, 13)
-        table = rank_unified(field).table
-        assert table == character_table(field.shape, 101)
-        assert rank_closed(field).table is None
 
 
 class TestCrossPath:

@@ -10,12 +10,12 @@ from math import isqrt
 import pytest
 
 from qtr import cli, ntheory, rank
-from qtr.cli import _CHUNK, main, scan_rows, shape_string
+from qtr.cli import _CHUNK, main, scan_rows
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, two_squares
-from qtr.quad import splitting_type
-from qtr.quartic import (FieldInput, conductor, conductor_parts, prime_kind, to_williams,
-                         williams_abc)
+from qtr.quad import SplittingType, splitting_type
+from qtr.quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, prime_kind,
+                         to_williams, williams_abc)
 from qtr.rank import CLASS_ID_BITS, PrimeTable, rank_closed, rank_unified
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
@@ -97,8 +97,8 @@ def test_census_work_is_per_prime(monkeypatch):
 
     def entry(p):
         tag = splitting_type(p, 37)
-        part = rank._prime_part(p, tag, 37)
-        return prime_kind(p, tag), part.minus_one, part.eps
+        sign = rank._split_sign(p, 37) if tag is SplittingType.SPLIT else 0
+        return prime_kind(p, tag), rank._prime_entries(p, tag, sign)
 
     classes = {(row["n"] % 2, tuple(entry(p) for p in factor_squarefree(row["n"]) if p != 2))
                for row in rows}
@@ -358,12 +358,17 @@ def test_ell_is_never_in_the_prime_table(monkeypatch, ell, coprime_n, square_n):
 
 def record_row(ell, n):
     """The scan row of (ell, n) from the single-field record path, once its
-    two rank paths agree."""
+    two rank paths agree: n's primes from factor_squarefree, each sign from
+    _split_sign, and the shape text from the stored tags."""
     field = FieldInput(ell, n)
     closed, unified = rank_closed(field), rank_unified(field)
-    assert (closed.mu, closed.r_star, closed.rank) == (unified.mu, unified.r_star, unified.rank)
-    return (n, field.shape.delta, shape_string(field.shape), closed.mu, closed.r_star,
-            closed.rank, closed.case_tag, conductor(to_williams(field), ell).f)
+    assert closed == unified
+    letters = [KIND_LETTERS[prime_kind(prime, tag)] for prime, tag in field.shape.tagged]
+    shape = "1"
+    if letters:
+        kinds, tags = zip(*letters)
+        shape = f"{'·'.join(kinds)} [{','.join(tags)}]"
+    return (n, field.shape.delta, shape, *closed, conductor(to_williams(field), ell).f)
 
 
 def record_steps(ell, lo, hi):

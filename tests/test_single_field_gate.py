@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qtr import cli
+from qtr import cli, rank
 from qtr.cli import FORMATS, main
 
 BIG_ELL = 1000000021  # prime, = 5 (mod 8)
@@ -112,6 +112,26 @@ def test_invalid_request_names_its_error(capsys, ell, n, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {error}: ")
+
+
+def test_single_field_commands_build_no_census_state(capsys, monkeypatch):
+    # the census gate tests compare the scan against these commands' path,
+    # so it must read n's primes and signs afresh: no PrimeTable, no sieve
+    built, sieved = [], []
+    real_init, real_sieve = rank.PrimeTable.__init__, cli._keyed_fields
+    monkeypatch.setattr(rank.PrimeTable, "__init__",
+                        lambda self, ell: built.append(ell) or real_init(self, ell))
+    monkeypatch.setattr(cli, "_keyed_fields",
+                        lambda primes, lo, hi: sieved.append(lo) or real_sieve(primes, lo, hi))
+    for command in ("rank", "table", "classify", "conductor"):
+        for fmt in FORMATS:
+            for argv in requests(command, fmt):
+                main(argv)
+    assert built == [] and sieved == []
+    # the same hooks see a census
+    assert main(["scan", "--ell", "37", "--n-max", "600", "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert built == [37] and sieved == [1, 513]
 
 
 def test_parser_built_once():

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import qtr
 
 from .test_scan_gate import SCAN_37_3000_SHA256
+from .test_single_field_gate import SINGLE_FIELD_SHA256, requests
 
 SOURCES = sorted(Path(qtr.__file__).parent.glob("*.py"))
 
@@ -169,3 +171,37 @@ def test_census_bytes_under_every_supported_python():
             assert proc.returncode == 0, (python, jobs, proc.stderr)
             digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
             assert digest == SCAN_37_3000_SHA256, (python, jobs)
+
+
+# digest() of test_single_field_gate, for each key of a JSON dict of requests,
+# in an interpreter that may not have pytest.
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from qtr.cli import main
+digests = {}
+for key, argvs in json.loads(sys.argv[1]).items():
+    h = hashlib.sha256()
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        out = out.getvalue()
+        h.update(f"{' '.join(argv)}\\n{code} {len(out)}\\n{out}".encode())
+    digests[key] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_single_field_bytes_under_every_supported_python():
+    pythons = _other_supported_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= requires-python is installed beside this one")
+    src = str(Path(qtr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    pinned = {key: SINGLE_FIELD_SHA256[key] for key in SINGLE_FIELD_SHA256
+              if key.split()[0] in ("rank", "table")}
+    argvs = json.dumps({key: requests(*key.split()) for key in pinned})
+    for python in pythons:
+        proc = subprocess.run([str(python), "-c", DIGEST_SCRIPT, argvs], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (python, proc.stderr)
+        assert json.loads(proc.stdout) == pinned, python
