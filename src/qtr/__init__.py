@@ -12,9 +12,9 @@ from .errors import (EllNotFiveMod8, EllNotPrime, FactorBudgetExceeded, FieldInp
                      NotQuadraticResidue, NotSquarefree, PeriodBudgetExceeded)
 from .ntheory import TwoSquares, factor_squarefree, factorize, is_prime, legendre, quartic_symbol, two_squares
 from .quad import FundamentalUnit, SplittingType, fundamental_unit, splitting_type
-from .quartic import (Conductor, DefiningPolynomial, FieldInput, WilliamsForm, conductor,
+from .quartic import (Conductor, DefiningPolynomial, FieldInput, NShape, WilliamsForm, conductor,
                       defining_polynomial, to_williams, validate, validate_ell)
-from .rank import (CharacterTable, NShape, RamProfile, RankResult, character_table, n_shape, r_star,
+from .rank import (CharacterTable, RamProfile, RankResult, character_table, n_shape, r_star,
                    ram_profile, rank_closed, rank_unified)
 
 __version__ = "0.1.0"

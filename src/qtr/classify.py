@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .errors import InternalCheckError
-from .quartic import FieldInput
+from .quartic import FieldInput, NShape
 
 
 class ShapePattern(NamedTuple):
@@ -97,10 +97,10 @@ class Classification(NamedTuple):
     pattern: Optional[ShapePattern]
 
 
-def small_rank_pattern(delta: int, t1: int, t2: int, s1: int, s2: int,
-                       ell: int, n: int) -> Optional[ShapePattern]:
-    """The one pattern the counts of the field (ell, n) match, or None for
+def small_rank_pattern(shape: NShape, ell: int, n: int) -> Optional[ShapePattern]:
+    """The one pattern the shape of the field (ell, n) matches, or None for
     rank >= 4; ell and n only name the field if two patterns overlap."""
+    delta, t1, t2, s1, s2 = shape.delta, shape.t1, shape.t2, shape.s1, shape.s2
     hits = [pat for pat in _BY_T_S.get((t1 + t2, s1 + s2), ()) if pat.rest(delta, t1, t2, s1, s2)]
     if len(hits) > 1:
         raise InternalCheckError(
@@ -110,7 +110,6 @@ def small_rank_pattern(delta: int, t1: int, t2: int, s1: int, s2: int,
 
 
 def classify_small_rank(field: FieldInput) -> Classification:
-    d = field.shape
-    pat = small_rank_pattern(d.delta, d.t1, d.t2, d.s1, d.s2, field.ell, field.n)
+    pat = small_rank_pattern(field.shape, field.ell, field.n)
     return Classification(pat.rank, pat) if pat else Classification(None, None)
 

@@ -31,10 +31,9 @@ from .classify import classify_small_rank, small_rank_pattern
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive
 from .ntheory import base_primes, two_squares
 from .quad import fundamental_unit
-from .quartic import (conductor, conductor_parts, defining_polynomial, to_williams, validate,
-                      validate_ell, williams_abc)
-from .rank import (CLASS_ID_BITS, UNIT_LABELS, PrimeTable, character_table, flat_ranks, fresh_step,
-                   shape_class, table_from_rows)
+from .quartic import (NShape, conductor, conductor_parts, defining_polynomial, shape_class,
+                      to_williams, validate, validate_ell, williams_abc)
+from .rank import CLASS_ID_BITS, UNIT_LABELS, PrimeTable, character_table, flat_ranks
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
@@ -42,12 +41,12 @@ _RANK = SCAN_FIELDS.index("rank")
 _CHUNK = 512
 
 
-def _shape_text(kinds: list[str], tags: list[str]) -> str:
+def _shape_text(shape: NShape) -> str:
     """Compact shape of n from the kind and tag letters of its odd primes
     ascending, e.g. 'p·q·q [I,S,I]'; '1' when n is 1 or 2."""
-    if not kinds:
+    if not shape.kinds:
         return "1"
-    return f"{'·'.join(kinds)} [{','.join(tags)}]"
+    return f"{'·'.join(shape.kinds)} [{','.join(shape.tags)}]"
 
 
 def _windows(n_max: int):
@@ -97,14 +96,15 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     return out
 
 
-def _class_step(primes: PrimeTable, key: int) -> tuple:
-    """delta and rank.shape_class of the shape class of key, whose digits
-    (see _keyed_fields) are delta and the ids of its odd primes' entries."""
+def _class_step(primes: PrimeTable, key: int) -> NShape:
+    """The shape record of the shape class of key (quartic.shape_class, with
+    no tagged primes), whose digits (see _keyed_fields) are delta and the
+    ids of its odd primes' entries."""
     entries = []
     while key >> CLASS_ID_BITS:
         key, class_id = divmod(key, 1 << CLASS_ID_BITS)
         entries.append(primes.entries[class_id])
-    return (key, *shape_class(key, entries[::-1]))
+    return shape_class(key, entries[::-1])
 
 
 def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
@@ -116,12 +116,12 @@ def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
     n = (-1)^s (mod 4), so e = 2 or 0 by the parity of s, which the key
     fixes.  verify's bridge check still reads e at every field."""
     ell = primes.ell
-    delta, dyadic, counts, kinds, tags, rows = _class_step(primes, key)
-    mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
+    shape = _class_step(primes, key)
+    mu, r_star, rank, case = flat_ranks(ell, n, shape)
     f = conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
     if f % n:
         raise InternalCheckError(f"ell={ell} n={n} check=conductor: f = {f} is not a multiple of n")
-    values = (delta, _shape_text(kinds, tags), mu, r_star, rank, case)
+    values = (shape.delta, _shape_text(shape), mu, r_star, rank, case)
     return values, _csv_text([values])[:-1], f // n
 
 
@@ -290,23 +290,22 @@ def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str) -> None:
 
 
 def cmd_rank(args, fmt: str) -> int:
-    """The field's fresh step, both rank paths on it (flat_ranks, as in the
-    census), and the character table of its rows."""
+    """Both rank paths on the field's shape (flat_ranks, as in the census),
+    and the character table of its rows."""
     field = validate(args.ell, args.n)
     ell, n, shape = field.ell, field.n, field.shape
-    dyadic, counts, kinds, tags, rows = fresh_step(shape, ell)
-    mu, r_star, rank, case = flat_ranks(ell, n, dyadic, *counts, rows)
+    mu, r_star, rank, case = flat_ranks(ell, n, shape)
     if fmt == "csv":
-        _emit_table_rows([(n, shape.delta, _shape_text(kinds, tags), mu, r_star, rank, case,
+        _emit_table_rows([(n, shape.delta, _shape_text(shape), mu, r_star, rank, case,
                            conductor(to_williams(field), ell).f)], SCAN_FIELDS, "csv")
         return 0
-    table = table_from_rows(shape, ell, rows)
+    table = character_table(shape, ell)
     if fmt == "json":
         print(json.dumps({"ell": ell, "n": n, "rank": rank, "mu": mu, "r_star": r_star,
                           "case": case, "closed_rank": rank, "unified_rank": rank,
                           "agree": True, "table": table.to_json_obj()}, indent=2))
     else:
-        print(f"ell = {ell}  n = {n}  shape {_shape_text(kinds, tags)}  delta={shape.delta}")
+        print(f"ell = {ell}  n = {n}  shape {_shape_text(shape)}  delta={shape.delta}")
         print(f"closed form : rank {rank}  (case {case})")
         print(f"class formula: rank {rank}  (mu={mu}, r*={r_star})")
         print(table.to_text())
@@ -340,18 +339,18 @@ def _class_checks(primes: PrimeTable, n: int, key: int) -> tuple[bool, tuple]:
     passes cross_path, hilbert and classify at n; a cross_path failure goes
     to stderr, named by n."""
     ell = primes.ell
-    delta, dyadic, counts, _, _, rows = _class_step(primes, key)
+    shape = _class_step(primes, key)
     try:
-        rank = flat_ranks(ell, n, dyadic, *counts, rows)[2]
+        rank = flat_ranks(ell, n, shape).rank
     except InternalCheckError as exc:
         print(exc, file=sys.stderr)
         rank = None
-    pattern = small_rank_pattern(delta, *counts, ell, n)
+    pattern = small_rank_pattern(shape, ell, n)
     small = pattern.rank if pattern else None  # None from rank 4 on
     # hilbert and classify read the rank results, so they fail with them
-    return dyadic, (rank is not None,
-                    rank is not None and tuple(map(prod, rows)) == (1, 1, 1),
-                    rank is not None and small == (rank if rank <= 3 else None))
+    return shape.dyadic_ramifies, (rank is not None,
+                                   rank is not None and tuple(map(prod, shape.rows)) == (1, 1, 1),
+                                   rank is not None and small == (rank if rank <= 3 else None))
 
 
 def cmd_verify(args, fmt: str) -> int:

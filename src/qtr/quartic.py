@@ -1,6 +1,9 @@
 """Descriptors of the quartic field K = Q(sqrt(n*eps0*sqrt(ell))).
 
-Validation of (ell, n), conversion to and from the canonical presentation
+Validation of (ell, n) into the one per-field record FieldInput; the shape
+step (shape_class), which turns n's delta and its odd primes' entries into
+the NShape both rank paths read, for a FieldInput and for each shape class
+of the census alike; conversion to and from the canonical presentation
 K = Q(sqrt(a*(ell + b*sqrt(ell)))), the conductor, and the defining
 polynomial.  The radicand itself is never materialized; the pair (ell, n)
 carries everything.
@@ -8,7 +11,8 @@ carries everything.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     EllNotFiveMod8,
@@ -16,7 +20,7 @@ from .errors import (
     NNotPositive,
     NotCoprime,
 )
-from .ntheory import TwoSquares, factor_squarefree, is_prime, two_squares
+from .ntheory import TwoSquares, factor_squarefree, is_prime, quartic_symbol, two_squares
 from .quad import SplittingType, fundamental_unit, splitting_type
 
 # The letters of the four kinds of odd prime in n, in the order of the counts
@@ -41,44 +45,86 @@ def ramified_count(t1: int, t2: int, s1: int, s2: int, dyadic: bool) -> int:
     return 1 + t1 + 2 * t2 + s1 + 2 * s2 + dyadic
 
 
-class _ShapeFields(NamedTuple):
+def _split_sign(prime: int, ell: int, p_ell4: Optional[int] = None) -> int:
+    """The sign rule of a split prime: sigma or tau = (p/ell)_4 * (ell/p)_4.
+    (p/ell)_4 depends only on p mod ell, so a caller that keeps it per
+    residue class passes it in; (ell/p)_4 runs at every call."""
+    return (p_ell4 or quartic_symbol(prime, ell)) * quartic_symbol(ell, prime)
+
+
+def _prime_entries(prime: int, tag: SplittingType, sign: int) -> tuple[tuple, tuple]:
+    """The character-table entry rule for one odd prime of n: its -1 and eps
+    entries, one per column of rank._odd_columns, from p mod 4, its tag and,
+    for a split prime, its sign from _split_sign (unread otherwise).
+
+    (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
+      inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
+        character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
+      split p = 1 (mod 4): (+, sigma) in both conjugate columns.
+      split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
+        in the two conjugate columns.
+    """
+    if tag is not SplittingType.SPLIT:
+        return (1,), (1 if prime % 4 == 1 else -1,)
+    if prime % 4 == 1:
+        return (1, 1), (sign, sign)
+    return (-1, -1), (sign, -sign)
+
+
+def _entry(prime: int, tag: SplittingType, sign: int) -> tuple:
+    """What the shape step reads about one odd prime of n: which of t1, t2,
+    s1, s2 it bumps, its kind and tag letters, and its -1 and eps entries."""
+    kind = prime_kind(prime, tag)
+    return (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, sign))
+
+
+class NShape(NamedTuple):
+    """The shape of n = delta * (primes = 1 mod 4) * (primes = 3 mod 4) over
+    k, everything both rank paths read: delta (2 exactly when n is even);
+    the odd (prime, tag) ascending (empty in a census record, which has no
+    primes); whether the prime above 2 ramifies; the counts t1/t2 and s1/s2
+    of the inert/split p- and q-factors; mu, the number of ramified primes
+    of k; the kind and tag letters of the odd primes; and the rows -1, eps,
+    -eps of the character table.  shape_class builds it."""
+
     delta: int
     tagged: tuple[tuple[int, SplittingType], ...]
-    t: int
-    s: int
+    dyadic_ramifies: bool
     t1: int
     t2: int
     s1: int
     s2: int
-    h: int
-    w: int
-    dyadic_ramifies: bool
     mu: int
+    kinds: tuple[str, ...]
+    tags: tuple[str, ...]
+    rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-class NShape(_ShapeFields):
-    """n = delta * (primes = 1 mod 4) * (primes = 3 mod 4), each tagged by its
-    behavior in k.  delta is 2 exactly when n is even, and tagged holds every
-    odd (prime, tag) ascending.  NShape(delta, tagged) derives the rest: the
-    counts t, s of p- and q-factors, t1/t2 and s1/s2 of the inert/split ones,
-    h and w of the primes of k above them; whether the prime above 2
-    ramifies; and mu, the number of ramified primes of k.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, delta: int, tagged: tuple[tuple[int, SplittingType], ...]):
-        counts = [0, 0, 0, 0]
-        for prime, tag in tagged:
-            counts[prime_kind(prime, tag)] += 1
-        t1, t2, s1, s2 = counts
-        t, s = t1 + t2, s1 + s2
-        dyadic = dyadic_ramifies(delta, s)
-        return super().__new__(cls, delta, tagged, t, s, t1, t2, s1, s2, t + t2, s + s2,
-                               dyadic, ramified_count(t1, t2, s1, s2, dyadic))
-
-    def __getnewargs__(self):
-        return self.delta, self.tagged
+def shape_class(delta: int, entries: Sequence[tuple],
+                tagged: tuple[tuple[int, SplittingType], ...] = ()) -> NShape:
+    """The shape step: the NShape of n from its delta, its odd primes'
+    entries ascending (_entry) and, for the single-field path, their tags.
+    The rows are in column order: sqrt(ell) with (+, -), as eps reduces to a
+    non-residue there; each odd prime's entries; and, when it ramifies, the
+    dyadic prime with (+, (-1)^(s+1)) for the number s of q-factors.  The
+    -eps row is the entrywise product of the other two."""
+    counts = [0, 0, 0, 0]
+    kinds, tags = [], []
+    row_m1, row_eps = [1], [-1]
+    for kind, kind_letter, tag_letter, m1, eps in entries:
+        counts[kind] += 1
+        kinds.append(kind_letter)
+        tags.append(tag_letter)
+        row_m1 += m1
+        row_eps += eps
+    t1, t2, s1, s2 = counts
+    dyadic = dyadic_ramifies(delta, s1 + s2)
+    if dyadic:
+        row_m1.append(1)
+        row_eps.append(1 if (s1 + s2) % 2 else -1)
+    rows = (tuple(row_m1), tuple(row_eps), tuple(map(mul, row_m1, row_eps)))
+    return NShape(delta, tagged, dyadic, t1, t2, s1, s2, ramified_count(t1, t2, s1, s2, dyadic),
+                  tuple(kinds), tuple(tags), rows)
 
 
 class _FieldFields(NamedTuple):
@@ -93,7 +139,8 @@ class FieldInput(_FieldFields):
 
     The one record per field.  FieldInput(ell, n) checks each hypothesis in
     turn or raises the named error, factors n once, and keeps its primes and
-    shape.
+    shape, whose entries it computes afresh: each odd prime's tag and, for a
+    split one, its sign (_split_sign).
     """
 
     __slots__ = ()
@@ -106,7 +153,9 @@ class FieldInput(_FieldFields):
         if n % ell == 0:
             raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
         tagged = tuple([(p, splitting_type(p, ell)) for p in primes if p != 2])
-        return super().__new__(cls, ell, n, primes, NShape(2 - n % 2, tagged))
+        entries = [_entry(p, tag, _split_sign(p, ell) if tag is SplittingType.SPLIT else 0)
+                   for p, tag in tagged]
+        return super().__new__(cls, ell, n, primes, shape_class(2 - n % 2, entries, tagged))
 
     def __getnewargs__(self):
         return self.ell, self.n

@@ -9,15 +9,14 @@ which units are norms, and evaluate rank = mu + r* - 3.  Here mu counts the
 ramified primes of k (the real places never ramify: K is totally real), and
 k has one fundamental unit and contains -1, which fixes the constant 3.
 
-One shape step (shape_class) turns n's delta and its odd primes' entries
-into the counts t1, t2, s1, s2, letters, dyadic flag and rows -1, eps, -eps;
-the census reads the entries from its PrimeTable, the single-field path
-(fresh_step) computes them afresh.  Each path is stated once, over plain
-ints (_closed_rank, _unified_rank): flat_ranks runs both on one step,
+Both paths read one record, the NShape of quartic.shape_class: a
+FieldInput's shape for the single-field path, or a shape class's record for
+the census, whose entries come from its PrimeTable.  Each path is stated
+once, over that record (_closed_rank, _unified_rank): flat_ranks runs both,
 rank_closed and rank_unified one each.  They share the family name and the
-shape's r*, but the closed rank comes only from the case table and the
-unified rank only from the rows, so their agreement everywhere is the
-central correctness check of the package.
+shape's r* (_case_r_star), but the closed rank comes only from the case
+table and the unified rank only from the rows, so their agreement
+everywhere is the central correctness check of the package.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import InternalCheckError
 from .ntheory import quartic_symbol
 from .quad import SplittingType, splitting_type
-from .quartic import (KIND_LETTERS, FieldInput, NShape, dyadic_ramifies, prime_kind, ramified_count,
-                      validate_ell)
+from .quartic import FieldInput, NShape, _entry, _split_sign, validate_ell
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
@@ -103,15 +101,11 @@ class RankResult(_RankFields):
     __slots__ = ()
 
     def __new__(cls, mu: int, r_star: int, rank: int, case_tag: str):
-        _check_rank(mu, r_star, rank, case_tag)
+        if rank != mu + r_star - 3 or rank < 0:
+            raise InternalCheckError(
+                f"inconsistent rank result: mu={mu} r*={r_star} rank={rank} case={case_tag}"
+            )
         return super().__new__(cls, mu, r_star, rank, case_tag)
-
-
-def _check_rank(mu: int, r_star: int, rank: int, case_tag: str) -> None:
-    if rank != mu + r_star - 3 or rank < 0:
-        raise InternalCheckError(
-            f"inconsistent rank result: mu={mu} r*={r_star} rank={rank} case={case_tag}"
-        )
 
 
 def n_shape(field: FieldInput) -> NShape:
@@ -143,81 +137,10 @@ def ram_profile(shape: NShape) -> RamProfile:
     return RamProfile(tuple(columns), len(columns))
 
 
-def _split_sign(prime: int, ell: int, p_ell4: Optional[int] = None) -> int:
-    """The sign rule of a split prime: sigma or tau = (p/ell)_4 * (ell/p)_4.
-    (p/ell)_4 depends only on p mod ell, so a caller that keeps it per
-    residue class passes it in; (ell/p)_4 runs at every call."""
-    return (p_ell4 or quartic_symbol(prime, ell)) * quartic_symbol(ell, prime)
-
-
-def _prime_entries(prime: int, tag: SplittingType, sign: int) -> tuple[tuple, tuple]:
-    """The character-table entry rule for one odd prime of n: its -1 and eps
-    entries, one per column of _odd_columns, from p mod 4, its tag and, for
-    a split prime, its sign from _split_sign (unread otherwise).
-
-    (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
-      inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
-        character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
-      split p = 1 (mod 4): (+, sigma) in both conjugate columns.
-      split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
-        in the two conjugate columns.
-    """
-    if tag is not SplittingType.SPLIT:
-        return (1,), (1 if prime % 4 == 1 else -1,)
-    if prime % 4 == 1:
-        return (1, 1), (sign, sign)
-    return (-1, -1), (sign, -sign)
-
-
-def _entry(prime: int, tag: SplittingType, sign: int) -> tuple:
-    """What the shape step reads about one odd prime of n: which of t1, t2,
-    s1, s2 it bumps, its kind and tag letters, and its -1 and eps entries."""
-    kind = prime_kind(prime, tag)
-    return (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, sign))
-
-
-def shape_class(delta: int, entries: Sequence[tuple]) -> tuple:
-    """The shape step: from n's delta and its odd primes' entries ascending
-    (_entry), (dyadic flag, counts [t1, t2, s1, s2], kind letters, tag
-    letters, rows -1, eps, -eps of the character table).  The rows are lists
-    in column order: sqrt(ell) with (+, -), as eps reduces to a non-residue
-    there; each odd prime's entries; and, when it ramifies, the dyadic prime
-    with (+, (-1)^(s+1)) for the number s of q-factors.  The -eps row is the
-    entrywise product of the other two."""
-    counts = [0, 0, 0, 0]
-    kinds, tags = [], []
-    row_m1, row_eps = [1], [-1]
-    for kind, kind_letter, tag_letter, m1, eps in entries:
-        counts[kind] += 1
-        kinds.append(kind_letter)
-        tags.append(tag_letter)
-        row_m1 += m1
-        row_eps += eps
-    s = counts[2] + counts[3]
-    dyadic = dyadic_ramifies(delta, s)
-    if dyadic:
-        row_m1.append(1)
-        row_eps.append(1 if s % 2 else -1)
-    return dyadic, counts, kinds, tags, (row_m1, row_eps, [a * b for a, b in zip(row_m1, row_eps)])
-
-
-def fresh_step(shape: NShape, ell: int) -> tuple:
-    """shape_class of a stored shape, each odd prime's sign computed afresh
-    by _split_sign: the single-field path, which builds no PrimeTable."""
-    return shape_class(shape.delta, [
-        _entry(prime, tag, _split_sign(prime, ell) if tag is SplittingType.SPLIT else 0)
-        for prime, tag in shape.tagged])
-
-
-def table_from_rows(shape: NShape, ell: int, rows: Sequence[Sequence[int]]) -> CharacterTable:
-    """The character table of a shape, with the rows of its step."""
-    return CharacterTable(ell, ram_profile(shape).columns, tuple(map(tuple, rows)))
-
-
 def character_table(shape: NShape, ell: int) -> CharacterTable:
-    """Norm-residue characters of -1, eps and -eps at each ramified prime,
-    from the shape's fresh step."""
-    return table_from_rows(shape, ell, fresh_step(shape, ell)[-1])
+    """Norm-residue characters of -1, eps and -eps at each ramified prime:
+    the shape's rows under the columns of its ram_profile."""
+    return CharacterTable(ell, ram_profile(shape).columns, shape.rows)
 
 
 # Bits of one class id in the census's shape-class key (cli._keyed_fields).
@@ -230,16 +153,17 @@ class PrimeTable(dict):
     what the census reads about every prime with that id (which of t1, t2,
     s1, s2 it bumps, its kind and tag letters, its -1 and eps entries).
     The id is a function of the prime's code, 4 * sign + p mod 4, with sign 0
-    unless p splits in k (_split_sign).  The splitting and (p/ell)_4 run once
-    per residue class mod ell, (ell/p)_4 once per split prime, and the entry
-    rule (_prime_entries) once per code, as codes first appear, which numbers
-    the ids from 0.  So a field's shape (counts, letters, rows, ranks, checks)
-    depends on its parity and its odd primes' ids ascending: shape_class reads
-    the entries of those ids.  Building it validates ell.  One lives for one
-    scan or verify call (a scan's pool forks with it) and keeps the census's
-    memo per shape class: `rows` for scan (the class's values, their CSV text
-    and f/n), `checks` for verify.  The single-field path (fresh_step) never
-    builds one.
+    unless p splits in k (quartic._split_sign).  The splitting and (p/ell)_4
+    run once per residue class mod ell, (ell/p)_4 once per split prime, and
+    the entry rule (quartic._prime_entries) once per code, as codes first
+    appear, which numbers the ids from 0.  So a field's shape (counts,
+    letters, rows, ranks, checks) depends on its parity and its odd primes'
+    ids ascending: quartic.shape_class reads the entries of those ids.
+    Building it validates ell.  One lives for one scan or verify call (a
+    scan's pool forks with it) and keeps the census's memo per shape class:
+    `rows` for scan (the class's values, their CSV text and f/n), `checks`
+    for verify.  A FieldInput computes its entries afresh and never builds
+    one.
     """
 
     def __init__(self, ell: int):
@@ -333,59 +257,54 @@ def _shape_r_star(s2: int) -> int:
     return 1 if s2 == 0 else 0
 
 
-def _closed_rank(case: str, mu: int, rs: int, t1: int, t2: int, s1: int, s2: int) -> int:
-    """The closed path: the case table's rank of the family, checked against
-    the shape's mu and r*."""
-    rank = _CLOSED_RANK[case](t1, t2, s1, s2)
-    _check_rank(mu, rs, rank, case)
-    return rank
+def _case_r_star(shape: NShape) -> tuple[str, int]:
+    """The shape's family (_case_tag) and r* (_shape_r_star), by which both
+    paths name their result and against which they check it."""
+    return (_case_tag(shape.dyadic_ramifies, shape.t1, shape.t2, shape.s1, shape.s2),
+            _shape_r_star(shape.s2))
 
 
-def _unified_rank(rows: Sequence[Sequence[int]], mu: int, rs: int, case: str,
-                  ell: int, n: int) -> int:
-    """The unified path: mu + r* - 3 with mu and r* read off the rows -1,
-    eps, -eps, each checked against the shape's."""
-    table_mu, table_rs = len(rows[0]), _rows_r_star(rows)
-    if table_mu != mu:
-        raise InternalCheckError(
-            f"mu mismatch: {table_mu} table columns but {mu} ramified primes (ell={ell}, n={n})")
+def _closed_rank(shape: NShape, case: str) -> int:
+    """The closed path: the case table's rank of the shape's family."""
+    return _CLOSED_RANK[case](shape.t1, shape.t2, shape.s1, shape.s2)
+
+
+def _unified_rank(shape: NShape, rs: int, ell: int, n: int) -> int:
+    """The unified path: mu + r* - 3 with mu and r* read off the shape's rows
+    -1, eps, -eps, each checked against the shape's."""
+    table_mu, table_rs = len(shape.rows[0]), _rows_r_star(shape.rows)
+    if table_mu != shape.mu:
+        raise InternalCheckError(f"mu mismatch: {table_mu} table columns but {shape.mu} "
+                                 f"ramified primes (ell={ell}, n={n})")
     if table_rs != rs:
         raise InternalCheckError(
             f"r* from table = {table_rs} but shape shortcut gives {rs} (ell={ell}, n={n})")
-    rank = table_mu + table_rs - 3
-    _check_rank(table_mu, table_rs, rank, case)
-    return rank
+    return table_mu + table_rs - 3
 
 
 def rank_closed(field: FieldInput) -> RankResult:
     """2-rank from the case table entry of the field's family; reads no
     character entries."""
-    d = field.shape
-    case, rs = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2), _shape_r_star(d.s2)
-    return RankResult(d.mu, rs, _closed_rank(case, d.mu, rs, d.t1, d.t2, d.s1, d.s2), case)
+    case, rs = _case_r_star(field.shape)
+    return RankResult(field.shape.mu, rs, _closed_rank(field.shape, case), case)
 
 
 def rank_unified(field: FieldInput) -> RankResult:
-    """2-rank via mu + r* - 3, read off the rows of the field's fresh step."""
-    d = field.shape
-    case, rs = _case_tag(d.dyadic_ramifies, d.t1, d.t2, d.s1, d.s2), _shape_r_star(d.s2)
-    rows = fresh_step(d, field.ell)[-1]
-    return RankResult(d.mu, rs, _unified_rank(rows, d.mu, rs, case, field.ell, field.n), case)
+    """2-rank via mu + r* - 3, read off the rows of the field's shape."""
+    case, rs = _case_r_star(field.shape)
+    return RankResult(field.shape.mu, rs, _unified_rank(field.shape, rs, field.ell, field.n), case)
 
 
-def flat_ranks(ell: int, n: int, dyadic: bool, t1: int, t2: int, s1: int, s2: int,
-               rows: Sequence[Sequence[int]]) -> tuple[int, int, int, str]:
-    """(mu, r*, rank, case) of one field by both paths, from the counts and
-    rows of its step, once the two ranks agree.  A failed check raises
-    InternalCheckError named by (ell, n) and cross_path."""
-    case = _case_tag(dyadic, t1, t2, s1, s2)
-    mu, rs = ramified_count(t1, t2, s1, s2, dyadic), _shape_r_star(s2)
+def flat_ranks(ell: int, n: int, shape: NShape) -> RankResult:
+    """The rank of the field (ell, n) with the given shape, by both paths.
+    RankResult checks the closed rank against the shape's mu + r* - 3, and
+    the unified path checks that its mu and r* are the shape's, so two ranks
+    that both pass are equal: the unified rank needs no check of its own.  A
+    failed check raises InternalCheckError named by (ell, n) and cross_path."""
+    case, rs = _case_r_star(shape)
     try:
-        closed = _closed_rank(case, mu, rs, t1, t2, s1, s2)
-        unified = _unified_rank(rows, mu, rs, case, ell, n)
-        if closed != unified:
-            raise InternalCheckError(
-                f"rank paths disagree: closed rank {closed}, unified {unified}")
+        closed = RankResult(shape.mu, rs, _closed_rank(shape, case), case)
+        _unified_rank(shape, rs, ell, n)
     except InternalCheckError as exc:
         raise InternalCheckError(f"ell={ell} n={n} check=cross_path: {exc}") from exc
-    return mu, rs, closed, case
+    return closed

@@ -6,8 +6,8 @@ from qtr import classify
 from qtr.classify import PATTERNS, classify_small_rank
 from qtr.errors import InternalCheckError
 from qtr.quad import SplittingType
-from qtr.quartic import validate
-from qtr.rank import NShape, rank_closed
+from qtr.quartic import _entry, shape_class, validate
+from qtr.rank import rank_closed
 
 from .test_quartic import valid_n_values
 
@@ -16,16 +16,18 @@ I, S = SplittingType.INERT, SplittingType.SPLIT
 
 def matches(pattern, shape):
     """Whether the shape has the pattern's (t, s) and satisfies its rest."""
-    return ((shape.t, shape.s) == (pattern.t, pattern.s)
+    return ((shape.t1 + shape.t2, shape.s1 + shape.s2) == (pattern.t, pattern.s)
             and pattern.rest(shape.delta, shape.t1, shape.t2, shape.s1, shape.s2))
 
 
 def synthetic_shape(delta, t1, t2, s1, s2):
     """A shape with the requested counts; the predicates read only counts.
-    The stand-in primes are 1 (mod 4) for p and 3 (mod 4) for q."""
+    The stand-in primes are 1 (mod 4) for p and 3 (mod 4) for q, and each
+    split one has sign +1."""
     ps = [(5 + 4 * i, I) for i in range(t1)] + [(997 + 4 * i, S) for i in range(t2)]
     qs = [(3 + 4 * j, I) for j in range(s1)] + [(999 + 4 * j, S) for j in range(s2)]
-    return NShape(delta, tuple(sorted(ps + qs)))
+    tagged = tuple(sorted(ps + qs))
+    return shape_class(delta, [_entry(p, tag, 1 if tag is S else 0) for p, tag in tagged], tagged)
 
 
 class TestPatternTable:
@@ -54,7 +56,7 @@ class TestPatternTable:
             shape = synthetic_shape(delta, t1, t2, s1, s2)
             for p in PATTERNS:
                 if matches(p, shape):
-                    assert (shape.t, shape.s) == (p.t, p.s), (p.pattern_id, shape)
+                    assert (shape.t1 + shape.t2, shape.s1 + shape.s2) == (p.t, p.s), p.pattern_id
 
 
 class TestClassify:

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from qtr import cli, rank
+from qtr import cli, quartic, rank
 from qtr.cli import main, pool_size
 from qtr.quad import SplittingType
 from qtr.quartic import validate
-from qtr.rank import fresh_step, rank_closed
+from qtr.rank import rank_closed
 
 from .test_quartic import valid_n_values
 
@@ -46,8 +46,9 @@ class TestRankCommand:
         # 4757 = 67 * 71 over ell = 37: the ranks and the printed table read
         # one entry per prime, so each quartic symbol runs once
         calls = []
-        real = rank.quartic_symbol
-        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
+        real = quartic.quartic_symbol
+        monkeypatch.setattr(quartic, "quartic_symbol",
+                            lambda a, p: calls.append((a, p)) or real(a, p))
         code, out, _ = run(capsys, "rank", "--ell", "37", "--n", "4757")
         assert code == 0 and "67'" in out
         assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
@@ -220,12 +221,12 @@ class TestFailingChecksExit3:
                                  "--format", "csv")
         real = cli.flat_ranks
 
-        def flat_ranks(ell, n, dyadic, t1, t2, s1, s2, rows):
+        def flat_ranks(ell, n, shape):
             # 2 * 3 * 7 * 13, in the second window 513..1024, is the first
             # field of its shape class, so the census runs flat_ranks on it
             if n == 546:
-                t1 += 1  # the closed path counts one inert p too many
-            return real(ell, n, dyadic, t1, t2, s1, s2, rows)
+                shape = shape._replace(t1=shape.t1 + 1)  # one inert p too many
+            return real(ell, n, shape)
 
         monkeypatch.setattr(cli, "flat_ranks", flat_ranks)
         code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "2000",
@@ -260,7 +261,7 @@ class TestRankPathFailuresNamed:
                        "mu=4 r*=1 rank=3 case=p-only:split\n")
 
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
-        real = rank._prime_entries
+        real = quartic._prime_entries
 
         def prime_entries(prime, tag, sign):
             # the -1 entries turn at the code of 7 (split q, tau = +1), which
@@ -272,7 +273,7 @@ class TestRankPathFailuresNamed:
                 return minus_one, eps
             return tuple(-x for x in minus_one), eps
 
-        monkeypatch.setattr(rank, "_prime_entries", prime_entries)
+        monkeypatch.setattr(quartic, "_prime_entries", prime_entries)
         code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "30")
         assert code == 3
         assert out.splitlines() == [
@@ -411,8 +412,7 @@ class TestFormatSelection:
 class TestShapeString:
     @staticmethod
     def shape_text(ell, n):
-        _, _, kinds, tags, _ = fresh_step(validate(ell, n).shape, ell)
-        return cli._shape_text(kinds, tags)
+        return cli._shape_text(validate(ell, n).shape)
 
     def test_mixed_shape(self):
         # ascending primes 5, 31, 43, 71: only 43 is a residue mod 13

@@ -111,7 +111,7 @@ class TestConductor:
                 field = validate(ell, n)
                 e = conductor(to_williams(field), ell).e
                 shape = n_shape(field)
-                assert (e == 0) == (shape.delta == 1 and shape.s % 2 == 1), (ell, n)
+                assert (e == 0) == (shape.delta == 1 and (shape.s1 + shape.s2) % 2 == 1), (ell, n)
                 assert (e == 0) == (not shape.dyadic_ramifies)
 
 

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from qtr import rank
+from qtr import quartic, rank
 from qtr.errors import EllNotFiveMod8, InternalCheckError
 from qtr.ntheory import is_prime, legendre
 from qtr.quad import SplittingType, splitting_type
-from qtr.quartic import KIND_LETTERS, prime_kind, validate
+from qtr.quartic import KIND_LETTERS, prime_kind, ramified_count, validate
 from qtr.rank import (
     CharacterTable,
     Column,
@@ -30,7 +30,8 @@ I, S = SplittingType.INERT, SplittingType.SPLIT
 class TestNShape:
     def test_empty(self):
         shape = n_shape(validate(173, 1))
-        assert (shape.delta, shape.tagged, shape.t, shape.s) == (1, (), 0, 0)
+        assert (shape.delta, shape.tagged) == (1, ())
+        assert (shape.t1 + shape.t2, shape.s1 + shape.s2) == (0, 0)
 
     def test_even_mixed(self):
         # 374 = 2 * 11 * 17; both odd primes are non-residues mod 29
@@ -39,45 +40,50 @@ class TestNShape:
         shape = n_shape(validate(29, 374))
         assert shape.delta == 2
         assert shape.tagged == ((11, I), (17, I))
-        assert (shape.t, shape.s, shape.t2, shape.s2) == (1, 1, 0, 0)
+        assert (shape.t1 + shape.t2, shape.s1 + shape.s2, shape.t2, shape.s2) == (1, 1, 0, 0)
 
     def test_inert_and_split_p(self):
         # 3293 = 37 * 89; mod 5: 37 = 2 (non-residue), 89 = 4 (residue)
         shape = n_shape(validate(5, 3293))
         assert shape.tagged == ((37, I), (89, S))
-        assert (shape.t, shape.s) == (2, 0)
-        assert (shape.t1, shape.t2, shape.h) == (1, 1, 3)
+        assert (shape.t1 + shape.t2, shape.s1 + shape.s2) == (2, 0)
+        assert (shape.t1, shape.t2) == (1, 1)
+        # one prime of k above the inert p, two above the split one
+        assert ramified_count(shape.t1, shape.t2, 0, 0, False) - 1 == 3
 
     def test_counts(self):
         shape = n_shape(validate(13, 5 * 43 * 31 * 71))
-        assert (shape.t, shape.s) == (1, 3)
-        assert shape.t == shape.t1 + shape.t2
-        assert shape.s == shape.s1 + shape.s2
+        assert (shape.t1 + shape.t2, shape.s1 + shape.s2) == (1, 3)
+        # 5, 31 and 71 are inert mod 13, 43 splits
+        assert (shape.t1, shape.t2, shape.s1, shape.s2) == (1, 0, 2, 1)
 
     def test_counts_are_stored_at_build(self):
         shape = n_shape(validate(13, 5 * 43 * 31 * 71))
-        stored = {"t", "s", "t1", "t2", "s1", "s2", "h", "w", "dyadic_ramifies", "mu"}
-        # fields of the record, filled once by NShape(delta, tagged)
+        stored = {"t1", "t2", "s1", "s2", "dyadic_ramifies", "mu", "kinds", "tags", "rows"}
+        # fields of the record, filled once by shape_class
         assert stored <= set(shape._fields)
-        # odd n with three q: the dyadic prime does not ramify
-        assert (shape.h, shape.w, shape.dyadic_ramifies, shape.mu) == (1, 4, False, 6)
+        # odd n with three q: the dyadic prime does not ramify; one prime of
+        # k above the p, four above the q's
+        assert (shape.t1 + 2 * shape.t2, shape.s1 + 2 * shape.s2) == (1, 4)
+        assert (shape.dyadic_ramifies, shape.mu) == (False, 6)
+        assert shape.mu == ramified_count(shape.t1, shape.t2, shape.s1, shape.s2, False)
 
 
 class TestRamProfile:
     def test_inert_p_profile(self):
         shape = n_shape(validate(37, 13))
         profile = ram_profile(shape)
-        assert (profile.mu, shape.dyadic_ramifies, shape.h) == (3, True, 1)
+        assert (profile.mu, shape.dyadic_ramifies, shape.t1 + 2 * shape.t2) == (3, True, 1)
 
     def test_inert_q_profile(self):
         shape = n_shape(validate(53, 67))
         profile = ram_profile(shape)
-        assert (profile.mu, shape.dyadic_ramifies, shape.w) == (2, False, 1)
+        assert (profile.mu, shape.dyadic_ramifies, shape.s1 + 2 * shape.s2) == (2, False, 1)
 
     def test_split_p_profile(self):
         shape = n_shape(validate(101, 13))
         profile = ram_profile(shape)
-        assert (profile.mu, shape.dyadic_ramifies, shape.h) == (4, True, 2)
+        assert (profile.mu, shape.dyadic_ramifies, shape.t1 + 2 * shape.t2) == (4, True, 2)
         kinds = [col.kind for col in profile.columns]
         assert kinds == ["sqrt_ell", "split_p", "split_p", "dyadic"]
 
@@ -92,7 +98,8 @@ class TestRamProfile:
             for n in valid_n_values(ell, 150):
                 shape = n_shape(validate(ell, n))
                 profile = ram_profile(shape)
-                assert profile.mu == 1 + shape.h + shape.w + (1 if shape.dyadic_ramifies else 0)
+                h, w = shape.t1 + 2 * shape.t2, shape.s1 + 2 * shape.s2
+                assert profile.mu == 1 + h + w + (1 if shape.dyadic_ramifies else 0) == shape.mu
 
 
 class TestCharacterTable:
@@ -137,8 +144,9 @@ class TestCharacterTable:
     def test_symbol_computed_once_per_split_prime(self, monkeypatch):
         # 4757 = 67 * 71 over ell = 37: two split q, four conjugate columns
         calls = []
-        real = rank.quartic_symbol
-        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
+        real = quartic.quartic_symbol
+        monkeypatch.setattr(quartic, "quartic_symbol",
+                            lambda a, p: calls.append((a, p)) or real(a, p))
         table = character_table(n_shape(validate(37, 4757)), 37)
         assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
         minus1, eps, _ = table.entries
@@ -169,18 +177,22 @@ class TestPrimeTable:
                 if p != ell and is_prime(p):
                     tag = splitting_type(p, ell)
                     kind = prime_kind(p, tag)
-                    sign = rank._split_sign(p, ell) if tag is S else 0
-                    assert primes.entries[primes[p]] == (kind, *KIND_LETTERS[kind],
-                                                         *rank._prime_entries(p, tag, sign)), (ell, p)
+                    sign = quartic._split_sign(p, ell) if tag is S else 0
+                    entry = (kind, *KIND_LETTERS[kind], *quartic._prime_entries(p, tag, sign))
+                    assert primes.entries[primes[p]] == entry, (ell, p)
 
     def test_symbols_once_per_prime_per_table(self, monkeypatch):
+        odd = [prime for n in (67, 71, 4757, 2 * 4757)
+               for prime, _ in n_shape(validate(37, n)).tagged]
         calls = []
-        real = rank.quartic_symbol
-        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: calls.append((a, p)) or real(a, p))
+        real = quartic.quartic_symbol
+        # the table reads (p/ell)_4 itself and (ell/p)_4 through quartic._split_sign
+        for module in (quartic, rank):
+            monkeypatch.setattr(module, "quartic_symbol",
+                                lambda a, p: calls.append((a, p)) or real(a, p))
         primes = PrimeTable(37)
-        for n in (67, 71, 4757, 2 * 4757):
-            for prime, _ in n_shape(validate(37, n)).tagged:
-                primes[prime]
+        for prime in odd:
+            primes[prime]
         assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
 
     def test_validates_ell(self):
@@ -194,14 +206,14 @@ class TestPrimeTable:
         entries = primes.entries
         assert entries[ids[3]][:3] == entries[ids[7]][:3] and ids[3] != ids[7]  # split q, tau -1, +1
         assert sorted(set(ids.values())) == [0, 1, 2, 3] and len(entries) == 4
-        real = rank._prime_entries
+        real = quartic._prime_entries
 
         def prime_entries(prime, tag, sign):
             # a wrong entry at 29, otherwise an inert p like 5
             minus_one, eps = real(prime, tag, sign)
             return (minus_one, (-1,)) if prime == 29 else (minus_one, eps)
 
-        monkeypatch.setattr(rank, "_prime_entries", prime_entries)
+        monkeypatch.setattr(quartic, "_prime_entries", prime_entries)
         # the entry rule runs once per code: 29 takes the id of 5's code
         assert primes[29] == ids[5] and len(entries) == 4
         # in a fresh table the rule runs at 29, and its wrong entry is that

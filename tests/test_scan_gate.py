@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from qtr import cli, ntheory, rank
+from qtr import cli, ntheory, quartic, rank
 from qtr.cli import _CHUNK, main, scan_rows
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, two_squares
@@ -97,8 +97,8 @@ def test_census_work_is_per_prime(monkeypatch):
 
     def entry(p):
         tag = splitting_type(p, 37)
-        sign = rank._split_sign(p, 37) if tag is SplittingType.SPLIT else 0
-        return prime_kind(p, tag), rank._prime_entries(p, tag, sign)
+        sign = quartic._split_sign(p, 37) if tag is SplittingType.SPLIT else 0
+        return prime_kind(p, tag), quartic._prime_entries(p, tag, sign)
 
     classes = {(row["n"] % 2, tuple(entry(p) for p in factor_squarefree(row["n"]) if p != 2))
                for row in rows}
@@ -391,6 +391,13 @@ def test_census_step_equals_the_record_path(ell):
     primes = PrimeTable(ell)
     got = [row for lo, hi in cli._windows(3000) for row in window_rows(primes, lo, hi)]
     assert got == record_steps(ell, 1, 3001)
+    # the census's record of each field's class, built from the memoized
+    # entries, equals the field's own record, rows (and so signs) included
+    for lo, hi in cli._windows(3000):
+        for n, key in zip(range(lo, hi), cli._keyed_fields(primes, lo, hi)):
+            if type(key) is int:
+                own = FieldInput(ell, n).shape._replace(tagged=())
+                assert cli._class_step(primes, key) == own, n
 
 
 @pytest.mark.parametrize("ell", [37, 1000000021])
@@ -460,8 +467,8 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
     # for each residue class mod 37
     classes = count_calls(monkeypatch, "qtr.quad", "splitting_type")
     filled = []
-    real = rank.quartic_symbol
-    monkeypatch.setattr(rank, "quartic_symbol",
+    real = quartic.quartic_symbol
+    monkeypatch.setattr(quartic, "quartic_symbol",
                         lambda a, p: (a == 37 and filled.append(p)) or real(a, p))
     monkeypatch.setattr(cli, "_worker_primes", PrimeTable(37))
     first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))

@@ -35,6 +35,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+# The package's modules in layer order: each may import only from the ones
+# before it, so no rule can move to a module that would close an import cycle.
+LAYERS = ("errors", "ntheory", "quad", "quartic", "rank", "classify", "cli")
+
+
+def test_each_module_imports_only_earlier_layers():
+    found = []
+    for index, name in enumerate(LAYERS):
+        path = Path(qtr.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+            elif (node.module or "").startswith("qtr."):
+                targets = [node.module.split(".", 1)[1]]
+            else:
+                continue
+            found += [f"{name} imports {target}" for target in targets
+                      if target not in LAYERS[:index]]
+    assert found == []
+
+
 def test_import_leaves_out_the_pool_and_dataclass_machinery():
     # every qtr process pays for what `import qtr.cli` loads; the pool forks
     # its workers itself, and the records are NamedTuples.  Modules that the
