@@ -251,7 +251,7 @@ def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
                   rank_filter: int | None, as_csv: bool):
     """The output of each window of a scan (see _window_step), in window
     order.  ell and jobs are checked here, before any window is computed."""
-    primes = PrimeTable(ell)
+    primes = PrimeTable(ell, n_max)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
     steps = [(lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max)]
@@ -358,7 +358,7 @@ def cmd_verify(args, fmt: str) -> int:
     runs on every field; the other checks run once per shape class, whose
     dyadic flag primes.checks keeps once all three pass.  A class that fails
     one is checked again at each of its fields, so each failure names its n."""
-    primes = PrimeTable(args.ell)
+    primes = PrimeTable(args.ell, args.n_max)
     memo = primes.checks
     ell, legs = primes.ell, two_squares(primes.ell)
     failures: list[tuple[int, str]] = []

@@ -12,7 +12,7 @@ carries everything.
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     EllNotFiveMod8,
@@ -20,7 +20,7 @@ from .errors import (
     NNotPositive,
     NotCoprime,
 )
-from .ntheory import TwoSquares, factor_squarefree, is_prime, quartic_symbol, two_squares
+from .ntheory import TwoSquares, factor_squarefree, is_prime, two_squares
 from .quad import SplittingType, fundamental_unit, splitting_type
 
 # The letters of the four kinds of odd prime in n, in the order of the counts
@@ -45,37 +45,30 @@ def ramified_count(t1: int, t2: int, s1: int, s2: int, dyadic: bool) -> int:
     return 1 + t1 + 2 * t2 + s1 + 2 * s2 + dyadic
 
 
-def _split_sign(prime: int, ell: int, p_ell4: Optional[int] = None) -> int:
-    """The sign rule of a split prime: sigma or tau = (p/ell)_4 * (ell/p)_4.
-    (p/ell)_4 depends only on p mod ell, so a caller that keeps it per
-    residue class passes it in; (ell/p)_4 runs at every call."""
-    return (p_ell4 or quartic_symbol(prime, ell)) * quartic_symbol(ell, prime)
-
-
-def _prime_entries(prime: int, tag: SplittingType, sign: int) -> tuple[tuple, tuple]:
+def _prime_entries(prime: int, tag: SplittingType) -> tuple[tuple, tuple]:
     """The character-table entry rule for one odd prime of n: its -1 and eps
-    entries, one per column of rank._odd_columns, from p mod 4, its tag and,
-    for a split prime, its sign from _split_sign (unread otherwise).
+    entries, one per column of rank._odd_columns, from p mod 4 and its tag,
+    with a split prime's sign left out: rank.character_table adds it.
 
     (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
       inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
         character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
-      split p = 1 (mod 4): (+, sigma) in both conjugate columns.
+      split p = 1 (mod 4): (+, sigma) in both conjugate columns, kept (+, +).
       split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
-        in the two conjugate columns.
+        in the two conjugate columns, kept as 1, -1.
     """
     if tag is not SplittingType.SPLIT:
         return (1,), (1 if prime % 4 == 1 else -1,)
     if prime % 4 == 1:
-        return (1, 1), (sign, sign)
-    return (-1, -1), (sign, -sign)
+        return (1, 1), (1, 1)
+    return (-1, -1), (1, -1)
 
 
-def _entry(prime: int, tag: SplittingType, sign: int) -> tuple:
+def _entry(prime: int, tag: SplittingType) -> tuple:
     """What the shape step reads about one odd prime of n: which of t1, t2,
     s1, s2 it bumps, its kind and tag letters, and its -1 and eps entries."""
     kind = prime_kind(prime, tag)
-    return (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag, sign))
+    return (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag))
 
 
 class NShape(NamedTuple):
@@ -85,7 +78,7 @@ class NShape(NamedTuple):
     primes); whether the prime above 2 ramifies; the counts t1/t2 and s1/s2
     of the inert/split p- and q-factors; mu, the number of ramified primes
     of k; the kind and tag letters of the odd primes; and the rows -1, eps,
-    -eps of the character table.  shape_class builds it."""
+    -eps of the character table, split signs left out.  shape_class builds it."""
 
     delta: int
     tagged: tuple[tuple[int, SplittingType], ...]
@@ -139,8 +132,7 @@ class FieldInput(_FieldFields):
 
     The one record per field.  FieldInput(ell, n) checks each hypothesis in
     turn or raises the named error, factors n once, and keeps its primes and
-    shape, whose entries it computes afresh: each odd prime's tag and, for a
-    split one, its sign (_split_sign).
+    shape, whose entries it computes afresh from each odd prime's tag.
     """
 
     __slots__ = ()
@@ -153,8 +145,7 @@ class FieldInput(_FieldFields):
         if n % ell == 0:
             raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
         tagged = tuple([(p, splitting_type(p, ell)) for p in primes if p != 2])
-        entries = [_entry(p, tag, _split_sign(p, ell) if tag is SplittingType.SPLIT else 0)
-                   for p, tag in tagged]
+        entries = [_entry(p, tag) for p, tag in tagged]
         return super().__new__(cls, ell, n, primes, shape_class(2 - n % 2, entries, tagged))
 
     def __getnewargs__(self):

@@ -21,13 +21,13 @@ everywhere is the central correctness check of the package.
 
 from __future__ import annotations
 
-from math import prod
+from math import inf, prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
-from .ntheory import quartic_symbol
+from .ntheory import legendre, quartic_symbol
 from .quad import SplittingType, splitting_type
-from .quartic import FieldInput, NShape, _entry, _split_sign, validate_ell
+from .quartic import FieldInput, NShape, _entry, validate_ell
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
@@ -137,14 +137,24 @@ def ram_profile(shape: NShape) -> RamProfile:
     return RamProfile(tuple(columns), len(columns))
 
 
+def _split_sign(prime: int, ell: int) -> int:
+    """The sign of a split prime: sigma or tau = (p/ell)_4 * (ell/p)_4."""
+    return quartic_symbol(prime, ell) * quartic_symbol(ell, prime)
+
+
 def character_table(shape: NShape, ell: int) -> CharacterTable:
     """Norm-residue characters of -1, eps and -eps at each ramified prime:
-    the shape's rows under the columns of its ram_profile."""
-    return CharacterTable(ell, ram_profile(shape).columns, shape.rows)
+    the shape's rows under the columns of its ram_profile, with each split
+    prime's sign (_split_sign) multiplied into its eps and -eps entries."""
+    columns = ram_profile(shape).columns
+    signs = {p: _split_sign(p, ell) for p, tag in shape.tagged if tag is SplittingType.SPLIT}
+    signed = [signs.get(col.prime, 1) for col in columns]
+    rows = (shape.rows[0], *(tuple(x * s for x, s in zip(row, signed)) for row in shape.rows[1:]))
+    return CharacterTable(ell, columns, rows)
 
 
-# Bits of one class id in the census's shape-class key (cli._keyed_fields).
-CLASS_ID_BITS = 8
+# Bits of one class id in the census's key (cli._keyed_fields): four codes fit.
+CLASS_ID_BITS = 2
 
 
 class PrimeTable(dict):
@@ -152,45 +162,41 @@ class PrimeTable(dict):
     computed at its first lookup: table[prime] is an id, and table.entries[id]
     what the census reads about every prime with that id (which of t1, t2,
     s1, s2 it bumps, its kind and tag letters, its -1 and eps entries).
-    The id is a function of the prime's code, 4 * sign + p mod 4, with sign 0
-    unless p splits in k (quartic._split_sign).  The splitting and (p/ell)_4
-    run once per residue class mod ell, (ell/p)_4 once per split prime, and
-    the entry rule (quartic._prime_entries) once per code, as codes first
-    appear, which numbers the ids from 0.  So a field's shape (counts,
-    letters, rows, ranks, checks) depends on its parity and its odd primes'
-    ids ascending: quartic.shape_class reads the entries of those ids.
-    Building it validates ell.  One lives for one scan or verify call (a
-    scan's pool forks with it) and keeps the census's memo per shape class:
-    `rows` for scan (the class's values, their CSV text and f/n), `checks`
-    for verify.  A FieldInput computes its entries afresh and never builds
-    one.
+    The id is a function of the prime's code, 4 * split + p mod 4, its kind
+    alone: entries carry no sign.  The splitting runs once per residue class
+    mod ell, kept while a later prime of the class can be at most n_max; each
+    split prime's Euler's-criterion check is (ell/p) = +1, by reciprocity;
+    and the entry rule (quartic._prime_entries) runs once per code, as codes
+    first appear, which numbers the ids 0..3.  So a field's shape depends on
+    its parity and its odd primes' ids ascending.  One lives for one scan or
+    verify call (a scan's pool forks with it) and keeps the census's memo
+    per shape class: `rows` for scan (the class's values, their CSV text and
+    f/n), `checks` for verify.  A FieldInput never builds one.
     """
 
-    def __init__(self, ell: int):
+    def __init__(self, ell: int, n_max: float = inf):
         super().__init__()
         self.ell = validate_ell(ell)
         self.entries: list[tuple] = []
         self._ids: dict[int, int] = {}
-        self._residues: dict[int, int] = {}  # p mod ell: (p/ell)_4, or 0 unsplit
+        self._residues: dict[int, SplittingType] = {}  # p mod ell: p's splitting
+        self._reuse_to = n_max - 2 * ell  # the class's next odd number is p + 2 * ell
         self.rows: dict[int, tuple] = {}
         self.checks: dict[int, bool] = {}
 
     def __missing__(self, prime: int) -> int:
         ell = self.ell
-        p_ell4 = self._residues.get(prime % ell)
-        if p_ell4 is None:
-            split = splitting_type(prime, ell) is SplittingType.SPLIT
-            p_ell4 = self._residues[prime % ell] = quartic_symbol(prime, ell) if split else 0
-        sign = _split_sign(prime, ell, p_ell4) if p_ell4 else 0
-        code = 4 * sign + prime % 4
+        tag = self._residues.get(prime % ell)
+        if tag is None:
+            tag = splitting_type(prime, ell)
+            if prime <= self._reuse_to:
+                self._residues[prime % ell] = tag
+        if tag is SplittingType.SPLIT and legendre(ell, prime) != 1:  # (ell/p) = (p/ell)
+            raise InternalCheckError(f"ell={ell} prime={prime}: split, but ({ell}/{prime}) != 1")
+        code = 4 * (tag is SplittingType.SPLIT) + prime % 4
         class_id = self._ids.get(code)
         if class_id is None:
-            # six codes without a fault: inert p or q, split p or q with sign +-1
-            if len(self.entries) == 1 << CLASS_ID_BITS:
-                raise InternalCheckError(f"ell={ell} prime={prime}: more than "
-                                         f"{1 << CLASS_ID_BITS} distinct prime entries")
-            tag = SplittingType.SPLIT if sign else SplittingType.INERT
-            self.entries.append(_entry(prime, tag, sign))
+            self.entries.append(_entry(prime, tag))
             class_id = self._ids[code] = len(self.entries) - 1
         self[prime] = class_id
         return class_id
@@ -271,7 +277,10 @@ def _closed_rank(shape: NShape, case: str) -> int:
 
 def _unified_rank(shape: NShape, rs: int, ell: int, n: int) -> int:
     """The unified path: mu + r* - 3 with mu and r* read off the shape's rows
-    -1, eps, -eps, each checked against the shape's."""
+    -1, eps, -eps, each checked against the shape's.  A split sign, which
+    the rows leave out, multiplies the eps and -eps entries of both its
+    prime's columns, so it keeps each row's product; and those two rows are
+    never all-plus (both are -1 at sqrt(ell)), so r* reads the -1 row alone."""
     table_mu, table_rs = len(shape.rows[0]), _rows_r_star(shape.rows)
     if table_mu != shape.mu:
         raise InternalCheckError(f"mu mismatch: {table_mu} table columns but {shape.mu} "

@@ -22,12 +22,11 @@ def matches(pattern, shape):
 
 def synthetic_shape(delta, t1, t2, s1, s2):
     """A shape with the requested counts; the predicates read only counts.
-    The stand-in primes are 1 (mod 4) for p and 3 (mod 4) for q, and each
-    split one has sign +1."""
+    The stand-in primes are 1 (mod 4) for p and 3 (mod 4) for q."""
     ps = [(5 + 4 * i, I) for i in range(t1)] + [(997 + 4 * i, S) for i in range(t2)]
     qs = [(3 + 4 * j, I) for j in range(s1)] + [(999 + 4 * j, S) for j in range(s2)]
     tagged = tuple(sorted(ps + qs))
-    return shape_class(delta, [_entry(p, tag, 1 if tag is S else 0) for p, tag in tagged], tagged)
+    return shape_class(delta, [_entry(p, tag) for p, tag in tagged], tagged)
 
 
 class TestPatternTable:

@@ -44,10 +44,11 @@ class TestRankCommand:
 
     def test_reads_each_split_prime_once(self, capsys, monkeypatch):
         # 4757 = 67 * 71 over ell = 37: the ranks and the printed table read
-        # one entry per prime, so each quartic symbol runs once
+        # one entry per prime, and the table one sign, so each quartic symbol
+        # runs once
         calls = []
-        real = quartic.quartic_symbol
-        monkeypatch.setattr(quartic, "quartic_symbol",
+        real = rank.quartic_symbol
+        monkeypatch.setattr(rank, "quartic_symbol",
                             lambda a, p: calls.append((a, p)) or real(a, p))
         code, out, _ = run(capsys, "rank", "--ell", "37", "--n", "4757")
         assert code == 0 and "67'" in out
@@ -263,30 +264,33 @@ class TestRankPathFailuresNamed:
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
         real = quartic._prime_entries
 
-        def prime_entries(prime, tag, sign):
-            # the -1 entries turn at the code of 7 (split q, tau = +1), which
-            # no other prime up to 30 has: at n = 7 and 14 the -1 row becomes
-            # all-plus, so r* from the table rises to 1; at 21 = 3*7 the
-            # split q = 3 keeps its -1 entries, and the field passes
-            minus_one, eps = real(prime, tag, sign)
-            if (prime % 4, tag, sign) != (3, SplittingType.SPLIT, 1):
+        def prime_entries(prime, tag):
+            # the -1 entries turn at the code of a split q.  Below 30 over
+            # ell = 37 the split q are 3, 7 and 11 ((37/q) = +1; 19 and 23
+            # are inert), and every other entry's -1 entries are +1 already,
+            # so each field with a split q gets an all-plus -1 row: r* from
+            # the table rises to 1, and cross_path, and hilbert and classify
+            # with it, fail at the 9 such n of the 19 valid n <= 30
+            minus_one, eps = real(prime, tag)
+            if (prime % 4, tag) != (3, SplittingType.SPLIT):
                 return minus_one, eps
             return tuple(-x for x in minus_one), eps
 
         monkeypatch.setattr(quartic, "_prime_entries", prime_entries)
         code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "30")
         assert code == 3
+        failed = (3, 6, 7, 11, 14, 15, 21, 22, 30)
         assert out.splitlines() == [
             "ell = 37, n <= 30: 19 fields checked",
-            "  cross_path: 17 pass, 2 fail",
-            "  hilbert: 17 pass, 2 fail",
+            "  cross_path: 10 pass, 9 fail",
+            "  hilbert: 10 pass, 9 fail",
             "  bridge: 19 pass, 0 fail",
-            "  classify: 17 pass, 2 fail",
+            "  classify: 10 pass, 9 fail",
             *(f"  FAIL ell=37 n={n} check={check}"
-              for n in (7, 14) for check in ("cross_path", "hilbert", "classify")),
+              for n in failed for check in ("cross_path", "hilbert", "classify")),
         ]
         assert [line.split(": ")[0] for line in err.splitlines()] == [
-            "ell=37 n=7 check=cross_path", "ell=37 n=14 check=cross_path"]
+            f"ell=37 n={n} check=cross_path" for n in failed]
         assert "r* from table" in err
 
     def test_verify_names_every_field_of_a_failing_class(self, capsys, monkeypatch):

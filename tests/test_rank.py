@@ -1,11 +1,15 @@
 import pickle
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qtr import quartic, rank
+from qtr import cli, quartic, rank
+from qtr.cli import main
 from qtr.errors import EllNotFiveMod8, InternalCheckError
-from qtr.ntheory import is_prime, legendre
+from qtr.ntheory import is_prime
 from qtr.quad import SplittingType, splitting_type
 from qtr.quartic import KIND_LETTERS, prime_kind, ramified_count, validate
 from qtr.rank import (
@@ -144,10 +148,12 @@ class TestCharacterTable:
     def test_symbol_computed_once_per_split_prime(self, monkeypatch):
         # 4757 = 67 * 71 over ell = 37: two split q, four conjugate columns
         calls = []
-        real = quartic.quartic_symbol
-        monkeypatch.setattr(quartic, "quartic_symbol",
+        real = rank.quartic_symbol
+        monkeypatch.setattr(rank, "quartic_symbol",
                             lambda a, p: calls.append((a, p)) or real(a, p))
-        table = character_table(n_shape(validate(37, 4757)), 37)
+        shape = n_shape(validate(37, 4757))
+        assert calls == []  # the record computes no sign
+        table = character_table(shape, 37)
         assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
         minus1, eps, _ = table.entries
         assert minus1[1:5] == (-1, -1, -1, -1)
@@ -157,7 +163,8 @@ class TestCharacterTable:
 class TestPrimeTable:
     def test_memo_table_equals_fresh_table(self, panel_ells):
         # each odd prime's memo entry: its count, its letters, and its -1 and
-        # eps entries, which in column order are the fresh table's odd columns
+        # eps entries, which in column order are the odd columns of the
+        # field's own sign-free rows
         for ell in panel_ells[:6]:
             primes = PrimeTable(ell)
             for n in valid_n_values(ell, 400):
@@ -166,51 +173,70 @@ class TestPrimeTable:
                 kinds = [prime_kind(prime, tag) for prime, tag in shape.tagged]
                 assert [entry[:3] for entry in entries] == [(k, *KIND_LETTERS[k]) for k in kinds]
                 minus_one, eps = sum((e[3] for e in entries), ()), sum((e[4] for e in entries), ())
-                fresh = character_table(shape, ell).entries
                 odd = slice(1, 1 + len(minus_one))
-                assert (fresh[0][odd], fresh[1][odd]) == (minus_one, eps), (ell, n)
+                assert (shape.rows[0][odd], shape.rows[1][odd]) == (minus_one, eps), (ell, n)
         # at ell = 5 each residue class holds hundreds of these primes; at
-        # 1000000021 none holds two
-        for ell in (5, 1000000021):
-            primes = PrimeTable(ell)
+        # 1000000021 none holds two, and with the census's bound none is kept
+        for ell, bound in ((5, {}), (1000000021, {}), (1000000021, {"n_max": 20000})):
+            primes = PrimeTable(ell, **bound)
             for p in range(3, 20000, 2):
                 if p != ell and is_prime(p):
                     tag = splitting_type(p, ell)
-                    kind = prime_kind(p, tag)
-                    sign = quartic._split_sign(p, ell) if tag is S else 0
-                    entry = (kind, *KIND_LETTERS[kind], *quartic._prime_entries(p, tag, sign))
-                    assert primes.entries[primes[p]] == entry, (ell, p)
+                    assert primes.entries[primes[p]] == quartic._entry(p, tag), (ell, p)
+            assert len(primes._residues) == (0 if bound else min(ell - 1, len(primes)))
+
+    def test_residue_classes_kept_while_a_later_prime_can_occur(self):
+        # the next odd number of p's class mod 37 is p + 74: 127 + 74 = 201
+        # is the bound, 131 + 74 passes it (127 = 16 and 131 = 20 mod 37)
+        primes = PrimeTable(37, 201)
+        for p in (3, 5, 127, 131, 139):
+            primes[p]
+        assert sorted(primes._residues) == [3, 5, 16]
 
     def test_symbols_once_per_prime_per_table(self, monkeypatch):
-        odd = [prime for n in (67, 71, 4757, 2 * 4757)
+        # the table computes no quartic symbol; each split prime gets one
+        # Euler's-criterion check, (ell/p) by reciprocity, at its first lookup
+        odd = [prime for n in (41, 67, 71, 4757, 2 * 4757, 5 * 41)
                for prime, _ in n_shape(validate(37, n)).tagged]
-        calls = []
-        real = quartic.quartic_symbol
-        # the table reads (p/ell)_4 itself and (ell/p)_4 through quartic._split_sign
-        for module in (quartic, rank):
-            monkeypatch.setattr(module, "quartic_symbol",
-                                lambda a, p: calls.append((a, p)) or real(a, p))
+        symbols, checks = [], []
+        monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: symbols.append((a, p)))
+        real = rank.legendre
+        monkeypatch.setattr(rank, "legendre", lambda a, p: checks.append((a, p)) or real(a, p))
         primes = PrimeTable(37)
         for prime in odd:
             primes[prime]
-        assert sorted(calls) == [(37, 67), (37, 71), (67, 37), (71, 37)]
+        assert symbols == [] and sorted(checks) == [(37, 41), (37, 67), (37, 71)]
+
+    def test_a_misreported_splitting_exits_3(self, capsys, monkeypatch):
+        # 5 is inert over 37; a splitting rule that calls it split fails the
+        # reciprocity check at its first lookup, named by (ell, prime)
+        real = rank.splitting_type
+        monkeypatch.setattr(rank, "splitting_type",
+                            lambda r, ell: S if r == 5 else real(r, ell))
+        monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+        for command in ("scan", "verify"):
+            assert main([command, "--ell", "37", "--n-max", "100", "--format", "csv"]) == 3
+            err = capsys.readouterr().err
+            assert err == "internal error: ell=37 prime=5: split, but (37/5) != 1\n"
 
     def test_validates_ell(self):
         with pytest.raises(EllNotFiveMod8):
             PrimeTable(17)
 
     def test_equal_entries_share_a_class_id(self, monkeypatch):
+        # 3, 7 split q; 5, 13, 17 inert p; 19 inert q; 41 split p
         primes = PrimeTable(37)
-        ids = {p: primes[p] for p in (3, 5, 7, 13, 17, 19)}
-        assert ids[5] == ids[13] == ids[17]  # inert p
+        ids = {p: primes[p] for p in (3, 5, 7, 13, 17, 19, 41)}
+        assert ids[5] == ids[13] == ids[17] and ids[3] == ids[7]
         entries = primes.entries
-        assert entries[ids[3]][:3] == entries[ids[7]][:3] and ids[3] != ids[7]  # split q, tau -1, +1
+        assert [entries[ids[p]][:3] for p in (3, 5, 19, 41)] == [
+            (3, "q", "S"), (0, "p", "I"), (2, "q", "I"), (1, "p", "S")]
         assert sorted(set(ids.values())) == [0, 1, 2, 3] and len(entries) == 4
         real = quartic._prime_entries
 
-        def prime_entries(prime, tag, sign):
+        def prime_entries(prime, tag):
             # a wrong entry at 29, otherwise an inert p like 5
-            minus_one, eps = real(prime, tag, sign)
+            minus_one, eps = real(prime, tag)
             return (minus_one, (-1,)) if prime == 29 else (minus_one, eps)
 
         monkeypatch.setattr(quartic, "_prime_entries", prime_entries)
@@ -222,15 +248,38 @@ class TestPrimeTable:
         assert fresh[29] == fresh[5] == fresh[13] == 0 and fresh[41] == 1
         assert fresh.entries[0][4] == (-1,) and fresh.entries[1][:3] == (1, "p", "S")
 
-    def test_a_class_id_fits_its_bits(self, monkeypatch):
-        # past 2**CLASS_ID_BITS distinct codes the census keys would collide
-        monkeypatch.setattr(rank, "_split_sign", lambda prime, ell, p_ell4=None: prime)
-        primes = PrimeTable(37)
-        split = [p for p in range(3, 5000, 2) if is_prime(p) and legendre(p, 37) == 1]
-        for p in split[:1 << rank.CLASS_ID_BITS]:
-            primes[p]
-        with pytest.raises(InternalCheckError, match="more than 256 distinct prime entries"):
-            primes[split[1 << rank.CLASS_ID_BITS]]
+    def test_a_class_id_fits_its_bits(self):
+        # four codes, one per kind, whatever the primes; a key's digits base
+        # 2**CLASS_ID_BITS are delta and the ids, and read back to the entries
+        for ell in (5, 37, 1000000021):
+            primes = PrimeTable(ell)
+            odd = [p for p in range(3, 5000, 2) if p != ell and is_prime(p)]
+            ids = [primes[p] for p in odd]
+            assert sorted(set(ids)) == [0, 1, 2, 3] == list(range(1 << rank.CLASS_ID_BITS))
+            for delta in (1, 2):
+                key = delta
+                for class_id in ids[:12]:
+                    key = key << rank.CLASS_ID_BITS | class_id
+                entries = [primes.entries[class_id] for class_id in ids[:12]]
+                assert cli._class_step(primes, key) == quartic.shape_class(delta, entries)
+
+
+@given(delta=st.sampled_from((1, 2)), kinds=st.lists(st.integers(0, 3), max_size=8),
+       data=st.data())
+def test_signs_change_no_r_star_and_no_row_product(delta, kinds, data):
+    # any entry sequence, any sign per split prime: multiplying the signs
+    # into the eps and -eps entries of each split prime's two columns, as a
+    # printed table does, keeps r* and each row's product
+    entries = [quartic._entry(3 if kind >> 1 else 5, S if kind & 1 else I) for kind in kinds]
+    shape = quartic.shape_class(delta, entries)
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(kinds), max_size=len(kinds)))
+    signed = [1]  # sqrt(ell)
+    for entry, sign in zip(entries, signs):
+        signed += [sign if entry[2] == "S" else 1] * len(entry[3])
+    signed += [1] * (shape.mu - len(signed))  # the dyadic prime
+    rows = (shape.rows[0], *(tuple(x * s for x, s in zip(row, signed)) for row in shape.rows[1:]))
+    assert rank._rows_r_star(rows) == rank._rows_r_star(shape.rows)
+    assert [prod(row) for row in rows] == [prod(row) for row in shape.rows]
 
 
 class TestRStar:

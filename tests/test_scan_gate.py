@@ -9,11 +9,11 @@ from math import isqrt
 
 import pytest
 
-from qtr import cli, ntheory, quartic, rank
+from qtr import cli, ntheory, rank
 from qtr.cli import _CHUNK, main, scan_rows
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, two_squares
-from qtr.quad import SplittingType, splitting_type
+from qtr.quad import splitting_type
 from qtr.quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, prime_kind,
                          to_williams, williams_abc)
 from qtr.rank import CLASS_ID_BITS, PrimeTable, rank_closed, rank_unified
@@ -79,30 +79,48 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
 
 
 def test_census_work_is_per_prime(monkeypatch):
-    # The sieve gives each n its primes, so nothing is factored; each split
-    # prime's quartic symbols are computed once per scan, in its prime table,
-    # and both rank paths run once per shape class: n's parity and its odd
-    # primes' entries ascending.
+    # The sieve gives each n its primes, so nothing is factored; the census
+    # computes no quartic symbol, each split prime gets one reciprocity
+    # check in its prime table, and both rank paths run once per shape
+    # class: n's parity and its odd primes' kinds ascending.
     factored = count_calls(monkeypatch, "qtr.ntheory", "factorize")
     tables = count_calls(monkeypatch, "qtr.rank", "character_table")
     symbols = count_calls(monkeypatch, "qtr.ntheory", "quartic_symbol")
+    checks = []
+    real = rank.legendre
+    monkeypatch.setattr(rank, "legendre", lambda a, p: checks.append(p) or real(a, p))
     ranked = count_calls(monkeypatch, "qtr.rank", "flat_ranks")
     rows = scan_rows(37, 3000)
     assert len(rows) == 1776
-    assert factored == []
-    assert len(tables) <= len(rows)
+    assert factored == [] and tables == [] and symbols == []
     split = {p for row in rows for p in factor_squarefree(row["n"])
              if p not in (2, 37) and legendre(p, 37) == 1}
-    assert split and len(symbols) <= 2 * len(split)
-
-    def entry(p):
-        tag = splitting_type(p, 37)
-        sign = quartic._split_sign(p, 37) if tag is SplittingType.SPLIT else 0
-        return prime_kind(p, tag), quartic._prime_entries(p, tag, sign)
-
-    classes = {(row["n"] % 2, tuple(entry(p) for p in factor_squarefree(row["n"]) if p != 2))
+    assert split and sorted(checks) == sorted(split)
+    classes = {(row["n"] % 2, tuple(prime_kind(p, splitting_type(p, 37))
+                                    for p in factor_squarefree(row["n"]) if p != 2))
                for row in rows}
     assert 0 < len(ranked) <= len(classes) < len(rows) / 4
+
+
+@pytest.mark.parametrize("command,symbols", [
+    ("scan", 0), ("verify", 0), ("conductor", 0), ("poly", 0), ("classify", 0),
+    ("table", 6), ("rank", 6)])
+def test_signs_are_computed_only_for_a_printed_table(capsys, monkeypatch, command, symbols):
+    # two quartic symbols per split prime of n (41 = p, 67 and 71 = q over
+    # ell = 37), and only where a character table is printed: by table, and
+    # by rank in text and JSON
+    calls = count_calls(monkeypatch, "qtr.ntheory", "quartic_symbol")
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    for fmt in ("text", "csv", "json"):
+        if command in ("scan", "verify"):
+            argv = [command, "--ell", "37", "--n-max", "3000", "--format", fmt]
+        else:
+            argv = [command, "--ell", "37", "--n", str(41 * 67 * 71), "--format", fmt]
+        assert main(argv) == 0
+        expected = 0 if (command, fmt) == ("rank", "csv") else symbols
+        assert len(calls) == expected, fmt
+        calls.clear()
+    capsys.readouterr()
 
 
 # sha256 of `qtr scan --ell ELL --n-max 3000 --format FMT [OPTIONS]`, pinned
@@ -358,8 +376,8 @@ def test_ell_is_never_in_the_prime_table(monkeypatch, ell, coprime_n, square_n):
 
 def record_row(ell, n):
     """The scan row of (ell, n) from the single-field record path, once its
-    two rank paths agree: n's primes from factor_squarefree, each sign from
-    _split_sign, and the shape text from the stored tags."""
+    two rank paths agree: n's primes from factor_squarefree, and the shape
+    text from the stored tags."""
     field = FieldInput(ell, n)
     closed, unified = rank_closed(field), rank_unified(field)
     assert closed == unified
@@ -462,14 +480,13 @@ def test_csv_streams_one_window_at_a_time(monkeypatch):
 
 
 def test_a_worker_fills_each_prime_once(monkeypatch):
-    # every window a worker runs reads the pool's one table: (37/p)_4 runs
-    # once for each split prime p the table holds, the splitting rule once
-    # for each residue class mod 37
+    # every window a worker runs reads the pool's one table: the reciprocity
+    # check (37/p) runs once for each split prime p the table holds, the
+    # splitting rule once for each residue class mod 37
     classes = count_calls(monkeypatch, "qtr.quad", "splitting_type")
     filled = []
-    real = quartic.quartic_symbol
-    monkeypatch.setattr(quartic, "quartic_symbol",
-                        lambda a, p: (a == 37 and filled.append(p)) or real(a, p))
+    real = rank.legendre
+    monkeypatch.setattr(rank, "legendre", lambda a, p: filled.append(p) or real(a, p))
     monkeypatch.setattr(cli, "_worker_primes", PrimeTable(37))
     first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))
     assert filled and len(set(filled)) == len(filled)

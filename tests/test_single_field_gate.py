@@ -116,11 +116,11 @@ def test_invalid_request_names_its_error(capsys, ell, n, error):
 
 def test_single_field_commands_build_no_census_state(capsys, monkeypatch):
     # the census gate tests compare the scan against these commands' path,
-    # so it must read n's primes and signs afresh: no PrimeTable, no sieve
+    # so it must read n's primes afresh: no PrimeTable, no sieve
     built, sieved = [], []
     real_init, real_sieve = rank.PrimeTable.__init__, cli._keyed_fields
     monkeypatch.setattr(rank.PrimeTable, "__init__",
-                        lambda self, ell: built.append(ell) or real_init(self, ell))
+                        lambda self, ell, *bound: built.append(ell) or real_init(self, ell, *bound))
     monkeypatch.setattr(cli, "_keyed_fields",
                         lambda primes, lo, hi: sieved.append(lo) or real_sieve(primes, lo, hi))
     for command in ("rank", "table", "classify", "conductor"):

@@ -100,35 +100,44 @@ def test_invariants_hold_under_python_O():
 
 
 # Checks made at the first field of a shape class: a case-table entry off by
-# one fails cross_path, and a conductor off its class's f/n fails conductor.
+# one fails cross_path, and a conductor off its class's f/n fails conductor;
+# and at a prime's first lookup: a split prime with (ell/p) = -1 fails the
+# reciprocity check.  Each maps to its patch and the error it names.
 CLASS_CHECK_PATCHES = {
-    "cross_path": "rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1",
-    "conductor": "\n".join([
+    "cross_path": ("rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1",
+                   "ell=37 n=41 check=cross_path"),
+    "conductor": ("\n".join([
         "real = cli.conductor_parts",
         "def conductor_parts(a, b, ell):",
         "    e, f = real(a, b, ell)",
         "    return e, f + (a == 41)",
         "cli.conductor_parts = conductor_parts",
-    ]),
+    ]), "ell=37 n=41 check=conductor"),
+    "reciprocity": ("\n".join([
+        "real = rank.splitting_type",
+        "rank.splitting_type = lambda r, ell: rank.SplittingType.SPLIT if r == 5 else real(r, ell)",
+    ]), "ell=37 prime=5: split, but (37/5) != 1"),
 }
 
 
 @pytest.mark.parametrize("check", sorted(CLASS_CHECK_PATCHES))
 def test_class_checks_raise_under_python_O(check):
-    # n = 41 is the first field of its shape class for ell = 37; under -O the
-    # scan still stops there with exit 3, naming n and the check
+    # n = 41 is the first field of its shape class for ell = 37, and 5 the
+    # first inert prime looked up; under -O the scan still stops there with
+    # exit 3, naming what failed
+    patch, named = CLASS_CHECK_PATCHES[check]
     script = "\n".join([
         "import sys",
         "from qtr import cli, rank",
         "if not sys.flags.optimize:",
         "    sys.exit(5)",
-        CLASS_CHECK_PATCHES[check],
+        patch,
         "sys.exit(cli.main(['scan', '--ell', '37', '--n-max', '100', '--format', 'csv']))",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stdout == "n,delta,shape,mu,r_star,rank,case,conductor\n"
-    assert f"ell=37 n=41 check={check}" in proc.stderr
+    assert named in proc.stderr
 
 
 def test_traced_names_resolve():
