@@ -25,14 +25,15 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 from math import isqrt, prod
 
 from .classify import classify_small_rank, small_rank_pattern
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive
 from .ntheory import base_primes, two_squares
 from .quad import fundamental_unit
-from .quartic import (NShape, conductor, conductor_parts, defining_polynomial, shape_class,
-                      to_williams, validate, validate_ell, williams_abc)
+from .quartic import (KIND_LETTERS, NShape, conductor, conductor_parts, defining_polynomial,
+                      shape_class, to_williams, validate, validate_ell, williams_abc)
 from .rank import CLASS_ID_BITS, UNIT_LABELS, PrimeTable, character_table, flat_ranks
 
 FORMATS = ("text", "csv", "json")
@@ -42,11 +43,12 @@ _CHUNK = 512
 
 
 def _shape_text(shape: NShape) -> str:
-    """Compact shape of n from the kind and tag letters of its odd primes
-    ascending, e.g. 'p·q·q [I,S,I]'; '1' when n is 1 or 2."""
+    """Compact shape of n from the kind and tag letters (KIND_LETTERS) of its
+    odd primes ascending, e.g. 'p·q·q [I,S,I]'; '1' when n is 1 or 2."""
     if not shape.kinds:
         return "1"
-    return f"{'·'.join(shape.kinds)} [{','.join(shape.tags)}]"
+    kinds, tags = zip(*(KIND_LETTERS[kind] for kind in shape.kinds))
+    return f"{'·'.join(kinds)} [{','.join(tags)}]"
 
 
 def _windows(n_max: int):
@@ -64,8 +66,8 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     delta, and each odd prime p <= sqrt(hi - 1) is multiplied in (0 at a
     multiple of p^2 or 4), so a squarefree n is its product times 1 or one
     larger prime.  The key's digits base 2**CLASS_ID_BITS are delta (never
-    0), then the odd primes' ids ascending (PrimeTable): a base prime's id
-    is looked up once per window, the leftover's last.  ell is never looked up.
+    0), then the odd primes' kinds ascending (PrimeTable), a base prime's
+    looked up once per window, the leftover's last.  ell is never looked up.
     """
     ell = primes.ell
     size = hi - lo
@@ -77,9 +79,9 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
             for i in range(-lo % p, size, p):
                 product[i] *= p
         elif p != 2:
-            class_id = primes[p]
+            kind = primes[p]
             for i in range(-lo % p, size, p):
-                keys[i] = keys[i] << CLASS_ID_BITS | class_id
+                keys[i] = keys[i] << CLASS_ID_BITS | kind
                 product[i] *= p
         for i in range(-lo % (p * p), size, p * p):
             product[i] = 0
@@ -96,15 +98,15 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     return out
 
 
-def _class_step(primes: PrimeTable, key: int) -> NShape:
+def _class_step(key: int) -> NShape:
     """The shape record of the shape class of key (quartic.shape_class, with
     no tagged primes), whose digits (see _keyed_fields) are delta and the
-    ids of its odd primes' entries."""
-    entries = []
+    kinds of its odd primes."""
+    kinds = []
     while key >> CLASS_ID_BITS:
-        key, class_id = divmod(key, 1 << CLASS_ID_BITS)
-        entries.append(primes.entries[class_id])
-    return shape_class(key, entries[::-1])
+        key, kind = divmod(key, 1 << CLASS_ID_BITS)
+        kinds.append(kind)
+    return shape_class(key, kinds[::-1])
 
 
 def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
@@ -116,7 +118,7 @@ def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
     n = (-1)^s (mod 4), so e = 2 or 0 by the parity of s, which the key
     fixes.  verify's bridge check still reads e at every field."""
     ell = primes.ell
-    shape = _class_step(primes, key)
+    shape = _class_step(key)
     mu, r_star, rank, case = flat_ranks(ell, n, shape)
     f = conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
     if f % n:
@@ -186,13 +188,13 @@ def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(jobs, chunks, cpus or 1))
 
 
-def _run_worker(worker: int, workers: int, steps: list, write_fd: int) -> None:
+def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
     """In forked child `worker`: steps worker, worker + workers, ... in
     order, each result, or the exception it raised, pickled down write_fd."""
     import pickle
 
     with open(write_fd, "wb") as pipe:
-        for step in steps[worker::workers]:
+        for step in islice(steps, worker, None, workers):
             try:
                 message = (True, _scan_chunk(step))
             except Exception as exc:
@@ -203,11 +205,11 @@ def _run_worker(worker: int, workers: int, steps: list, write_fd: int) -> None:
                 return
 
 
-def _pooled(workers: int, primes: PrimeTable, steps: list):
+def _pooled(workers: int, primes: PrimeTable, steps):
     """The steps' results in step order, from `workers` forked children
-    (_run_worker) that inherit the scan's prime table.  qtr starts no
-    threads, so forking is safe, and the children inherit the module state a
-    caller or a tracer has set."""
+    (_run_worker) that inherit the scan's prime table and the steps, an
+    iterator none has started.  qtr starts no threads, so forking is safe,
+    and the children inherit the module state a caller or a tracer has set."""
     import pickle
 
     global _worker_primes
@@ -250,12 +252,13 @@ def _pooled(workers: int, primes: PrimeTable, steps: list):
 def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
                   rank_filter: int | None, as_csv: bool):
     """The output of each window of a scan (see _window_step), in window
-    order.  ell and jobs are checked here, before any window is computed."""
+    order, each step made as it runs.  ell and jobs are checked here, before
+    any window is computed."""
     primes = PrimeTable(ell, n_max)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
-    steps = [(lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max)]
-    workers = pool_size(jobs, len(steps), _usable_cpus())
+    steps = ((lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max))
+    workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus())
     if workers == 1 or not hasattr(os, "fork"):
         return (_window_step(primes, *step) for step in steps)
     return _pooled(workers, primes, steps)
@@ -339,7 +342,7 @@ def _class_checks(primes: PrimeTable, n: int, key: int) -> tuple[bool, tuple]:
     passes cross_path, hilbert and classify at n; a cross_path failure goes
     to stderr, named by n."""
     ell = primes.ell
-    shape = _class_step(primes, key)
+    shape = _class_step(key)
     try:
         rank = flat_ranks(ell, n, shape).rank
     except InternalCheckError as exc:

@@ -1,7 +1,7 @@
 """Descriptors of the quartic field K = Q(sqrt(n*eps0*sqrt(ell))).
 
 Validation of (ell, n) into the one per-field record FieldInput; the shape
-step (shape_class), which turns n's delta and its odd primes' entries into
+step (shape_class), which turns n's delta and its odd primes' kinds into
 the NShape both rank paths read, for a FieldInput and for each shape class
 of the census alike; conversion to and from the canonical presentation
 K = Q(sqrt(a*(ell + b*sqrt(ell)))), the conductor, and the defining
@@ -45,30 +45,15 @@ def ramified_count(t1: int, t2: int, s1: int, s2: int, dyadic: bool) -> int:
     return 1 + t1 + 2 * t2 + s1 + 2 * s2 + dyadic
 
 
-def _prime_entries(prime: int, tag: SplittingType) -> tuple[tuple, tuple]:
-    """The character-table entry rule for one odd prime of n: its -1 and eps
-    entries, one per column of rank._odd_columns, from p mod 4 and its tag,
-    with a split prime's sign left out: rank.character_table adds it.
-
-    (-1, eps) entries per column kind (eps = (u + v*sqrt(ell))/2, norm -1):
-      inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
-        character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
-      split p = 1 (mod 4): (+, sigma) in both conjugate columns, kept (+, +).
-      split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
-        in the two conjugate columns, kept as 1, -1.
-    """
-    if tag is not SplittingType.SPLIT:
-        return (1,), (1 if prime % 4 == 1 else -1,)
-    if prime % 4 == 1:
-        return (1, 1), (1, 1)
-    return (-1, -1), (1, -1)
-
-
-def _entry(prime: int, tag: SplittingType) -> tuple:
-    """What the shape step reads about one odd prime of n: which of t1, t2,
-    s1, s2 it bumps, its kind and tag letters, and its -1 and eps entries."""
-    kind = prime_kind(prime, tag)
-    return (kind, *KIND_LETTERS[kind], *_prime_entries(prime, tag))
+# The character-table entry rule, indexed by kind as KIND_LETTERS: an odd
+# prime's (-1, eps) entries, one per column of rank._odd_columns, a split
+# prime's sign left out (character_table adds it); eps = (u + v*sqrt(ell))/2, norm -1.
+#   inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
+#     character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
+#   split p = 1 (mod 4): (+, sigma) in both conjugate columns, kept (+, +).
+#   split q = 3 (mod 4): -1 entries for the unit -1, and tau, -tau for eps
+#     in the two conjugate columns, kept as 1, -1.
+KIND_ENTRIES = (((1,), (1,)), ((1, 1), (1, 1)), ((1,), (-1,)), ((-1, -1), (1, -1)))
 
 
 class NShape(NamedTuple):
@@ -77,8 +62,8 @@ class NShape(NamedTuple):
     the odd (prime, tag) ascending (empty in a census record, which has no
     primes); whether the prime above 2 ramifies; the counts t1/t2 and s1/s2
     of the inert/split p- and q-factors; mu, the number of ramified primes
-    of k; the kind and tag letters of the odd primes; and the rows -1, eps,
-    -eps of the character table, split signs left out.  shape_class builds it."""
+    of k; the odd primes' kinds ascending; and the rows -1, eps, -eps of
+    the character table, split signs left out.  shape_class builds it."""
 
     delta: int
     tagged: tuple[tuple[int, SplittingType], ...]
@@ -88,26 +73,23 @@ class NShape(NamedTuple):
     s1: int
     s2: int
     mu: int
-    kinds: tuple[str, ...]
-    tags: tuple[str, ...]
+    kinds: tuple[int, ...]
     rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def shape_class(delta: int, entries: Sequence[tuple],
+def shape_class(delta: int, kinds: Sequence[int],
                 tagged: tuple[tuple[int, SplittingType], ...] = ()) -> NShape:
     """The shape step: the NShape of n from its delta, its odd primes'
-    entries ascending (_entry) and, for the single-field path, their tags.
+    kinds ascending (prime_kind) and, for the single-field path, their tags.
     The rows are in column order: sqrt(ell) with (+, -), as eps reduces to a
-    non-residue there; each odd prime's entries; and, when it ramifies, the
-    dyadic prime with (+, (-1)^(s+1)) for the number s of q-factors.  The
+    non-residue there; each odd prime's KIND_ENTRIES; and, when it ramifies,
+    the dyadic prime with (+, (-1)^(s+1)) for the number s of q-factors.  The
     -eps row is the entrywise product of the other two."""
     counts = [0, 0, 0, 0]
-    kinds, tags = [], []
     row_m1, row_eps = [1], [-1]
-    for kind, kind_letter, tag_letter, m1, eps in entries:
+    for kind in kinds:
         counts[kind] += 1
-        kinds.append(kind_letter)
-        tags.append(tag_letter)
+        m1, eps = KIND_ENTRIES[kind]
         row_m1 += m1
         row_eps += eps
     t1, t2, s1, s2 = counts
@@ -117,7 +99,7 @@ def shape_class(delta: int, entries: Sequence[tuple],
         row_eps.append(1 if (s1 + s2) % 2 else -1)
     rows = (tuple(row_m1), tuple(row_eps), tuple(map(mul, row_m1, row_eps)))
     return NShape(delta, tagged, dyadic, t1, t2, s1, s2, ramified_count(t1, t2, s1, s2, dyadic),
-                  tuple(kinds), tuple(tags), rows)
+                  tuple(kinds), rows)
 
 
 class _FieldFields(NamedTuple):
@@ -132,7 +114,7 @@ class FieldInput(_FieldFields):
 
     The one record per field.  FieldInput(ell, n) checks each hypothesis in
     turn or raises the named error, factors n once, and keeps its primes and
-    shape, whose entries it computes afresh from each odd prime's tag.
+    shape, whose kinds it computes afresh from each odd prime's tag.
     """
 
     __slots__ = ()
@@ -145,8 +127,8 @@ class FieldInput(_FieldFields):
         if n % ell == 0:
             raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
         tagged = tuple([(p, splitting_type(p, ell)) for p in primes if p != 2])
-        entries = [_entry(p, tag) for p, tag in tagged]
-        return super().__new__(cls, ell, n, primes, shape_class(2 - n % 2, entries, tagged))
+        kinds = [prime_kind(p, tag) for p, tag in tagged]
+        return super().__new__(cls, ell, n, primes, shape_class(2 - n % 2, kinds, tagged))
 
     def __getnewargs__(self):
         return self.ell, self.n

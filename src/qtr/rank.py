@@ -11,7 +11,7 @@ k has one fundamental unit and contains -1, which fixes the constant 3.
 
 Both paths read one record, the NShape of quartic.shape_class: a
 FieldInput's shape for the single-field path, or a shape class's record for
-the census, whose entries come from its PrimeTable.  Each path is stated
+the census, whose kinds come from its PrimeTable.  Each path is stated
 once, over that record (_closed_rank, _unified_rank): flat_ranks runs both,
 rank_closed and rank_unified one each.  They share the family name and the
 shape's r* (_case_r_star), but the closed rank comes only from the case
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import InternalCheckError
 from .ntheory import legendre, quartic_symbol
 from .quad import SplittingType, splitting_type
-from .quartic import FieldInput, NShape, _entry, validate_ell
+from .quartic import FieldInput, NShape, prime_kind, validate_ell
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
@@ -153,32 +153,25 @@ def character_table(shape: NShape, ell: int) -> CharacterTable:
     return CharacterTable(ell, columns, rows)
 
 
-# Bits of one class id in the census's key (cli._keyed_fields): four codes fit.
+# Bits of one kind in the census's key (cli._keyed_fields): four kinds fit.
 CLASS_ID_BITS = 2
 
 
 class PrimeTable(dict):
-    """The class ids a census of one ell reads for the odd primes of n, each
-    computed at its first lookup: table[prime] is an id, and table.entries[id]
-    what the census reads about every prime with that id (which of t1, t2,
-    s1, s2 it bumps, its kind and tag letters, its -1 and eps entries).
-    The id is a function of the prime's code, 4 * split + p mod 4, its kind
-    alone: entries carry no sign.  The splitting runs once per residue class
-    mod ell, kept while a later prime of the class can be at most n_max; each
-    split prime's Euler's-criterion check is (ell/p) = +1, by reciprocity;
-    and the entry rule (quartic._prime_entries) runs once per code, as codes
-    first appear, which numbers the ids 0..3.  So a field's shape depends on
-    its parity and its odd primes' ids ascending.  One lives for one scan or
-    verify call (a scan's pool forks with it) and keeps the census's memo
-    per shape class: `rows` for scan (the class's values, their CSV text and
-    f/n), `checks` for verify.  A FieldInput never builds one.
+    """The kinds (prime_kind) a census of one ell reads for the odd primes
+    of n, each computed at its first lookup: a field's shape depends only on
+    its parity and its odd primes' kinds ascending.  The splitting runs once
+    per residue class mod ell, kept while a later prime of the class can be
+    at most n_max, and each split prime's Euler's-criterion check is
+    (ell/p) = +1, by reciprocity.  One lives for one scan or verify call (a
+    scan's pool forks with it) and keeps the census's memo per shape class:
+    `rows` for scan (the class's values, their CSV text and f/n), `checks`
+    for verify.  A FieldInput never builds one.
     """
 
     def __init__(self, ell: int, n_max: float = inf):
         super().__init__()
         self.ell = validate_ell(ell)
-        self.entries: list[tuple] = []
-        self._ids: dict[int, int] = {}
         self._residues: dict[int, SplittingType] = {}  # p mod ell: p's splitting
         self._reuse_to = n_max - 2 * ell  # the class's next odd number is p + 2 * ell
         self.rows: dict[int, tuple] = {}
@@ -193,13 +186,8 @@ class PrimeTable(dict):
                 self._residues[prime % ell] = tag
         if tag is SplittingType.SPLIT and legendre(ell, prime) != 1:  # (ell/p) = (p/ell)
             raise InternalCheckError(f"ell={ell} prime={prime}: split, but ({ell}/{prime}) != 1")
-        code = 4 * (tag is SplittingType.SPLIT) + prime % 4
-        class_id = self._ids.get(code)
-        if class_id is None:
-            self.entries.append(_entry(prime, tag))
-            class_id = self._ids[code] = len(self.entries) - 1
-        self[prime] = class_id
-        return class_id
+        kind = self[prime] = prime_kind(prime, tag)
+        return kind
 
 
 def r_star(table: CharacterTable) -> int:

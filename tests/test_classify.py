@@ -6,7 +6,7 @@ from qtr import classify
 from qtr.classify import PATTERNS, classify_small_rank
 from qtr.errors import InternalCheckError
 from qtr.quad import SplittingType
-from qtr.quartic import _entry, shape_class, validate
+from qtr.quartic import prime_kind, shape_class, validate
 from qtr.rank import rank_closed
 
 from .test_quartic import valid_n_values
@@ -26,7 +26,7 @@ def synthetic_shape(delta, t1, t2, s1, s2):
     ps = [(5 + 4 * i, I) for i in range(t1)] + [(997 + 4 * i, S) for i in range(t2)]
     qs = [(3 + 4 * j, I) for j in range(s1)] + [(999 + 4 * j, S) for j in range(s2)]
     tagged = tuple(sorted(ps + qs))
-    return shape_class(delta, [_entry(p, tag) for p, tag in tagged], tagged)
+    return shape_class(delta, [prime_kind(p, tag) for p, tag in tagged], tagged)
 
 
 class TestPatternTable:

@@ -8,7 +8,6 @@ import pytest
 
 from qtr import cli, quartic, rank
 from qtr.cli import main, pool_size
-from qtr.quad import SplittingType
 from qtr.quartic import validate
 from qtr.rank import rank_closed
 
@@ -262,21 +261,14 @@ class TestRankPathFailuresNamed:
                        "mu=4 r*=1 rank=3 case=p-only:split\n")
 
     def test_verify_counts_every_check_of_a_failed_field(self, capsys, monkeypatch):
-        real = quartic._prime_entries
-
-        def prime_entries(prime, tag):
-            # the -1 entries turn at the code of a split q.  Below 30 over
-            # ell = 37 the split q are 3, 7 and 11 ((37/q) = +1; 19 and 23
-            # are inert), and every other entry's -1 entries are +1 already,
-            # so each field with a split q gets an all-plus -1 row: r* from
-            # the table rises to 1, and cross_path, and hilbert and classify
-            # with it, fail at the 9 such n of the 19 valid n <= 30
-            minus_one, eps = real(prime, tag)
-            if (prime % 4, tag) != (3, SplittingType.SPLIT):
-                return minus_one, eps
-            return tuple(-x for x in minus_one), eps
-
-        monkeypatch.setattr(quartic, "_prime_entries", prime_entries)
+        # the -1 entries turn at the kind of a split q.  Below 30 over
+        # ell = 37 the split q are 3, 7 and 11 ((37/q) = +1; 19 and 23 are
+        # inert), and every other kind's -1 entries are +1 already, so each
+        # field with a split q gets an all-plus -1 row: r* from the table
+        # rises to 1, and cross_path, and hilbert and classify with it, fail
+        # at the 9 such n of the 19 valid n <= 30
+        entries = quartic.KIND_ENTRIES
+        monkeypatch.setattr(quartic, "KIND_ENTRIES", (*entries[:3], ((1, 1), entries[3][1])))
         code, out, err = run(capsys, "verify", "--ell", "37", "--n-max", "30")
         assert code == 3
         failed = (3, 6, 7, 11, 14, 15, 21, 22, 30)

@@ -1,44 +1,70 @@
 """Named faults, each in one rule, and which outputs catch them at ell = 37:
-the checks that fail in `verify --n-max 3000`, and whether the bytes of
-`scan --n-max 3000` and of `table --n 4757` (4757 = 67 * 71, two split q)
-change.  A fault that no check catches is recorded as such."""
+the checks that fail in `verify --n-max 3000`, the exit code of `scan
+--n-max 3000` and whether its bytes change, and whether the bytes of `table
+--n 4757` (4757 = 67 * 71, two split q) change.  A fault that no check
+catches is recorded as such."""
 
 import hashlib
 import json
 
 import pytest
 
-from qtr import quartic, rank
+from qtr import cli, quartic, rank
 from qtr.cli import main
-from qtr.quad import SplittingType
 
 from .test_scan_gate import SCAN_37_3000_SHA256
 
-I, S = SplittingType.INERT, SplittingType.SPLIT
+ALL_CHECKS = {"cross_path", "hilbert", "bridge", "classify"}
 
 
-def entries_fault(p_mod_4, tag, entries):
-    """The entry rule, but with the (-1, eps) entries `entries` for every
-    odd prime of the kind (p mod 4, tag)."""
-    real = quartic._prime_entries
-    return lambda prime, t: entries if (prime % 4, t) == (p_mod_4, tag) else real(prime, t)
+def entries_fault(kind, entries):
+    """The kind table, but with the (-1, eps) entries `entries` for every
+    odd prime of the kind."""
+    table = list(quartic.KIND_ENTRIES)
+    table[kind] = entries
+    return lambda mp: mp.setattr(quartic, "KIND_ENTRIES", tuple(table))
 
 
-def negated_sign():
+def negated_sign(mp):
     real = rank._split_sign
-    return lambda prime, ell: -real(prime, ell)
+    mp.setattr(rank, "_split_sign", lambda prime, ell: -real(prime, ell))
 
 
-# fault: (module, name, the replacement's factory), then the verify checks
-# that fail, and whether the scan and the table bytes change
+def misread_conductor(mp):
+    # e = 2 at (a + b) % 4 == 1 in place of 3, for the census's binding only
+    def conductor_parts(a, b, ell):
+        e = 3 if b % 2 else (2 if (a + b) % 4 == 1 else 0)
+        return e, (1 << e) * a * ell
+
+    mp.setattr(cli, "conductor_parts", conductor_parts)
+
+
+def swapped_census_p(mp):
+    # the census's kinds, with inert and split p swapped
+    real = rank.prime_kind
+    mp.setattr(rank, "prime_kind", lambda prime, tag: (1, 0, 2, 3)[real(prime, tag)])
+
+
+# fault: how to apply it, then the verify checks that fail, the scan's exit
+# code, and whether the scan and the table bytes change
 FAULTS = {
-    "inert q: eps entry +1": (
-        (quartic, "_prime_entries", lambda: entries_fault(3, I, ((1,), (1,)))),
-        {"hilbert"}, False, False),
+    "split sign negated": (negated_sign, set(), 0, False, True),
+    "inert q: eps entry +1": (entries_fault(2, ((1,), (1,))), {"hilbert"}, 0, False, False),
     "split p: eps entries (1, -1)": (
-        (quartic, "_prime_entries", lambda: entries_fault(1, S, ((1, 1), (1, -1)))),
-        {"hilbert"}, False, False),
-    "split sign negated": ((rank, "_split_sign", negated_sign), set(), False, True),
+        entries_fault(1, ((1, 1), (1, -1))), {"hilbert"}, 0, False, False),
+    "split q: -1 entries +1": (
+        entries_fault(3, ((1, 1), (1, -1))), {"classify", "cross_path", "hilbert"}, 3, True, True),
+    "dyadic never ramifies for odd n": (
+        lambda mp: mp.setattr(quartic, "dyadic_ramifies", lambda delta, s: delta == 2),
+        ALL_CHECKS, 3, True, True),
+    "q-no2:inert rank one too high": (
+        lambda mp: mp.setitem(rank._CLOSED_RANK, "q-no2:inert",
+                              lambda t1, t2, s1, s2: s1 + s2),
+        {"classify", "cross_path", "hilbert"}, 3, True, False),
+    "conductor e = 2 at (a + b) % 4 == 1": (misread_conductor, {"bridge"}, 0, True, False),
+    # caught by no verify check: only by the scan pins and
+    # test_census_step_equals_the_record_path
+    "census kind: inert and split p swapped": (swapped_census_p, set(), 0, True, False),
 }
 
 
@@ -52,12 +78,12 @@ def test_which_outputs_catch_a_fault(capsys, monkeypatch, fault):
     monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     table = ("table", "--ell", "37", "--n", "4757")
     _, clean_table = output(capsys, *table)
-    (module, name, replacement), failing, scan_changes, table_changes = FAULTS[fault]
-    monkeypatch.setattr(module, name, replacement())
+    apply, failing, scan_code, scan_changes, table_changes = FAULTS[fault]
+    apply(monkeypatch)
     code, out = output(capsys, "verify", "--ell", "37", "--n-max", "3000", "--format", "json")
     assert code == (3 if failing else 0)
     assert {failure["check"] for failure in json.loads(out)["failures"]} == failing
     code, scan = output(capsys, "scan", "--ell", "37", "--n-max", "3000", "--format", "csv")
-    assert code == 0
+    assert code == scan_code
     assert (hashlib.sha256(scan.encode()).hexdigest() != SCAN_37_3000_SHA256) == scan_changes
     assert (output(capsys, *table) != (0, clean_table)) == table_changes

@@ -63,7 +63,7 @@ class TestNShape:
 
     def test_counts_are_stored_at_build(self):
         shape = n_shape(validate(13, 5 * 43 * 31 * 71))
-        stored = {"t1", "t2", "s1", "s2", "dyadic_ramifies", "mu", "kinds", "tags", "rows"}
+        stored = {"t1", "t2", "s1", "s2", "dyadic_ramifies", "mu", "kinds", "rows"}
         # fields of the record, filled once by shape_class
         assert stored <= set(shape._fields)
         # odd n with three q: the dyadic prime does not ramify; one prime of
@@ -162,17 +162,17 @@ class TestCharacterTable:
 
 class TestPrimeTable:
     def test_memo_table_equals_fresh_table(self, panel_ells):
-        # each odd prime's memo entry: its count, its letters, and its -1 and
-        # eps entries, which in column order are the odd columns of the
+        # each odd prime's table value is its kind, and the kinds' entries
+        # (KIND_ENTRIES), in column order, are the odd columns of the
         # field's own sign-free rows
         for ell in panel_ells[:6]:
             primes = PrimeTable(ell)
             for n in valid_n_values(ell, 400):
                 shape = n_shape(validate(ell, n))
-                entries = [primes.entries[primes[prime]] for prime, _ in shape.tagged]
-                kinds = [prime_kind(prime, tag) for prime, tag in shape.tagged]
-                assert [entry[:3] for entry in entries] == [(k, *KIND_LETTERS[k]) for k in kinds]
-                minus_one, eps = sum((e[3] for e in entries), ()), sum((e[4] for e in entries), ())
+                kinds = [primes[prime] for prime, _ in shape.tagged]
+                assert kinds == [prime_kind(prime, tag) for prime, tag in shape.tagged]
+                entries = [quartic.KIND_ENTRIES[kind] for kind in kinds]
+                minus_one, eps = sum((e[0] for e in entries), ()), sum((e[1] for e in entries), ())
                 odd = slice(1, 1 + len(minus_one))
                 assert (shape.rows[0][odd], shape.rows[1][odd]) == (minus_one, eps), (ell, n)
         # at ell = 5 each residue class holds hundreds of these primes; at
@@ -181,8 +181,7 @@ class TestPrimeTable:
             primes = PrimeTable(ell, **bound)
             for p in range(3, 20000, 2):
                 if p != ell and is_prime(p):
-                    tag = splitting_type(p, ell)
-                    assert primes.entries[primes[p]] == quartic._entry(p, tag), (ell, p)
+                    assert primes[p] == prime_kind(p, splitting_type(p, ell)), (ell, p)
             assert len(primes._residues) == (0 if bound else min(ell - 1, len(primes)))
 
     def test_residue_classes_kept_while_a_later_prime_can_occur(self):
@@ -224,58 +223,50 @@ class TestPrimeTable:
             PrimeTable(17)
 
     def test_equal_entries_share_a_class_id(self, monkeypatch):
-        # 3, 7 split q; 5, 13, 17 inert p; 19 inert q; 41 split p
+        # 3, 7 split q; 5, 13, 17 inert p; 19 inert q; 41 split p: a prime's
+        # key digit is its kind, so primes with equal entries share it
         primes = PrimeTable(37)
-        ids = {p: primes[p] for p in (3, 5, 7, 13, 17, 19, 41)}
-        assert ids[5] == ids[13] == ids[17] and ids[3] == ids[7]
-        entries = primes.entries
-        assert [entries[ids[p]][:3] for p in (3, 5, 19, 41)] == [
-            (3, "q", "S"), (0, "p", "I"), (2, "q", "I"), (1, "p", "S")]
-        assert sorted(set(ids.values())) == [0, 1, 2, 3] and len(entries) == 4
-        real = quartic._prime_entries
-
-        def prime_entries(prime, tag):
-            # a wrong entry at 29, otherwise an inert p like 5
-            minus_one, eps = real(prime, tag)
-            return (minus_one, (-1,)) if prime == 29 else (minus_one, eps)
-
-        monkeypatch.setattr(quartic, "_prime_entries", prime_entries)
-        # the entry rule runs once per code: 29 takes the id of 5's code
-        assert primes[29] == ids[5] and len(entries) == 4
-        # in a fresh table the rule runs at 29, and its wrong entry is that
-        # of every inert p; 41 splits
-        fresh = PrimeTable(37)
-        assert fresh[29] == fresh[5] == fresh[13] == 0 and fresh[41] == 1
-        assert fresh.entries[0][4] == (-1,) and fresh.entries[1][:3] == (1, "p", "S")
+        kinds = {p: primes[p] for p in (3, 5, 7, 13, 17, 19, 41)}
+        assert kinds == {3: 3, 5: 0, 7: 3, 13: 0, 17: 0, 19: 2, 41: 1}
+        assert [KIND_LETTERS[kinds[p]] for p in (3, 5, 19, 41)] == [
+            ("q", "S"), ("p", "I"), ("q", "I"), ("p", "S")]
+        # the table keeps no entries: the shape step reads the kind table,
+        # so a wrong entry there is that of every inert p, 29 and 5 alike
+        monkeypatch.setattr(quartic, "KIND_ENTRIES", (((1,), (-1,)), *quartic.KIND_ENTRIES[1:]))
+        for p in (5, 29):
+            assert cli._class_step(1 << rank.CLASS_ID_BITS | primes[p]).rows[1][1] == -1
 
     def test_a_class_id_fits_its_bits(self):
-        # four codes, one per kind, whatever the primes; a key's digits base
-        # 2**CLASS_ID_BITS are delta and the ids, and read back to the entries
+        # four kinds, whatever the primes; a key's digits base
+        # 2**CLASS_ID_BITS are delta and the kinds, and read back to them
         for ell in (5, 37, 1000000021):
             primes = PrimeTable(ell)
             odd = [p for p in range(3, 5000, 2) if p != ell and is_prime(p)]
-            ids = [primes[p] for p in odd]
-            assert sorted(set(ids)) == [0, 1, 2, 3] == list(range(1 << rank.CLASS_ID_BITS))
+            kinds = [primes[p] for p in odd]
+            assert sorted(set(kinds)) == [0, 1, 2, 3] == list(range(1 << rank.CLASS_ID_BITS))
             for delta in (1, 2):
                 key = delta
-                for class_id in ids[:12]:
-                    key = key << rank.CLASS_ID_BITS | class_id
-                entries = [primes.entries[class_id] for class_id in ids[:12]]
-                assert cli._class_step(primes, key) == quartic.shape_class(delta, entries)
+                for kind in kinds[:12]:
+                    key = key << rank.CLASS_ID_BITS | kind
+                assert cli._class_step(key) == quartic.shape_class(delta, kinds[:12])
 
 
 @given(delta=st.sampled_from((1, 2)), kinds=st.lists(st.integers(0, 3), max_size=8),
        data=st.data())
 def test_signs_change_no_r_star_and_no_row_product(delta, kinds, data):
-    # any entry sequence, any sign per split prime: multiplying the signs
+    # any kind sequence, any sign per split prime: multiplying the signs
     # into the eps and -eps entries of each split prime's two columns, as a
-    # printed table does, keeps r* and each row's product
-    entries = [quartic._entry(3 if kind >> 1 else 5, S if kind & 1 else I) for kind in kinds]
-    shape = quartic.shape_class(delta, entries)
+    # printed table does, keeps r* and each row's product; and the key of
+    # delta and the kinds reads back to the same shape
+    shape = quartic.shape_class(delta, kinds)
+    key = delta
+    for kind in kinds:
+        key = key << rank.CLASS_ID_BITS | kind
+    assert cli._class_step(key) == shape
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(kinds), max_size=len(kinds)))
     signed = [1]  # sqrt(ell)
-    for entry, sign in zip(entries, signs):
-        signed += [sign if entry[2] == "S" else 1] * len(entry[3])
+    for kind, sign in zip(kinds, signs):
+        signed += [sign if kind & 1 else 1] * len(quartic.KIND_ENTRIES[kind][0])  # split
     signed += [1] * (shape.mu - len(signed))  # the dyadic prime
     rows = (shape.rows[0], *(tuple(x * s for x, s in zip(row, signed)) for row in shape.rows[1:]))
     assert rank._rows_r_star(rows) == rank._rows_r_star(shape.rows)

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -58,6 +59,40 @@ def test_scan_text_bytes(capsys, monkeypatch, options):
     assert main(["scan", "--ell", "37", "--n-max", "30000", *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_TEXT_30000_SHA256[options]
+
+
+# sha256 over `qtr verify --ell E --n-max 3000 --format json` for the twelve
+# panel ells, each request's argv, exit code and stdout in turn.
+VERIFY_PANEL_3000_SHA256 = "9cbe07f73980b8961c75e9a102b554e41e7add046b1ee8791c9ad436737704f7"
+
+
+def test_verify_panel_json_bytes(capsys, monkeypatch, panel_ells):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    h = hashlib.sha256()
+    for ell in panel_ells:
+        argv = ["verify", "--ell", str(ell), "--n-max", "3000", "--format", "json"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        h.update(f"{' '.join(argv)}\n{code} {len(out)}\n{out}".encode())
+    assert h.hexdigest() == VERIFY_PANEL_3000_SHA256
+
+
+# stdout of `qtr verify --ell 37 --n-max 3000` in text and CSV; stderr is empty.
+VERIFY_37_3000 = {
+    "text": ["ell = 37, n <= 3000: 1776 fields checked",
+             *(f"  {check}: 1776 pass, 0 fail"
+               for check in ("cross_path", "hilbert", "bridge", "classify"))],
+    "csv": ["check,pass,fail",
+            *(f"{check},1776,0" for check in ("cross_path", "hilbert", "bridge", "classify"))],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_37_3000))
+def test_verify_bytes(capsys, monkeypatch, fmt):
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+    assert main(["verify", "--ell", "37", "--n-max", "3000", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("".join(line + "\n" for line in VERIFY_37_3000[fmt]), "")
 
 
 def count_calls(monkeypatch, module: str, name: str) -> list:
@@ -234,7 +269,7 @@ def test_scan_below_one_window(capsys, monkeypatch, n_max, fmt, expected):
 def factored_step(primes, n):
     """The census step of n from factor_squarefree: the skip reason in
     FieldInput's order, or the key folded from n's parity and its odd
-    primes' class ids ascending."""
+    primes' kinds ascending."""
     try:
         factors = factor_squarefree(n)
     except NotSquarefree:
@@ -409,13 +444,13 @@ def test_census_step_equals_the_record_path(ell):
     primes = PrimeTable(ell)
     got = [row for lo, hi in cli._windows(3000) for row in window_rows(primes, lo, hi)]
     assert got == record_steps(ell, 1, 3001)
-    # the census's record of each field's class, built from the memoized
-    # entries, equals the field's own record, rows (and so signs) included
+    # the census's record of each field's class, decoded from the kinds in
+    # its key, equals the field's own record, rows (and so signs) included
     for lo, hi in cli._windows(3000):
         for n, key in zip(range(lo, hi), cli._keyed_fields(primes, lo, hi)):
             if type(key) is int:
                 own = FieldInput(ell, n).shape._replace(tagged=())
-                assert cli._class_step(primes, key) == own, n
+                assert cli._class_step(key) == own, n
 
 
 @pytest.mark.parametrize("ell", [37, 1000000021])
@@ -497,6 +532,21 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
     primes = PrimeTable(37)
     assert first + second == "".join(cli._window_step(primes, lo, hi, False, None, True)
                                      for lo, hi in cli._windows(2 * _CHUNK))
+
+
+def test_a_scan_makes_its_windows_as_they_run():
+    # a list of every window's step would hold 1,953,125 tuples at
+    # n_max = 1e9; the first window comes with a few MB at most
+    tracemalloc.start()
+    try:
+        windows = cli._scan_windows(37, 10**9, 1, False, None, True)
+        first = next(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    windows.close()
+    assert first == cli._window_step(PrimeTable(37), 1, _CHUNK + 1, False, None, True)
+    assert peak < 4 * 2**20
 
 
 def test_a_pooled_scan_builds_one_prime_table(capsys, monkeypatch):
