@@ -26,15 +26,15 @@ import json
 import os
 import sys
 from itertools import islice
-from math import isqrt, prod
+from math import inf, isqrt, prod
 
 from .classify import classify_small_rank, small_rank_pattern
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive
-from .ntheory import base_primes, two_squares
-from .quad import fundamental_unit
+from .ntheory import base_primes, legendre, two_squares
+from .quad import SplittingType, fundamental_unit, splitting_type
 from .quartic import (KIND_LETTERS, NShape, conductor, conductor_parts, defining_polynomial,
-                      shape_class, to_williams, validate, validate_ell, williams_abc)
-from .rank import CLASS_ID_BITS, UNIT_LABELS, PrimeTable, character_table, flat_ranks
+                      prime_kind, shape_class, to_williams, validate, validate_ell, williams_abc)
+from .rank import UNIT_LABELS, character_table, flat_ranks
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
@@ -49,6 +49,41 @@ def _shape_text(shape: NShape) -> str:
         return "1"
     kinds, tags = zip(*(KIND_LETTERS[kind] for kind in shape.kinds))
     return f"{'·'.join(kinds)} [{','.join(tags)}]"
+
+
+# Bits of one kind in the census's key (_keyed_fields): four kinds fit.
+CLASS_ID_BITS = 2
+
+
+class PrimeTable(dict):
+    """The kinds (prime_kind) of the odd primes of n that a census of one
+    ell reads, each computed at its first lookup.  The splitting runs once
+    per residue class mod ell, kept while a later prime of the class can be
+    at most n_max; each split prime's Euler's-criterion check is (ell/p) =
+    +1, by reciprocity.  One serves one scan or verify call (a scan's pool
+    forks with it) and keeps its memo per shape class, `classes`: a scan
+    row's parts (_shape_row) or verify's conductor exponent (_class_checks).
+    A FieldInput never builds one.
+    """
+
+    def __init__(self, ell: int, n_max: float = inf):
+        super().__init__()
+        self.ell = validate_ell(ell)
+        self._residues: dict[int, SplittingType] = {}  # p mod ell: p's splitting
+        self._reuse_to = n_max - 2 * ell  # the class's next odd number is p + 2 * ell
+        self.classes: dict[int, tuple | int] = {}
+
+    def __missing__(self, prime: int) -> int:
+        ell = self.ell
+        tag = self._residues.get(prime % ell)
+        if tag is None:
+            tag = splitting_type(prime, ell)
+            if prime <= self._reuse_to:
+                self._residues[prime % ell] = tag
+        if tag is SplittingType.SPLIT and legendre(ell, prime) != 1:  # (ell/p) = (p/ell)
+            raise InternalCheckError(f"ell={ell} prime={prime}: split, but ({ell}/{prime}) != 1")
+        kind = self[prime] = prime_kind(prime, tag)
+        return kind
 
 
 def _windows(n_max: int):
@@ -100,8 +135,8 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
 
 def _class_step(key: int) -> NShape:
     """The shape record of the shape class of key (quartic.shape_class, with
-    no tagged primes), whose digits (see _keyed_fields) are delta and the
-    kinds of its odd primes."""
+    no primes), whose digits (see _keyed_fields) are delta and the kinds of
+    its odd primes."""
     kinds = []
     while key >> CLASS_ID_BITS:
         key, kind = divmod(key, 1 << CLASS_ID_BITS)
@@ -109,16 +144,14 @@ def _class_step(key: int) -> NShape:
     return shape_class(key, kinds[::-1])
 
 
-def _shape_row(primes: PrimeTable, n: int, key: int) -> tuple[tuple, str, int]:
-    """What the shape class of key gives each of its scan rows, once both
-    rank paths agree at n: the values between n and the conductor in
+def _shape_row(ell: int, n: int, shape: NShape) -> tuple[tuple, str, int]:
+    """What a field (ell, n) of the given shape writes in a scan row, once
+    both rank paths agree at n: the values between n and the conductor in
     SCAN_FIELDS order, their CSV text (_csv_text, so the csv module does the
-    quoting), and f/n = 2^e * ell/delta, the same on the whole class: for
-    even n, b is the odd leg of ell, so e = 3; for odd n, b = 2 (mod 4) and
-    n = (-1)^s (mod 4), so e = 2 or 0 by the parity of s, which the key
-    fixes.  verify's bridge check still reads e at every field."""
-    ell = primes.ell
-    shape = _class_step(key)
+    quoting), and f/n = 2^e * ell/delta, the same on the whole shape class:
+    for even n, b is the odd leg of ell, so e = 3; for odd n, b = 2 (mod 4)
+    and n = (-1)^s (mod 4), so e = 2 or 0 by the parity of s, which the
+    class fixes.  verify's bridge check still reads e at every field."""
     mu, r_star, rank, case = flat_ranks(ell, n, shape)
     f = conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
     if f % n:
@@ -138,10 +171,10 @@ def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
     and rank_filter keep, as value tuples in SCAN_FIELDS order, or as CSV
     text.  With include_skipped, each row has a reason, and a rejected n has
     only n and it.  The first field of each shape class builds its values,
-    their text and f/n (_shape_row) and keeps them in primes.rows, unless a
+    their text and f/n (_shape_row) and keeps them in primes.classes, unless a
     check fails; the rest of the class reads them there, so its CSV line is
     n, the class's text and n * f/n."""
-    memo = primes.rows
+    memo, ell = primes.classes, primes.ell
     end, reason = (",\n", ("",)) if include_skipped else ("\n", ())
     out = []
     for n, key in zip(range(lo, hi), _keyed_fields(primes, lo, hi)):
@@ -151,7 +184,7 @@ def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
             continue
         shape = memo.get(key)
         if shape is None:
-            shape = memo[key] = _shape_row(primes, n, key)
+            shape = memo[key] = _shape_row(ell, n, _class_step(key))
         values, text, ratio = shape
         if rank_filter is not None and values[_CLASS_RANK] != rank_filter:
             continue
@@ -294,14 +327,15 @@ def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str) -> None:
 
 def cmd_rank(args, fmt: str) -> int:
     """Both rank paths on the field's shape (flat_ranks, as in the census),
-    and the character table of its rows."""
+    and the character table of its rows; in CSV, the field's scan row
+    (_shape_row)."""
     field = validate(args.ell, args.n)
     ell, n, shape = field.ell, field.n, field.shape
-    mu, r_star, rank, case = flat_ranks(ell, n, shape)
     if fmt == "csv":
-        _emit_table_rows([(n, shape.delta, _shape_text(shape), mu, r_star, rank, case,
-                           conductor(to_williams(field), ell).f)], SCAN_FIELDS, "csv")
+        values, _, ratio = _shape_row(ell, n, shape)
+        _emit_table_rows([(n, *values, n * ratio)], SCAN_FIELDS, "csv")
         return 0
+    mu, r_star, rank, case = flat_ranks(ell, n, shape)
     table = character_table(shape, ell)
     if fmt == "json":
         print(json.dumps({"ell": ell, "n": n, "rank": rank, "mu": mu, "r_star": r_star,
@@ -337,12 +371,11 @@ def cmd_scan(args, fmt: str) -> int:
 _CHECKS = ("cross_path", "hilbert", "bridge", "classify")
 
 
-def _class_checks(primes: PrimeTable, n: int, key: int) -> tuple[bool, tuple]:
-    """The dyadic flag of the shape class of key, and whether the class
-    passes cross_path, hilbert and classify at n; a cross_path failure goes
-    to stderr, named by n."""
-    ell = primes.ell
-    shape = _class_step(key)
+def _class_checks(ell: int, n: int, shape: NShape) -> tuple[int, tuple]:
+    """The conductor exponent e of a shape class, and whether the class
+    passes cross_path, hilbert and classify at its field n; a cross_path
+    failure goes to stderr, named by n.  e is 3 for even n (b odd) and, for
+    odd n, 2 or 0 as the dyadic prime ramifies or not (see _shape_row)."""
     try:
         rank = flat_ranks(ell, n, shape).rank
     except InternalCheckError as exc:
@@ -350,19 +383,21 @@ def _class_checks(primes: PrimeTable, n: int, key: int) -> tuple[bool, tuple]:
         rank = None
     pattern = small_rank_pattern(shape, ell, n)
     small = pattern.rank if pattern else None  # None from rank 4 on
+    e = 3 if shape.delta == 2 else (2 if shape.dyadic_ramifies else 0)
     # hilbert and classify read the rank results, so they fail with them
-    return shape.dyadic_ramifies, (rank is not None,
-                                   rank is not None and tuple(map(prod, shape.rows)) == (1, 1, 1),
-                                   rank is not None and small == (rank if rank <= 3 else None))
+    return e, (rank is not None,
+               rank is not None and tuple(map(prod, shape.rows)) == (1, 1, 1),
+               rank is not None and small == (rank if rank <= 3 else None))
 
 
 def cmd_verify(args, fmt: str) -> int:
     """Re-check every built-in invariant over all valid n <= n_max.  bridge
-    runs on every field; the other checks run once per shape class, whose
-    dyadic flag primes.checks keeps once all three pass.  A class that fails
-    one is checked again at each of its fields, so each failure names its n."""
+    compares each field's conductor exponent with its class's; the other
+    checks run once per shape class, whose exponent primes.classes keeps
+    once all three pass.  A class that fails one is checked again at each of
+    its fields, so each failure names its n."""
     primes = PrimeTable(args.ell, args.n_max)
-    memo = primes.checks
+    memo = primes.classes
     ell, legs = primes.ell, two_squares(primes.ell)
     failures: list[tuple[int, str]] = []
     fields_checked = 0
@@ -373,14 +408,14 @@ def cmd_verify(args, fmt: str) -> int:
             a, b, _ = williams_abc(n, legs)
             e = conductor_parts(a, b, ell)[0]
             fields_checked += 1
-            dyadic = memo.get(key)
-            if dyadic is None:
-                dyadic, (cross_path, hilbert, classify) = _class_checks(primes, n, key)
+            expected = memo.get(key)
+            if expected is None:
+                expected, (cross_path, hilbert, classify) = _class_checks(ell, n, _class_step(key))
                 if cross_path and hilbert and classify:
-                    memo[key] = dyadic
-                passed = (cross_path, hilbert, (e == 0) == (not dyadic), classify)
+                    memo[key] = expected
+                passed = (cross_path, hilbert, e == expected, classify)
                 failures += [(n, check) for check, ok in zip(_CHECKS, passed) if not ok]
-            elif (e == 0) == dyadic:
+            elif e != expected:
                 failures.append((n, "bridge"))
     checks = {check: fields_checked - sum(1 for _, c in failures if c == check)
               for check in _CHECKS}

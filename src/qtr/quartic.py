@@ -46,7 +46,7 @@ def ramified_count(t1: int, t2: int, s1: int, s2: int, dyadic: bool) -> int:
 
 
 # The character-table entry rule, indexed by kind as KIND_LETTERS: an odd
-# prime's (-1, eps) entries, one per column of rank._odd_columns, a split
+# prime's (-1, eps) entries, one per column (rank.ram_profile), a split
 # prime's sign left out (character_table adds it); eps = (u + v*sqrt(ell))/2, norm -1.
 #   inert p = 1 (mod 4): (+, +); inert q = 3 (mod 4): (+, -) -- the eps
 #     character at an inert prime r is (-1/r) because eps^(r+1) = -1 there.
@@ -59,14 +59,15 @@ KIND_ENTRIES = (((1,), (1,)), ((1, 1), (1, 1)), ((1,), (-1,)), ((-1, -1), (1, -1
 class NShape(NamedTuple):
     """The shape of n = delta * (primes = 1 mod 4) * (primes = 3 mod 4) over
     k, everything both rank paths read: delta (2 exactly when n is even);
-    the odd (prime, tag) ascending (empty in a census record, which has no
-    primes); whether the prime above 2 ramifies; the counts t1/t2 and s1/s2
-    of the inert/split p- and q-factors; mu, the number of ramified primes
-    of k; the odd primes' kinds ascending; and the rows -1, eps, -eps of
-    the character table, split signs left out.  shape_class builds it."""
+    the odd primes ascending, which only a character table's columns read
+    (empty in a census record); whether the prime above 2 ramifies; the
+    counts t1/t2 and s1/s2 of the inert/split p- and q-factors; mu, the
+    number of ramified primes of k; the odd primes' kinds ascending; and the
+    rows -1, eps, -eps of the character table, split signs left out.
+    shape_class builds it."""
 
     delta: int
-    tagged: tuple[tuple[int, SplittingType], ...]
+    primes: tuple[int, ...]
     dyadic_ramifies: bool
     t1: int
     t2: int
@@ -77,10 +78,9 @@ class NShape(NamedTuple):
     rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def shape_class(delta: int, kinds: Sequence[int],
-                tagged: tuple[tuple[int, SplittingType], ...] = ()) -> NShape:
+def shape_class(delta: int, kinds: Sequence[int], primes: tuple[int, ...] = ()) -> NShape:
     """The shape step: the NShape of n from its delta, its odd primes'
-    kinds ascending (prime_kind) and, for the single-field path, their tags.
+    kinds ascending (prime_kind) and, for the single-field path, the primes.
     The rows are in column order: sqrt(ell) with (+, -), as eps reduces to a
     non-residue there; each odd prime's KIND_ENTRIES; and, when it ramifies,
     the dyadic prime with (+, (-1)^(s+1)) for the number s of q-factors.  The
@@ -98,14 +98,13 @@ def shape_class(delta: int, kinds: Sequence[int],
         row_m1.append(1)
         row_eps.append(1 if (s1 + s2) % 2 else -1)
     rows = (tuple(row_m1), tuple(row_eps), tuple(map(mul, row_m1, row_eps)))
-    return NShape(delta, tagged, dyadic, t1, t2, s1, s2, ramified_count(t1, t2, s1, s2, dyadic),
+    return NShape(delta, primes, dyadic, t1, t2, s1, s2, ramified_count(t1, t2, s1, s2, dyadic),
                   tuple(kinds), rows)
 
 
 class _FieldFields(NamedTuple):
     ell: int
     n: int
-    primes: tuple[int, ...]
     shape: NShape
 
 
@@ -113,8 +112,8 @@ class FieldInput(_FieldFields):
     """Valid (ell, n): ell prime = 5 (mod 8), n squarefree, coprime to ell.
 
     The one record per field.  FieldInput(ell, n) checks each hypothesis in
-    turn or raises the named error, factors n once, and keeps its primes and
-    shape, whose kinds it computes afresh from each odd prime's tag.
+    turn or raises the named error, factors n once, and keeps its shape,
+    whose kinds it computes afresh from each odd prime's splitting.
     """
 
     __slots__ = ()
@@ -123,12 +122,11 @@ class FieldInput(_FieldFields):
         validate_ell(ell)
         if n < 1:
             raise NNotPositive(f"n = {n} is not a positive integer")
-        primes = tuple(factor_squarefree(n))  # raises NotSquarefree
+        primes = tuple([p for p in factor_squarefree(n) if p != 2])  # raises NotSquarefree
         if n % ell == 0:
             raise NotCoprime(f"gcd(n, ell) = {ell} > 1")
-        tagged = tuple([(p, splitting_type(p, ell)) for p in primes if p != 2])
-        kinds = [prime_kind(p, tag) for p, tag in tagged]
-        return super().__new__(cls, ell, n, primes, shape_class(2 - n % 2, kinds, tagged))
+        kinds = [prime_kind(p, splitting_type(p, ell)) for p in primes]
+        return super().__new__(cls, ell, n, shape_class(2 - n % 2, kinds, primes))
 
     def __getnewargs__(self):
         return self.ell, self.n

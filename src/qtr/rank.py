@@ -11,7 +11,7 @@ k has one fundamental unit and contains -1, which fixes the constant 3.
 
 Both paths read one record, the NShape of quartic.shape_class: a
 FieldInput's shape for the single-field path, or a shape class's record for
-the census, whose kinds come from its PrimeTable.  Each path is stated
+the census, whose kinds come from its cli.PrimeTable.  Each path is stated
 once, over that record (_closed_rank, _unified_rank): flat_ranks runs both,
 rank_closed and rank_unified one each.  They share the family name and the
 shape's r* (_case_r_star), but the closed rank comes only from the case
@@ -21,29 +21,26 @@ everywhere is the central correctness check of the package.
 
 from __future__ import annotations
 
-from math import inf, prod
+from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
-from .ntheory import legendre, quartic_symbol
-from .quad import SplittingType, splitting_type
-from .quartic import FieldInput, NShape, prime_kind, validate_ell
+from .ntheory import quartic_symbol
+from .quartic import KIND_ENTRIES, FieldInput, NShape
 
 UNIT_LABELS = ("-1", "eps", "-eps")
 
 
 class Column(NamedTuple):
-    """One ramified prime of k: the kind determines its character entries."""
+    """One ramified prime of k: sqrt(ell) (prime None), the dyadic one (2),
+    or one above an odd prime of n, the second of a split pair conjugate."""
 
-    kind: str  # sqrt_ell | inert_p | split_p | inert_q | split_q | dyadic
     prime: Optional[int] = None
     conjugate: bool = False
 
     def label(self, ell: int) -> str:
-        if self.kind == "sqrt_ell":
+        if self.prime is None:
             return f"sqrt({ell})"
-        if self.kind == "dyadic":
-            return "2"
         return f"{self.prime}'" if self.conjugate else f"{self.prime}"
 
 
@@ -113,27 +110,16 @@ def n_shape(field: FieldInput) -> NShape:
     return field.shape
 
 
-_SQRT_ELL = Column("sqrt_ell")
-_DYADIC = Column("dyadic", 2)
-
-
-def _odd_columns(prime: int, tag: SplittingType) -> tuple[Column, ...]:
-    """The primes of k above an odd prime of n: one inert column, or a split
-    pair with the unbarred conjugate first."""
-    kind = "p" if prime % 4 == 1 else "q"
-    if tag is SplittingType.SPLIT:
-        return (Column(f"split_{kind}", prime), Column(f"split_{kind}", prime, conjugate=True))
-    return (Column(f"inert_{kind}", prime),)
-
-
 def ram_profile(shape: NShape) -> RamProfile:
     """Ramified primes of k in K, in the output order of the table columns:
-    sqrt(ell) first, the odd primes ascending, the dyadic prime last."""
-    columns = [_SQRT_ELL]
-    for prime, tag in shape.tagged:
-        columns += _odd_columns(prime, tag)
+    sqrt(ell) first, the odd primes ascending, each with one column per
+    entry of its kind (KIND_ENTRIES; a split pair has the unbarred
+    conjugate first), the dyadic prime last."""
+    columns = [Column()]
+    for prime, kind in zip(shape.primes, shape.kinds):
+        columns += [Column(prime, i > 0) for i in range(len(KIND_ENTRIES[kind][0]))]
     if shape.dyadic_ramifies:
-        columns.append(_DYADIC)
+        columns.append(Column(2))
     return RamProfile(tuple(columns), len(columns))
 
 
@@ -145,49 +131,13 @@ def _split_sign(prime: int, ell: int) -> int:
 def character_table(shape: NShape, ell: int) -> CharacterTable:
     """Norm-residue characters of -1, eps and -eps at each ramified prime:
     the shape's rows under the columns of its ram_profile, with each split
-    prime's sign (_split_sign) multiplied into its eps and -eps entries."""
+    prime's sign (_split_sign) multiplied into its eps and -eps entries: a
+    split prime is one with a conjugate column."""
     columns = ram_profile(shape).columns
-    signs = {p: _split_sign(p, ell) for p, tag in shape.tagged if tag is SplittingType.SPLIT}
+    signs = {col.prime: _split_sign(col.prime, ell) for col in columns if col.conjugate}
     signed = [signs.get(col.prime, 1) for col in columns]
     rows = (shape.rows[0], *(tuple(x * s for x, s in zip(row, signed)) for row in shape.rows[1:]))
     return CharacterTable(ell, columns, rows)
-
-
-# Bits of one kind in the census's key (cli._keyed_fields): four kinds fit.
-CLASS_ID_BITS = 2
-
-
-class PrimeTable(dict):
-    """The kinds (prime_kind) a census of one ell reads for the odd primes
-    of n, each computed at its first lookup: a field's shape depends only on
-    its parity and its odd primes' kinds ascending.  The splitting runs once
-    per residue class mod ell, kept while a later prime of the class can be
-    at most n_max, and each split prime's Euler's-criterion check is
-    (ell/p) = +1, by reciprocity.  One lives for one scan or verify call (a
-    scan's pool forks with it) and keeps the census's memo per shape class:
-    `rows` for scan (the class's values, their CSV text and f/n), `checks`
-    for verify.  A FieldInput never builds one.
-    """
-
-    def __init__(self, ell: int, n_max: float = inf):
-        super().__init__()
-        self.ell = validate_ell(ell)
-        self._residues: dict[int, SplittingType] = {}  # p mod ell: p's splitting
-        self._reuse_to = n_max - 2 * ell  # the class's next odd number is p + 2 * ell
-        self.rows: dict[int, tuple] = {}
-        self.checks: dict[int, bool] = {}
-
-    def __missing__(self, prime: int) -> int:
-        ell = self.ell
-        tag = self._residues.get(prime % ell)
-        if tag is None:
-            tag = splitting_type(prime, ell)
-            if prime <= self._reuse_to:
-                self._residues[prime % ell] = tag
-        if tag is SplittingType.SPLIT and legendre(ell, prime) != 1:  # (ell/p) = (p/ell)
-            raise InternalCheckError(f"ell={ell} prime={prime}: split, but ({ell}/{prime}) != 1")
-        kind = self[prime] = prime_kind(prime, tag)
-        return kind
 
 
 def r_star(table: CharacterTable) -> int:
@@ -246,16 +196,12 @@ _CLOSED_RANK: dict[str, Callable[[int, int, int, int], int]] = {
 }
 
 
-def _shape_r_star(s2: int) -> int:
-    """r* from the shape alone: 1 exactly when no q-factor splits in k."""
-    return 1 if s2 == 0 else 0
-
-
 def _case_r_star(shape: NShape) -> tuple[str, int]:
-    """The shape's family (_case_tag) and r* (_shape_r_star), by which both
-    paths name their result and against which they check it."""
+    """The shape's family (_case_tag) and r* from the shape alone, 1 exactly
+    when no q-factor splits in k, by which both paths name their result and
+    against which they check it."""
     return (_case_tag(shape.dyadic_ramifies, shape.t1, shape.t2, shape.s1, shape.s2),
-            _shape_r_star(shape.s2))
+            1 if shape.s2 == 0 else 0)
 
 
 def _closed_rank(shape: NShape, case: str) -> int:

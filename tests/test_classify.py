@@ -25,8 +25,9 @@ def synthetic_shape(delta, t1, t2, s1, s2):
     The stand-in primes are 1 (mod 4) for p and 3 (mod 4) for q."""
     ps = [(5 + 4 * i, I) for i in range(t1)] + [(997 + 4 * i, S) for i in range(t2)]
     qs = [(3 + 4 * j, I) for j in range(s1)] + [(999 + 4 * j, S) for j in range(s2)]
-    tagged = tuple(sorted(ps + qs))
-    return shape_class(delta, [prime_kind(p, tag) for p, tag in tagged], tagged)
+    tagged = sorted(ps + qs)
+    return shape_class(delta, [prime_kind(p, tag) for p, tag in tagged],
+                       tuple(p for p, _ in tagged))
 
 
 class TestPatternTable:

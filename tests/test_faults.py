@@ -30,19 +30,31 @@ def negated_sign(mp):
     mp.setattr(rank, "_split_sign", lambda prime, ell: -real(prime, ell))
 
 
-def misread_conductor(mp):
-    # e = 2 at (a + b) % 4 == 1 in place of 3, for the census's binding only
+def conductor_fault(exponent):
+    """The census's binding of conductor_parts, with e = exponent(a, b)."""
     def conductor_parts(a, b, ell):
-        e = 3 if b % 2 else (2 if (a + b) % 4 == 1 else 0)
+        e = exponent(a, b)
         return e, (1 << e) * a * ell
 
-    mp.setattr(cli, "conductor_parts", conductor_parts)
+    return lambda mp: mp.setattr(cli, "conductor_parts", conductor_parts)
+
+
+def mu_fault(count):
+    """quartic.ramified_count replaced by count(t1, t2, s1, s2, dyadic)."""
+    return lambda mp: mp.setattr(quartic, "ramified_count", count)
 
 
 def swapped_census_p(mp):
     # the census's kinds, with inert and split p swapped
-    real = rank.prime_kind
-    mp.setattr(rank, "prime_kind", lambda prime, tag: (1, 0, 2, 3)[real(prime, tag)])
+    real = cli.prime_kind
+    mp.setattr(cli, "prime_kind", lambda prime, tag: (1, 0, 2, 3)[real(prime, tag)])
+
+
+def reversed_class_kinds(mp):
+    # the census's shape step, handed each class's kinds in reverse by
+    # cli._class_step
+    real = cli.shape_class
+    mp.setattr(cli, "shape_class", lambda delta, kinds, primes=(): real(delta, kinds[::-1]))
 
 
 # fault: how to apply it, then the verify checks that fail, the scan's exit
@@ -61,10 +73,28 @@ FAULTS = {
         lambda mp: mp.setitem(rank._CLOSED_RANK, "q-no2:inert",
                               lambda t1, t2, s1, s2: s1 + s2),
         {"classify", "cross_path", "hilbert"}, 3, True, False),
-    "conductor e = 2 at (a + b) % 4 == 1": (misread_conductor, {"bridge"}, 0, True, False),
-    # caught by no verify check: only by the scan pins and
-    # test_census_step_equals_the_record_path
+    "mu counts a split q once": (
+        mu_fault(lambda t1, t2, s1, s2, dyadic: 1 + t1 + 2 * t2 + s1 + s2 + dyadic),
+        {"classify", "cross_path", "hilbert"}, 3, True, False),
+    "mu leaves out the dyadic prime": (
+        mu_fault(lambda t1, t2, s1, s2, dyadic: 1 + t1 + 2 * t2 + s1 + 2 * s2),
+        {"classify", "cross_path", "hilbert"}, 3, True, False),
+    # for odd n, a is odd and b = 2 (mod 4), so this swaps e = 0 and 2
+    "conductor e = 2 at (a + b) % 4 == 1": (
+        conductor_fault(lambda a, b: 3 if b % 2 else (2 if (a + b) % 4 == 1 else 0)),
+        {"bridge"}, 0, True, False),
+    "conductor e = 2 for odd b": (
+        conductor_fault(lambda a, b: 2 if b % 2 else (2 if (a + b) % 4 == 3 else 0)),
+        {"bridge"}, 0, True, False),
+    "conductor e = 2 for every odd n": (
+        conductor_fault(lambda a, b: 3 if b % 2 else 2), {"bridge"}, 0, True, False),
+    "conductor e = 0 for every odd n": (
+        conductor_fault(lambda a, b: 3 if b % 2 else 0), {"bridge"}, 0, True, False),
+    # caught by no verify check, whose class checks read the census's own
+    # record: only by the scan pins and the census tests against the record
+    # path (test_census_step_equals_the_record_path)
     "census kind: inert and split p swapped": (swapped_census_p, set(), 0, True, False),
+    "census class step: kinds reversed": (reversed_class_kinds, set(), 0, True, False),
 }
 
 

@@ -12,10 +12,10 @@ from qtr.errors import EllNotFiveMod8, InternalCheckError
 from qtr.ntheory import is_prime
 from qtr.quad import SplittingType, splitting_type
 from qtr.quartic import KIND_LETTERS, prime_kind, ramified_count, validate
+from qtr.cli import CLASS_ID_BITS, PrimeTable
 from qtr.rank import (
     CharacterTable,
     Column,
-    PrimeTable,
     RankResult,
     character_table,
     n_shape,
@@ -34,7 +34,7 @@ I, S = SplittingType.INERT, SplittingType.SPLIT
 class TestNShape:
     def test_empty(self):
         shape = n_shape(validate(173, 1))
-        assert (shape.delta, shape.tagged) == (1, ())
+        assert (shape.delta, shape.primes, shape.kinds) == (1, (), ())
         assert (shape.t1 + shape.t2, shape.s1 + shape.s2) == (0, 0)
 
     def test_even_mixed(self):
@@ -43,13 +43,14 @@ class TestNShape:
         assert 17 % 29 not in squares and 11 % 29 not in squares
         shape = n_shape(validate(29, 374))
         assert shape.delta == 2
-        assert shape.tagged == ((11, I), (17, I))
+        # 11 is an inert q and 17 an inert p
+        assert (shape.primes, shape.kinds) == ((11, 17), (2, 0))
         assert (shape.t1 + shape.t2, shape.s1 + shape.s2, shape.t2, shape.s2) == (1, 1, 0, 0)
 
     def test_inert_and_split_p(self):
         # 3293 = 37 * 89; mod 5: 37 = 2 (non-residue), 89 = 4 (residue)
         shape = n_shape(validate(5, 3293))
-        assert shape.tagged == ((37, I), (89, S))
+        assert (shape.primes, shape.kinds) == ((37, 89), (prime_kind(37, I), prime_kind(89, S)))
         assert (shape.t1 + shape.t2, shape.s1 + shape.s2) == (2, 0)
         assert (shape.t1, shape.t2) == (1, 1)
         # one prime of k above the inert p, two above the split one
@@ -88,8 +89,10 @@ class TestRamProfile:
         shape = n_shape(validate(101, 13))
         profile = ram_profile(shape)
         assert (profile.mu, shape.dyadic_ramifies, shape.t1 + 2 * shape.t2) == (4, True, 2)
-        kinds = [col.kind for col in profile.columns]
-        assert kinds == ["sqrt_ell", "split_p", "split_p", "dyadic"]
+        # 13 is a split p over 101: one column per entry of its kind
+        assert shape.kinds == (1,) and len(quartic.KIND_ENTRIES[1][0]) == 2
+        labels = [col.label(101) for col in profile.columns]
+        assert labels == ["sqrt(101)", "13", "13'", "2"]
 
     def test_column_order_is_ascending_with_pairs_adjacent(self):
         # 4757 = 67 * 71 over ell = 37: 67 splits, 71 splits (both q)
@@ -169,8 +172,9 @@ class TestPrimeTable:
             primes = PrimeTable(ell)
             for n in valid_n_values(ell, 400):
                 shape = n_shape(validate(ell, n))
-                kinds = [primes[prime] for prime, _ in shape.tagged]
-                assert kinds == [prime_kind(prime, tag) for prime, tag in shape.tagged]
+                kinds = [primes[prime] for prime in shape.primes]
+                assert kinds == list(shape.kinds)
+                assert kinds == [prime_kind(p, splitting_type(p, ell)) for p in shape.primes]
                 entries = [quartic.KIND_ENTRIES[kind] for kind in kinds]
                 minus_one, eps = sum((e[0] for e in entries), ()), sum((e[1] for e in entries), ())
                 odd = slice(1, 1 + len(minus_one))
@@ -196,11 +200,11 @@ class TestPrimeTable:
         # the table computes no quartic symbol; each split prime gets one
         # Euler's-criterion check, (ell/p) by reciprocity, at its first lookup
         odd = [prime for n in (41, 67, 71, 4757, 2 * 4757, 5 * 41)
-               for prime, _ in n_shape(validate(37, n)).tagged]
+               for prime in n_shape(validate(37, n)).primes]
         symbols, checks = [], []
         monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: symbols.append((a, p)))
-        real = rank.legendre
-        monkeypatch.setattr(rank, "legendre", lambda a, p: checks.append((a, p)) or real(a, p))
+        real = cli.legendre
+        monkeypatch.setattr(cli, "legendre", lambda a, p: checks.append((a, p)) or real(a, p))
         primes = PrimeTable(37)
         for prime in odd:
             primes[prime]
@@ -209,8 +213,8 @@ class TestPrimeTable:
     def test_a_misreported_splitting_exits_3(self, capsys, monkeypatch):
         # 5 is inert over 37; a splitting rule that calls it split fails the
         # reciprocity check at its first lookup, named by (ell, prime)
-        real = rank.splitting_type
-        monkeypatch.setattr(rank, "splitting_type",
+        real = cli.splitting_type
+        monkeypatch.setattr(cli, "splitting_type",
                             lambda r, ell: S if r == 5 else real(r, ell))
         monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
         for command in ("scan", "verify"):
@@ -234,7 +238,7 @@ class TestPrimeTable:
         # so a wrong entry there is that of every inert p, 29 and 5 alike
         monkeypatch.setattr(quartic, "KIND_ENTRIES", (((1,), (-1,)), *quartic.KIND_ENTRIES[1:]))
         for p in (5, 29):
-            assert cli._class_step(1 << rank.CLASS_ID_BITS | primes[p]).rows[1][1] == -1
+            assert cli._class_step(1 << CLASS_ID_BITS | primes[p]).rows[1][1] == -1
 
     def test_a_class_id_fits_its_bits(self):
         # four kinds, whatever the primes; a key's digits base
@@ -243,11 +247,11 @@ class TestPrimeTable:
             primes = PrimeTable(ell)
             odd = [p for p in range(3, 5000, 2) if p != ell and is_prime(p)]
             kinds = [primes[p] for p in odd]
-            assert sorted(set(kinds)) == [0, 1, 2, 3] == list(range(1 << rank.CLASS_ID_BITS))
+            assert sorted(set(kinds)) == [0, 1, 2, 3] == list(range(1 << CLASS_ID_BITS))
             for delta in (1, 2):
                 key = delta
                 for kind in kinds[:12]:
-                    key = key << rank.CLASS_ID_BITS | kind
+                    key = key << CLASS_ID_BITS | kind
                 assert cli._class_step(key) == quartic.shape_class(delta, kinds[:12])
 
 
@@ -261,7 +265,7 @@ def test_signs_change_no_r_star_and_no_row_product(delta, kinds, data):
     shape = quartic.shape_class(delta, kinds)
     key = delta
     for kind in kinds:
-        key = key << rank.CLASS_ID_BITS | kind
+        key = key << CLASS_ID_BITS | kind
     assert cli._class_step(key) == shape
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(kinds), max_size=len(kinds)))
     signed = [1]  # sqrt(ell)
@@ -275,7 +279,7 @@ def test_signs_change_no_r_star_and_no_row_product(delta, kinds, data):
 
 class TestRStar:
     def _table(self, *rows):
-        cols = (Column("sqrt_ell"),) * len(rows[0])
+        cols = (Column(),) * len(rows[0])
         return CharacterTable(5, cols, tuple(tuple(r) for r in rows))
 
     @pytest.mark.parametrize("pattern", range(8))

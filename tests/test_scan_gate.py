@@ -11,13 +11,13 @@ from math import isqrt
 import pytest
 
 from qtr import cli, ntheory, rank
-from qtr.cli import _CHUNK, main, scan_rows
+from qtr.cli import _CHUNK, CLASS_ID_BITS, PrimeTable, main, scan_rows
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, legendre, two_squares
 from qtr.quad import splitting_type
 from qtr.quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, prime_kind,
                          to_williams, williams_abc)
-from qtr.rank import CLASS_ID_BITS, PrimeTable, rank_closed, rank_unified
+from qtr.rank import rank_closed, rank_unified
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
 SCAN_37_3000_SHA256 = "8fe8bed324dc67d6ade79c60ecb0dc2208fa464f7070c458a95c5c91fc68f986"
@@ -122,8 +122,8 @@ def test_census_work_is_per_prime(monkeypatch):
     tables = count_calls(monkeypatch, "qtr.rank", "character_table")
     symbols = count_calls(monkeypatch, "qtr.ntheory", "quartic_symbol")
     checks = []
-    real = rank.legendre
-    monkeypatch.setattr(rank, "legendre", lambda a, p: checks.append(p) or real(a, p))
+    real = cli.legendre
+    monkeypatch.setattr(cli, "legendre", lambda a, p: checks.append(p) or real(a, p))
     ranked = count_calls(monkeypatch, "qtr.rank", "flat_ranks")
     rows = scan_rows(37, 3000)
     assert len(rows) == 1776
@@ -412,11 +412,11 @@ def test_ell_is_never_in_the_prime_table(monkeypatch, ell, coprime_n, square_n):
 def record_row(ell, n):
     """The scan row of (ell, n) from the single-field record path, once its
     two rank paths agree: n's primes from factor_squarefree, and the shape
-    text from the stored tags."""
+    text from the record's kinds."""
     field = FieldInput(ell, n)
     closed, unified = rank_closed(field), rank_unified(field)
     assert closed == unified
-    letters = [KIND_LETTERS[prime_kind(prime, tag)] for prime, tag in field.shape.tagged]
+    letters = [KIND_LETTERS[kind] for kind in field.shape.kinds]
     shape = "1"
     if letters:
         kinds, tags = zip(*letters)
@@ -449,7 +449,7 @@ def test_census_step_equals_the_record_path(ell):
     for lo, hi in cli._windows(3000):
         for n, key in zip(range(lo, hi), cli._keyed_fields(primes, lo, hi)):
             if type(key) is int:
-                own = FieldInput(ell, n).shape._replace(tagged=())
+                own = FieldInput(ell, n).shape._replace(primes=())
                 assert cli._class_step(key) == own, n
 
 
@@ -459,10 +459,10 @@ def test_census_rows_past_1e5_equal_the_record_path(ell):
     # windows far past it
     primes = PrimeTable(ell)
     window_rows(primes, 1, _CHUNK + 1)
-    warm = len(primes.rows)
+    warm = len(primes.classes)
     for lo in (100_001, 524_289, 999_489):
         assert window_rows(primes, lo, lo + _CHUNK) == record_steps(ell, lo, lo + _CHUNK)
-    assert 0 < warm < len(primes.rows)
+    assert 0 < warm < len(primes.classes)
 
 
 @pytest.mark.parametrize("ell", [5, 37, 197, 1000000021])
@@ -484,12 +484,12 @@ def test_csv_lines_equal_the_csv_module(ell, include_skipped, rank_filter):
 def test_census_builds_no_columns(capsys, monkeypatch):
     # the prime table's fill runs the entry rule alone; only a character
     # table builds its columns
-    columns = count_calls(monkeypatch, "qtr.rank", "_odd_columns")
+    profiles = count_calls(monkeypatch, "qtr.rank", "ram_profile")
     assert len(scan_rows(37, 3000)) == 1776
     assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0
-    assert columns == []
+    assert profiles == []
     assert main(["table", "--ell", "37", "--n", "4757"]) == 0
-    assert columns == [67, 71]
+    assert [shape.primes for shape in profiles] == [(67, 71)]
     capsys.readouterr()
 
 
@@ -520,8 +520,8 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
     # splitting rule once for each residue class mod 37
     classes = count_calls(monkeypatch, "qtr.quad", "splitting_type")
     filled = []
-    real = rank.legendre
-    monkeypatch.setattr(rank, "legendre", lambda a, p: filled.append(p) or real(a, p))
+    real = cli.legendre
+    monkeypatch.setattr(cli, "legendre", lambda a, p: filled.append(p) or real(a, p))
     monkeypatch.setattr(cli, "_worker_primes", PrimeTable(37))
     first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))
     assert filled and len(set(filled)) == len(filled)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qtr import cli, rank
+from qtr import cli
 from qtr.cli import FORMATS, main
 
 BIG_ELL = 1000000021  # prime, = 5 (mod 8)
@@ -118,8 +118,8 @@ def test_single_field_commands_build_no_census_state(capsys, monkeypatch):
     # the census gate tests compare the scan against these commands' path,
     # so it must read n's primes afresh: no PrimeTable, no sieve
     built, sieved = [], []
-    real_init, real_sieve = rank.PrimeTable.__init__, cli._keyed_fields
-    monkeypatch.setattr(rank.PrimeTable, "__init__",
+    real_init, real_sieve = cli.PrimeTable.__init__, cli._keyed_fields
+    monkeypatch.setattr(cli.PrimeTable, "__init__",
                         lambda self, ell, *bound: built.append(ell) or real_init(self, ell, *bound))
     monkeypatch.setattr(cli, "_keyed_fields",
                         lambda primes, lo, hi: sieved.append(lo) or real_sieve(primes, lo, hi))

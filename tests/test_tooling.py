@@ -3,11 +3,13 @@
 import ast
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -114,8 +116,8 @@ CLASS_CHECK_PATCHES = {
         "cli.conductor_parts = conductor_parts",
     ]), "ell=37 n=41 check=conductor"),
     "reciprocity": ("\n".join([
-        "real = rank.splitting_type",
-        "rank.splitting_type = lambda r, ell: rank.SplittingType.SPLIT if r == 5 else real(r, ell)",
+        "real = cli.splitting_type",
+        "cli.splitting_type = lambda r, ell: cli.SplittingType.SPLIT if r == 5 else real(r, ell)",
     ]), "ell=37 prime=5: split, but (37/5) != 1"),
 }
 
@@ -161,7 +163,15 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-README_NAME = re.compile(r"`(?:qtr\.)?(cli|rank|ntheory|quartic|quad|classify|errors)\.(\w+)")
+MODULES = "cli|rank|ntheory|quartic|quad|classify|errors"
+README_NAME = re.compile(rf"`(?:qtr\.)?({MODULES})\.(\w+)")
+SOURCE_NAME = re.compile(rf"(?<![\w.])(?:qtr\.)?({MODULES})\.(\w+)")
+
+
+def missing_names(names) -> list[str]:
+    """The (module, name) pairs the package does not have, as dotted names."""
+    return [f"{module}.{name}" for module, name in sorted(names)
+            if not hasattr(importlib.import_module(f"qtr.{module}"), name)]
 
 
 def test_readme_names_resolve():
@@ -170,9 +180,19 @@ def test_readme_names_resolve():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     names = set(README_NAME.findall(readme.read_text()))
     assert len(names) > 20
-    missing = [f"{module}.{name}" for module, name in sorted(names)
-               if not hasattr(importlib.import_module(f"qtr.{module}"), name)]
-    assert missing == []
+    assert missing_names(names) == []
+
+
+def test_source_comment_names_resolve():
+    # the same for each <module>.<name> in a comment or a string literal
+    # (the docstrings) of the package's source
+    found = set()
+    for path in SOURCES:
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if token.type in (tokenize.COMMENT, tokenize.STRING):
+                found |= {(path.name, *name) for name in SOURCE_NAME.findall(token.string)}
+    assert len(found) > 5
+    assert missing_names({(module, name) for _, module, name in found}) == []
 
 
 def _other_supported_pythons() -> list[Path]:
