@@ -193,7 +193,7 @@ def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
     return "".join(out) if as_csv else out
 
 
-def _csv_text(rows: list) -> str:
+def _csv_text(rows) -> str:
     """rows as CSV lines."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -308,21 +308,30 @@ def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False
             for values in rows]
 
 
-def _emit_table_rows(rows: list, fields: tuple[str, ...], fmt: str) -> None:
-    """Write rows, each a sequence of values in fields order."""
-    if fmt == "csv":
-        sys.stdout.write(_csv_text([fields, *rows]))
-    elif fmt == "json":
-        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
+def _answer(fmt: str, record, text, table=None) -> None:
+    """Write one answer in fmt.  record, text and table are functions, and
+    only the one fmt reads runs: JSON is the dict record(), CSV the rows
+    table(), header first, or else record()'s keys over its values, and
+    text the lines text()."""
+    if fmt == "json":
+        print(json.dumps(record(), indent=2))
+    elif fmt == "csv":
+        sys.stdout.write(_csv_text(table() if table else zip(*record().items())))
     else:
-        if not rows:
-            return
-        # one column at a time, so no second, all-str copy of the rows is kept
-        widths = [max(len(f), *map(len, map(str, column)))
-                  for f, column in zip(fields, zip(*rows))]
-        print("  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip())
-        for row in rows:
-            print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)).rstrip())
+        print(*text(), sep="\n")
+
+
+def _emit_table_rows(rows: list, fields: tuple[str, ...]) -> None:
+    """Write the scan's rows, each a sequence of values in fields order, as a
+    text table."""
+    if not rows:
+        return
+    # one column at a time, so no second, all-str copy of the rows is kept
+    widths = [max(len(f), *map(len, map(str, column)))
+              for f, column in zip(fields, zip(*rows))]
+    print("  ".join(f.ljust(w) for f, w in zip(fields, widths)).rstrip())
+    for row in rows:
+        print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)).rstrip())
 
 
 def cmd_rank(args, fmt: str) -> int:
@@ -331,40 +340,48 @@ def cmd_rank(args, fmt: str) -> int:
     (_shape_row)."""
     field = validate(args.ell, args.n)
     ell, n, shape = field.ell, field.n, field.shape
-    if fmt == "csv":
+
+    def scan_row():
         values, _, ratio = _shape_row(ell, n, shape)
-        _emit_table_rows([(n, *values, n * ratio)], SCAN_FIELDS, "csv")
-        return 0
-    mu, r_star, rank, case = flat_ranks(ell, n, shape)
-    table = character_table(shape, ell)
-    if fmt == "json":
-        print(json.dumps({"ell": ell, "n": n, "rank": rank, "mu": mu, "r_star": r_star,
-                          "case": case, "closed_rank": rank, "unified_rank": rank,
-                          "agree": True, "table": table.to_json_obj()}, indent=2))
-    else:
-        print(f"ell = {ell}  n = {n}  shape {_shape_text(shape)}  delta={shape.delta}")
-        print(f"closed form : rank {rank}  (case {case})")
-        print(f"class formula: rank {rank}  (mu={mu}, r*={r_star})")
-        print(table.to_text())
-        print("paths agree: yes")
+        return [SCAN_FIELDS, (n, *values, n * ratio)]
+
+    def ranks():
+        return flat_ranks(ell, n, shape), character_table(shape, ell)
+
+    def record():
+        (mu, r_star, rank, case), table = ranks()
+        return {"ell": ell, "n": n, "rank": rank, "mu": mu, "r_star": r_star, "case": case,
+                "closed_rank": rank, "unified_rank": rank, "agree": True,
+                "table": table.to_json_obj()}
+
+    def text():
+        (mu, r_star, rank, case), table = ranks()
+        return [f"ell = {ell}  n = {n}  shape {_shape_text(shape)}  delta={shape.delta}",
+                f"closed form : rank {rank}  (case {case})",
+                f"class formula: rank {rank}  (mu={mu}, r*={r_star})",
+                table.to_text(), "paths agree: yes"]
+
+    _answer(fmt, record, text, scan_row)
     return 0
 
 
 def cmd_scan(args, fmt: str) -> int:
     """CSV streams one window at a time; text needs every row for its column
-    widths, and JSON is one document."""
+    widths, and JSON is one document, of scan_rows."""
+    options = (args.ell, args.n_max, args.jobs, args.include_skipped, args.rank)
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
-    windows = _scan_windows(args.ell, args.n_max, args.jobs, args.include_skipped, args.rank,
-                            fmt == "csv")
-    if fmt != "csv":
-        _emit_table_rows([row for rows in windows for row in rows], fields, fmt)
-        return 0
-    _emit_table_rows([], fields, fmt)
-    try:
-        for text in windows:
-            sys.stdout.write(text)
-    finally:
-        windows.close()  # so a failed write still reaps the pool's workers
+    if fmt == "json":
+        _answer(fmt, lambda: scan_rows(*options), None)
+    elif fmt == "text":
+        _emit_table_rows([row for rows in _scan_windows(*options, False) for row in rows], fields)
+    else:
+        windows = _scan_windows(*options, True)
+        sys.stdout.write(_csv_text([fields]))
+        try:
+            for text in windows:
+                sys.stdout.write(text)
+        finally:
+            windows.close()  # so a failed write still reaps the pool's workers
     return 0
 
 
@@ -419,105 +436,72 @@ def cmd_verify(args, fmt: str) -> int:
                 failures.append((n, "bridge"))
     checks = {check: fields_checked - sum(1 for _, c in failures if c == check)
               for check in _CHECKS}
-    summary = {"ell": args.ell, "n_max": args.n_max, "fields_checked": fields_checked,
-               "passed": checks, "failures": [{"n": n, "check": c} for n, c in failures]}
-    if fmt == "json":
-        print(json.dumps(summary, indent=2))
-    elif fmt == "csv":
-        _emit_table_rows([(name, count, fields_checked - count) for name, count in checks.items()],
-                         ("check", "pass", "fail"), "csv")
-        for n, c in failures:
-            print(f"FAIL ell={args.ell} n={n} check={c}", file=sys.stderr)
-    else:
-        print(f"ell = {args.ell}, n <= {args.n_max}: {fields_checked} fields checked")
-        for name, count in checks.items():
-            print(f"  {name}: {count} pass, {fields_checked - count} fail")
-        for n, c in failures:
-            print(f"  FAIL ell={args.ell} n={n} check={c}")
+    counts = [(check, count, fields_checked - count) for check, count in checks.items()]
+    fails = [f"FAIL ell={args.ell} n={n} check={c}" for n, c in failures]
+    _answer(fmt, lambda: {"ell": args.ell, "n_max": args.n_max, "fields_checked": fields_checked,
+                          "passed": checks,
+                          "failures": [{"n": n, "check": c} for n, c in failures]},
+            lambda: [f"ell = {args.ell}, n <= {args.n_max}: {fields_checked} fields checked",
+                     *(f"  {check}: {count} pass, {fail} fail" for check, count, fail in counts),
+                     *(f"  {line}" for line in fails)],
+            lambda: [("check", "pass", "fail"), *counts])
+    if fmt == "csv" and fails:
+        print(*fails, sep="\n", file=sys.stderr)
     return 0 if not failures else 3
 
 
 def cmd_unit(args, fmt: str) -> int:
     ell = validate_ell(args.ell)
-    unit = fundamental_unit(ell)
-    if fmt == "json":
-        print(json.dumps({"ell": ell, "u": unit.u, "v": unit.v}, indent=2))
-    elif fmt == "csv":
-        _emit_table_rows([(ell, unit.u, unit.v)], ("ell", "u", "v"), "csv")
-    else:
-        print(f"eps0 = ({unit.u} + {unit.v}*sqrt({ell}))/2")
-        print(f"u = {unit.u}")
-        print(f"v = {unit.v}")
-        lhs = unit.u ** 2 - ell * unit.v ** 2
-        print(f"check: u^2 - {ell}*v^2 = {lhs} (expected -4)")
+    u, v = fundamental_unit(ell)
+    _answer(fmt, lambda: {"ell": ell, "u": u, "v": v},
+            lambda: [f"eps0 = ({u} + {v}*sqrt({ell}))/2", f"u = {u}", f"v = {v}",
+                     f"check: u^2 - {ell}*v^2 = {u ** 2 - ell * v ** 2} (expected -4)"])
     return 0
 
 
 def cmd_conductor(args, fmt: str) -> int:
     field = validate(args.ell, args.n)
-    w = to_williams(field)
-    cond = conductor(w, field.ell)
-    payload = {"ell": field.ell, "n": field.n, "a": w.a, "b": w.b, "c": w.c,
-               "e": cond.e, "f": cond.f}
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _emit_table_rows([tuple(payload.values())], tuple(payload), "csv")
-    else:
-        print(f"canonical form: a={w.a}, b={w.b}, c={w.c}  ({w.b}^2 + {w.c}^2 = {field.ell})")
-        print(f"e = {cond.e}")
-        print(f"f = 2^{cond.e} * {w.a} * {field.ell} = {cond.f}")
+    ell, w = field.ell, to_williams(field)
+    (a, b, c), (e, f) = w, conductor(w, ell)
+    _answer(fmt, lambda: {"ell": ell, "n": field.n, "a": a, "b": b, "c": c, "e": e, "f": f},
+            lambda: [f"canonical form: a={a}, b={b}, c={c}  ({b}^2 + {c}^2 = {ell})",
+                     f"e = {e}", f"f = 2^{e} * {a} * {ell} = {f}"])
     return 0
 
 
 def cmd_poly(args, fmt: str) -> int:
     field = validate(args.ell, args.n)
     poly = defining_polynomial(field)
-    if fmt == "json":
-        print(json.dumps({"ell": field.ell, "n": field.n,
-                          "coefficients": list(poly.coefficients),
-                          "pretty": str(poly)}, indent=2))
-    elif fmt == "csv":
-        _emit_table_rows([(field.ell, field.n, *poly.coefficients)],
-                         ("ell", "n", "c4", "c3", "c2", "c1", "c0"), "csv")
-    else:
-        print(str(poly))
-        print(f"coefficients: {', '.join(str(c) for c in poly.coefficients)}")
+    ell, n, coefficients = field.ell, field.n, poly.coefficients
+    _answer(fmt, lambda: {"ell": ell, "n": n, "coefficients": coefficients, "pretty": str(poly)},
+            lambda: [str(poly), f"coefficients: {', '.join(map(str, coefficients))}"],
+            lambda: [("ell", "n", "c4", "c3", "c2", "c1", "c0"), (ell, n, *coefficients)])
     return 0
 
 
 def cmd_table(args, fmt: str) -> int:
     field = validate(args.ell, args.n)
     table = character_table(field.shape, field.ell)
-    if fmt == "json":
-        print(json.dumps({"ell": field.ell, "n": field.n, **table.to_json_obj()}, indent=2))
-    elif fmt == "csv":
-        rows = [(unit, *row) for unit, row in zip(UNIT_LABELS, table.entries)]
-        _emit_table_rows(rows, ("unit", *table.column_labels()), "csv")
-    else:
-        print(table.to_text())
+    _answer(fmt, lambda: {"ell": field.ell, "n": field.n, **table.to_json_obj()},
+            lambda: [table.to_text()],
+            lambda: [("unit", *table.column_labels()),
+                     *((unit, *row) for unit, row in zip(UNIT_LABELS, table.entries))])
     return 0
 
 
 def cmd_classify(args, fmt: str) -> int:
+    """The small-rank pattern of the field; CSV writes no description, and
+    an empty rank and pattern (the csv module's None) from rank 4 on."""
     field = validate(args.ell, args.n)
     cls = classify_small_rank(field)
-    if fmt == "json":
-        print(json.dumps({
-            "ell": field.ell, "n": field.n,
-            "rank": cls.rank,
-            "pattern": cls.pattern.pattern_id if cls.pattern else None,
-            "description": cls.pattern.description if cls.pattern else None,
-        }, indent=2))
-    elif fmt == "csv":
-        _emit_table_rows([(field.ell, field.n, "" if cls.rank is None else cls.rank,
-                           cls.pattern.pattern_id if cls.pattern else "")],
-                         ("ell", "n", "rank", "pattern"), "csv")
-    else:
-        if cls.pattern is None:
-            print("rank >= 4 (matches no small-rank shape)")
-        else:
-            print(f"rank {cls.rank} (pattern {cls.pattern.pattern_id}: {cls.pattern.description})")
+    pattern = cls.pattern
+    record = {"ell": field.ell, "n": field.n, "rank": cls.rank,
+              "pattern": pattern.pattern_id if pattern else None,
+              "description": pattern.description if pattern else None}
+    _answer(fmt, lambda: record,
+            lambda: [f"rank {cls.rank} (pattern {pattern.pattern_id}: {pattern.description})"
+                     if pattern else "rank >= 4 (matches no small-rank shape)"],
+            lambda: [tuple(record)[:4], tuple(record.values())[:4]])
     return 0
 
 

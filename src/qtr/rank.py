@@ -63,18 +63,14 @@ class CharacterTable(NamedTuple):
         return [col.label(self.ell) for col in self.columns]
 
     def to_text(self) -> str:
-        labels = self.column_labels()
-        head = "unit \\ chi"
-        unit_w = max(len(head), max(len(u) for u in UNIT_LABELS))
-        widths = [max(len(lab), 1) for lab in labels]
-        lines = [
-            "  ".join([head.ljust(unit_w)] + [lab.rjust(w) for lab, w in zip(labels, widths)])
-        ]
+        """A header of the column labels, then a row of + and - per unit: the
+        head is wider than every unit label, and no column label is empty."""
+        head, labels = "unit \\ chi", self.column_labels()
+        lines = ["  ".join([head, *labels])]
         for unit, row in zip(UNIT_LABELS, self.entries):
-            marks = ["+" if x == 1 else "-" for x in row]
-            lines.append(
-                "  ".join([unit.ljust(unit_w)] + [m.rjust(w) for m, w in zip(marks, widths)])
-            )
+            marks = ("+" if x == 1 else "-" for x in row)
+            lines.append("  ".join([unit.ljust(len(head)),
+                                    *(m.rjust(len(lab)) for m, lab in zip(marks, labels))]))
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:

@@ -57,6 +57,32 @@ def reversed_class_kinds(mp):
     mp.setattr(cli, "shape_class", lambda delta, kinds, primes=(): real(delta, kinds[::-1]))
 
 
+def wide_census_key(mp):
+    # the census key's kinds shifted in by 3 bits (cli._keyed_fields) and
+    # read back by 2 (cli._class_step)
+    real, bits = cli._keyed_fields, cli.CLASS_ID_BITS
+
+    def keyed_fields(primes, lo, hi):
+        cli.CLASS_ID_BITS = 3
+        try:
+            return real(primes, lo, hi)
+        finally:
+            cli.CLASS_ID_BITS = bits
+
+    mp.setattr(cli, "_keyed_fields", keyed_fields)
+
+
+def census_split_called_inert(residue):
+    """The census's splitting rule, calling every prime = residue (mod 4)
+    inert; PrimeTable's reciprocity check guards only a prime called split."""
+    def apply(mp):
+        real = cli.splitting_type
+        mp.setattr(cli, "splitting_type", lambda prime, ell: (
+            cli.SplittingType.INERT if prime % 4 == residue else real(prime, ell)))
+
+    return apply
+
+
 # fault: how to apply it, then the verify checks that fail, the scan's exit
 # code, and whether the scan and the table bytes change
 FAULTS = {
@@ -95,6 +121,15 @@ FAULTS = {
     # path (test_census_step_equals_the_record_path)
     "census kind: inert and split p swapped": (swapped_census_p, set(), 0, True, False),
     "census class step: kinds reversed": (reversed_class_kinds, set(), 0, True, False),
+    "census splitting: a split p called inert": (
+        census_split_called_inert(1), set(), 0, True, False),
+    "census splitting: a split q called inert": (
+        census_split_called_inert(3), set(), 0, True, False),
+    # each misread key still decodes to a valid class, whose own checks pass;
+    # bridge, which compares each field's own conductor exponent with its
+    # class's, fails at 989 of the 1,776 fields
+    "census key: kinds shifted in by 3 bits, read back by 2": (
+        wide_census_key, {"bridge"}, 0, True, False),
 }
 
 

@@ -60,6 +60,33 @@ def test_each_module_imports_only_earlier_layers():
     assert found == []
 
 
+def test_every_top_level_name_is_read():
+    # each module-level function, class and constant is loaded by code in its
+    # module or imported by another (an import into qtr/__init__ makes it
+    # public API), so public API that nothing calls cannot stay unnoticed
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read |= {(node.module, alias.name) for alias in node.names}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [target.id for target in ast.walk(node)
+                         if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)]
+            else:
+                continue
+            defined += [(module, name) for name in names if not name.startswith("__")]
+    assert len(defined) > 100
+    assert [f"{module}.{name}" for module, name in defined if (module, name) not in read] == []
+
+
 def test_import_leaves_out_the_pool_and_dataclass_machinery():
     # every qtr process pays for what `import qtr.cli` loads; the pool forks
     # its workers itself, and the records are NamedTuples.  Modules that the
