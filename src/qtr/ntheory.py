@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from .errors import FactorBudgetExceeded, InternalCheckError, NotQuadraticResidue, NotSquarefree
@@ -23,10 +23,18 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 1 << 16
 _BLOCK = 64  # primes per trial-division gcd
+# One Pollard p-1 stage, with the exponent lcm(1, ..., _PM1_BOUND), runs when
+# the first rho seed reaches the level _PM1_LEVEL: a prime factor p too large
+# for rho to find by then is split off at once if every prime power in p - 1
+# is at most _PM1_BOUND.
+_PM1_BOUND = 1 << 11
+_PM1_LEVEL = 1 << 10
 # The most Pollard-Brent squarings of one factorize call, over all its splits
-# and seeds: ten times the 212,094 of the hardest of the 3,467 calls behind the
-# benchmark's request pool (n with two primes of 24-32 bits, so one split
-# each).  The whole budget takes about 1.6 s (shared 2-vCPU host, Python 3.11).
+# and seeds: ten times the 212,094 of the hardest of the 3,246 calls that reach
+# rho in the benchmark's request pool (n with two primes of 24-32 bits, so one
+# split each), which the p-1 stage does not split.  That stage is one pow per
+# composite part and is not counted.  The whole budget takes 1.2-1.5 s
+# (shared 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
 
@@ -67,13 +75,21 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
 
     Brent's cycle variant with a fixed seed schedule, so repeated runs agree.
     The squarings are counted, and checked against budget once per batch of
-    m, before its gcd: past it, FactorBudgetExceeded.
+    m, before its gcd: past it, FactorBudgetExceeded.  When the first seed
+    reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1) squarings,
+    one Pollard p-1 stage returns gcd(2^_pm1_exponent() - 1, n) if it is a
+    proper divisor, which may be composite; rho carries on otherwise.  Its
+    one pow is not counted against budget.
     """
     steps = 0
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            if c == 1 and r == _PM1_LEVEL:
+                d = gcd(pow(2, _pm1_exponent(), n) - 1, n)
+                if 1 < d < n:
+                    return d, steps
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -112,6 +128,12 @@ def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
         return budget
     d, steps = _pollard_brent(n, budget)
     return _factor_into(n // d, acc, _factor_into(d, acc, budget - steps))
+
+
+@functools.cache
+def _pm1_exponent() -> int:
+    """lcm(1, ..., _PM1_BOUND), the exponent of the p-1 stage; built at first use."""
+    return lcm(*range(1, _PM1_BOUND + 1))
 
 
 @functools.cache

@@ -31,17 +31,17 @@ def pell_oracle(ell: int, cap: int):
     return None
 
 
-def family_sample(seed: int, count: int) -> list[int]:
-    """count primes ell = 5 (mod 8) below 10^7, each the first at or above a
-    draw log-uniform in [10^4, 10^7), by sympy's primality test."""
+def family_sample(seed: int, count: int, low: int = 4, high: int = 7) -> list[int]:
+    """count primes ell = 5 (mod 8) below 10^high, each the first at or above a
+    draw log-uniform in [10^low, 10^high), by sympy's primality test."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        ell = int(10 ** rng.uniform(4, 7))
+        ell = int(10 ** rng.uniform(low, high))
         ell += (5 - ell) % 8
         while not sympy.isprime(ell):
             ell += 8
-        if ell < 10**7:
+        if ell < 10**high:
             out.append(ell)
     return out
 

@@ -1,7 +1,8 @@
+import math
 import random
 import subprocess
 import sys
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -45,6 +46,21 @@ class TestIsPrime:
         assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
+def smooth_prime(rng: random.Random) -> int:
+    """A prime p < 2^32 with p - 1 twice a product of distinct odd primes
+    below 2048, so every prime power in p - 1 is at most 2048."""
+    small = list(sympy.primerange(3, 2048))
+    while True:
+        factors, m = set(), 2
+        while m < 2**24:
+            factor = rng.choice(small)
+            if factor not in factors:
+                factors.add(factor)
+                m *= factor
+        if m < 2**32 and sympy.isprime(m + 1):
+            return m + 1
+
+
 class TestFactorization:
     def test_empty_product(self):
         assert factor_squarefree(1) == []
@@ -79,6 +95,24 @@ class TestFactorization:
         assert factor in (1000003, 1000033) and steps == 1022
         with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 1021 "):
             ntheory._pollard_brent(n, 1021)
+
+    def test_p_minus_1_splits_at_the_level_1024(self):
+        # 10000019 - 1 = 2 * 7^2 * 67 * 1523 is 2048-smooth, 10000079 - 1 has
+        # the prime 19763: rho alone needs 7,678 squarings, and the p-1 stage
+        # at the top of the level r = 1024 returns the smooth prime after
+        # 2 * (1 + 2 + ... + 512) = 2,046
+        n = 10000019 * 10000079
+        assert ntheory._pollard_brent(n, 2046) == (10000019, 2046)
+        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
+            ntheory._pollard_brent(n, 2045)
+
+    def test_rho_goes_on_when_p_minus_1_finds_nothing(self):
+        # 10000079 - 1 and 10000189 - 1 = 2^2 * 3^2 * 11 * 25253 are not
+        # 2048-smooth, so the gcd is 1; 10000019 - 1 and 10000253 - 1 =
+        # 2^2 * 43 * 53 * 1097 both are, so it is n.  Either way rho keeps the
+        # squaring count it had without the stage
+        assert ntheory._pollard_brent(10000079 * 10000189, ntheory._RHO_BUDGET) == (10000189, 6270)
+        assert ntheory._pollard_brent(10000019 * 10000253, ntheory._RHO_BUDGET) == (10000253, 7934)
 
     def test_rho_over_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
@@ -132,6 +166,26 @@ class TestFactorization:
             q = sympy.randprime(2**rng.randrange(24, 32), 2**32)
             expected = [(p, 2)] if p == q else sorted([(p, 1), (q, 1)])
             assert factorize(p * q) == expected, (p, q)
+        # the p-1 stage: with p - 1 and q - 1 both 2048-smooth its gcd is n,
+        # so rho goes on; with a third prime r it is the composite p * q; of
+        # a prime square p^2 it finds only p
+        exponent = math.lcm(*range(1, 2049))
+        cases = []
+        for _ in range(12):
+            p, q = smooth_prime(rng), smooth_prime(rng)
+            assert gcd(pow(2, exponent, p * q) - 1, p * q) == p * q
+            cases.append(p * q)
+        for _ in range(4):
+            p, q, r = smooth_prime(rng), smooth_prime(rng), sympy.nextprime(rng.randrange(2**24, 2**32))
+            while pow(2, exponent, r) == 1:
+                r = sympy.nextprime(r)
+            assert gcd(pow(2, exponent, p * q * r) - 1, p * q * r) == p * q
+            cases.append(p * q * r)
+        for _ in range(6):
+            p = sympy.nextprime(rng.randrange(2**16, 2**24 - 2**10))
+            cases += [p * p, p * p * sympy.nextprime(rng.randrange(2**24, 2**32 - 2**20))]
+        for n in cases:
+            assert factorize(n) == sorted(sympy.factorint(n).items()), n
 
     def test_squarefree_factors_multiply_back(self):
         for n in (1, 2, 30, 4346, 386794, 123469):

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 import sympy
 from sympy import continued_fraction_periodic
@@ -48,6 +50,36 @@ class TestFundamentalUnit:
             least = min(((abs(u), abs(v)) for u, v in diop_DN(ell, -4)), key=lambda s: s[1])
             unit = fundamental_unit(ell)
             assert (unit.u, unit.v) == least, ell
+
+    @staticmethod
+    def least_negative_pell(ell):
+        """Least x, y > 0 with x^2 - ell*y^2 = -1: the convergent of sqrt(ell)
+        just before its odd period ends, where the recursion's d returns to 1."""
+        a0 = isqrt(ell)
+        m, d, a = 0, 1, a0
+        x_prev, x, y_prev, y = 1, a0, 0, 1
+        while True:
+            m = d * a - m
+            d = (ell - m * m) // d
+            if d == 1:
+                return x, y
+            a = (a0 + m) // d
+            x_prev, x = x, a * x + x_prev
+            y_prev, y = y, a * y + y_prev
+
+    def test_integer_unit_up_to_10_9(self):
+        # the benchmark's ell range: eps0 is x + y*sqrt(ell) itself when u
+        # and v are even; otherwise eps0^3 is, the least power in Z[sqrt(ell)]
+        for ell in family_sample(seed=3, count=12, low=7, high=9):
+            x, y = self.least_negative_pell(ell)
+            assert x * x - ell * y * y == -1, ell
+            u, v = fundamental_unit(ell)
+            if u % 2 == 0 and v % 2 == 0:
+                assert (x, y) == (u // 2, v // 2), ell
+            else:
+                cube = (u**3 + 3 * u * v * v * ell, 3 * u * u * v + v**3 * ell)
+                assert cube[0] % 8 == 0 and cube[1] % 8 == 0, ell
+                assert (cube[0] // 8, cube[1] // 8) == (x, y), ell
 
     def test_coordinates_positive(self):
         for ell in (5, 13, 29, 37, 53, 61, 101, 109, 149, 157, 173, 197):

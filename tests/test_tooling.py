@@ -37,6 +37,49 @@ def test_no_assert_statements():
     assert found == []
 
 
+# The number theory is exact: these modules never divide with `/`, write or
+# make a float, or call math's float functions.
+EXACT_MODULES = ("ntheory", "quad", "quartic", "rank", "classify")
+FLOAT_MATH = re.compile(r"log\w*|sqrt|exp")
+
+
+def float_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each `/`, float literal, `float(` and math.log*,
+    math.sqrt or math.exp, as an attribute or imported from math."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "float("))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and FLOAT_MATH.fullmatch(node.attr)):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{alias.name}") for alias in node.names
+                      if FLOAT_MATH.fullmatch(alias.name)]
+    return found
+
+
+def test_float_uses_are_found():
+    code = "\n".join(["import math", "from math import log2, isqrt", "a = 1 / 2",
+                      "a /= 2", "b = 0.5", "c = float(3)", "d = math.sqrt(2)",
+                      "e = math.exp(1) + math.log10(2)", "f = 7 // 2 + isqrt(9)"])
+    assert sorted(float_uses(ast.parse(code))) == [
+        (2, "math.log2"), (3, "/"), (4, "/"), (5, "0.5"), (6, "float("), (7, "math.sqrt"),
+        (8, "math.exp"), (8, "math.log10")]
+
+
+def test_number_theory_makes_no_floats():
+    root = Path(qtr.__file__).parent
+    found = [f"{name}.py:{line}: {what}" for name in EXACT_MODULES
+             for line, what in float_uses(ast.parse((root / f"{name}.py").read_text()))]
+    assert found == []
+
+
 # The package's modules in layer order: each may import only from the ones
 # before it, so no rule can move to a module that would close an import cycle.
 LAYERS = ("errors", "ntheory", "quad", "quartic", "rank", "classify", "cli")
