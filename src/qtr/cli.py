@@ -38,7 +38,6 @@ from .rank import UNIT_LABELS, character_table, flat_ranks
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
-_RANK = SCAN_FIELDS.index("rank")
 _CHUNK = 512
 
 
@@ -162,7 +161,7 @@ def _shape_row(ell: int, n: int, shape: NShape) -> tuple[tuple, str, int]:
 
 _NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
 _NO_ROW_CSV = "," * len(SCAN_FIELDS)
-_CLASS_RANK = _RANK - 1  # the rank's index in a class's values
+_CLASS_RANK = SCAN_FIELDS.index("rank") - 1  # the rank's index in a class's values
 
 
 def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
@@ -200,13 +199,9 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-_worker_primes: PrimeTable | None = None
-
-
 def _scan_chunk(args: tuple) -> list[tuple] | str:
-    """One window step in a pool worker, on the scan's prime table, which
-    _pooled sets before the workers fork."""
-    return _window_step(_worker_primes, *args)
+    """One step in a pool worker: _window_step on the step, headed by the prime table."""
+    return _window_step(*args)
 
 
 def _usable_cpus() -> int | None:
@@ -238,15 +233,13 @@ def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
                 return
 
 
-def _pooled(workers: int, primes: PrimeTable, steps):
+def _pooled(workers: int, steps):
     """The steps' results in step order, from `workers` forked children
-    (_run_worker) that inherit the scan's prime table and the steps, an
-    iterator none has started.  qtr starts no threads, so forking is safe,
-    and the children inherit the module state a caller or a tracer has set."""
+    (_run_worker) that inherit the steps, an iterator none has started, each
+    headed by the scan's prime table.  qtr starts no threads, so forking is
+    safe, and the children inherit the module state a caller or a tracer has set."""
     import pickle
 
-    global _worker_primes
-    _worker_primes = primes
     readers, pids = [], []
     try:
         for worker in range(workers):
@@ -266,7 +259,7 @@ def _pooled(workers: int, primes: PrimeTable, steps):
             pids.append(pid)
             os.close(write_fd)
             readers.append(open(read_fd, "rb"))
-        for index, (lo, hi, *_) in enumerate(steps):
+        for index, (primes, lo, hi, *_) in enumerate(steps):
             try:
                 ok, result = pickle.load(readers[index % workers])
             except (EOFError, pickle.UnpicklingError):
@@ -290,11 +283,11 @@ def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
     primes = PrimeTable(ell, n_max)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
-    steps = ((lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max))
+    steps = ((primes, lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max))
     workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus())
     if workers == 1 or not hasattr(os, "fork"):
-        return (_window_step(primes, *step) for step in steps)
-    return _pooled(workers, primes, steps)
+        return (_window_step(*step) for step in steps)
+    return _pooled(workers, steps)
 
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,

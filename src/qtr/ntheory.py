@@ -119,10 +119,8 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
 
 
 def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
-    """Add the primes of n to acc, splitting with at most budget squarings in
-    all; the squarings left."""
-    if n == 1:
-        return budget
+    """Add the primes of n > 1 to acc, splitting with at most budget squarings
+    in all; the squarings left."""
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return budget
@@ -236,8 +234,8 @@ def quartic_symbol(a: int, p: int) -> int:
 
     Defined only when (a/p) = +1.  For p = 1 (mod 4) this is t = a^((p-1)/4)
     read as a sign, and t^2 is Euler's criterion for (a/p), so one pow gives
-    both.  For p = 3 (mod 4) the squares mod p form a group of odd order
-    (p-1)/2, so every square is a fourth power and the symbol is +1.
+    both.  Otherwise it is +1: the squares mod p = 3 (mod 4) form a group of
+    odd order (p-1)/2, so each is a fourth power, and mod 2 the one unit is 1.
     """
     residue = a % p
     if p % 4 == 1:
@@ -249,7 +247,7 @@ def quartic_symbol(a: int, p: int) -> int:
         square = residue != 0 and euler == 1
     else:
         square = legendre(a, p) == 1
-        t = 1 if p % 4 == 3 else pow(residue, (p - 1) // 4, p)
+        t = 1
     if not square:
         raise NotQuadraticResidue(f"({a}/{p}) != +1, quartic symbol undefined")
     if t != 1 and t != p - 1:

@@ -84,9 +84,8 @@ def fundamental_unit(ell: int) -> FundamentalUnit:
 
 
 def splitting_type(r: int, ell: int) -> SplittingType:
-    """How the rational prime r behaves in Q(sqrt(ell)), ell prime = 5 (mod 8)."""
+    """How the prime r behaves in Q(sqrt(ell)), ell prime = 5 (mod 8): 2 is
+    inert, as (2/ell) = -1; only a library call passes r = ell (RAMIFIED)."""
     if r == ell:
         return SplittingType.RAMIFIED
-    if r == 2:
-        return SplittingType.INERT  # ell = 5 (mod 8) makes 2 a non-residue
     return SplittingType.SPLIT if legendre(r, ell) == 1 else SplittingType.INERT

@@ -211,8 +211,7 @@ class DefiningPolynomial(NamedTuple):
         return (1, 0, self.c2, 0, self.c0)
 
     def __str__(self) -> str:
-        sign2 = "-" if self.c2 < 0 else "+"
-        return f"x^4 {sign2} {abs(self.c2)}*x^2 + {self.c0}"
+        return f"x^4 - {-self.c2}*x^2 + {self.c0}"  # c2 = -n*v*ell is always negative
 
 
 def defining_polynomial(field: FieldInput) -> DefiningPolynomial:

@@ -174,20 +174,20 @@ def _case_tag(dyadic: bool, t1: int, t2: int, s1: int, s2: int) -> str:
 # than its q-both entry at s2 = 0; an unramified dyadic prime lowers it by one.
 _CLOSED_RANK: dict[str, Callable[[int, int, int, int], int]] = {
     "trivial": lambda t1, t2, s1, s2: 0,
-    "p-only:inert": lambda t1, t2, s1, s2: t1 + t2,
-    "p-only:split": lambda t1, t2, s1, s2: 2 * (t1 + t2),
+    "p-only:inert": lambda t1, t2, s1, s2: t1,  # t2 = 0 in this family
+    "p-only:split": lambda t1, t2, s1, s2: 2 * t2,  # t1 = 0 in this family
     "p-only:both": lambda t1, t2, s1, s2: t1 + 2 * t2,
-    "q-no2:inert": lambda t1, t2, s1, s2: s1 + s2 - 1,
-    "q-no2:split": lambda t1, t2, s1, s2: 2 * (s1 + s2) - 2,
+    "q-no2:inert": lambda t1, t2, s1, s2: s1 - 1,  # s2 = 0 in this family
+    "q-no2:split": lambda t1, t2, s1, s2: 2 * s2 - 2,  # s1 = 0 in this family
     "q-no2:both": lambda t1, t2, s1, s2: s1 + 2 * s2 - 2,
-    "q-with2:inert": lambda t1, t2, s1, s2: s1 + s2,
-    "q-with2:split": lambda t1, t2, s1, s2: 2 * (s1 + s2) - 1,
+    "q-with2:inert": lambda t1, t2, s1, s2: s1,  # s2 = 0 in this family
+    "q-with2:split": lambda t1, t2, s1, s2: 2 * s2 - 1,  # s1 = 0 in this family
     "q-with2:both": lambda t1, t2, s1, s2: s1 + 2 * s2 - 1,
-    "pq-no2:q-inert": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + s2 - 1,
-    "pq-no2:q-split": lambda t1, t2, s1, s2: t1 + 2 * t2 + 2 * (s1 + s2) - 2,
+    "pq-no2:q-inert": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 - 1,  # s2 = 0 in this family
+    "pq-no2:q-split": lambda t1, t2, s1, s2: t1 + 2 * t2 + 2 * s2 - 2,  # s1 = 0 in this family
     "pq-no2:q-both": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + 2 * s2 - 2,
-    "pq-with2:q-inert": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + s2,
-    "pq-with2:q-split": lambda t1, t2, s1, s2: t1 + 2 * t2 + 2 * (s1 + s2) - 1,
+    "pq-with2:q-inert": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1,  # s2 = 0 in this family
+    "pq-with2:q-split": lambda t1, t2, s1, s2: t1 + 2 * t2 + 2 * s2 - 1,  # s1 = 0 in this family
     "pq-with2:q-both": lambda t1, t2, s1, s2: t1 + 2 * t2 + s1 + 2 * s2 - 1,
 }
 

@@ -1,5 +1,6 @@
 """Shared test fixtures and tiny independent oracles."""
 
+import os
 import random
 from math import isqrt
 
@@ -49,3 +50,28 @@ def family_sample(seed: int, count: int, low: int = 4, high: int = 7) -> list[in
 @pytest.fixture(scope="session")
 def panel_ells():
     return PANEL_ELLS
+
+
+@pytest.fixture(scope="session", autouse=True)
+def exit_only_in_forked_children():
+    """os._exit raises AssertionError in the test session's own process and
+    exits in any other.  A fork fault that sends the session down a child's
+    path then fails its test in the process whose exit code the runner
+    reports, where os._exit would end that process with the child's code."""
+    session, real_exit = os.getpid(), os._exit
+
+    def guarded_exit(code):
+        if os.getpid() == session:
+            raise AssertionError(f"os._exit({code}) called in the test session's process")
+        real_exit(code)
+
+    os._exit = guarded_exit
+    yield
+    os._exit = real_exit
+
+
+@pytest.fixture(autouse=True)
+def no_default_format(monkeypatch):
+    """Each test starts without QTR_DEFAULT_FORMAT, whatever the caller's
+    environment; a test that needs it sets it."""
+    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)

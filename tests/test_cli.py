@@ -20,11 +20,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
-
-
 class TestRankCommand:
     def test_text_shows_both_paths(self, capsys):
         code, out, _ = run(capsys, "rank", "--ell", "37", "--n", "13")

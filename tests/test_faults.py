@@ -140,7 +140,6 @@ def output(capsys, *argv) -> tuple[int, str]:
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_which_outputs_catch_a_fault(capsys, monkeypatch, fault):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     table = ("table", "--ell", "37", "--n", "4757")
     _, clean_table = output(capsys, *table)
     apply, failing, scan_code, scan_changes, table_changes = FAULTS[fault]

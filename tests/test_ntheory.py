@@ -162,8 +162,8 @@ class TestFactorization:
             assert factorize(n) == sorted(sympy.factorint(n).items()), n
         # products of two 24-32-bit primes go through Miller-Rabin and rho
         for _ in range(20):
-            p = sympy.randprime(2**rng.randrange(24, 32), 2**32)
-            q = sympy.randprime(2**rng.randrange(24, 32), 2**32)
+            p = sympy.nextprime(rng.randrange(2**rng.randrange(24, 32), 2**32))
+            q = sympy.nextprime(rng.randrange(2**rng.randrange(24, 32), 2**32))
             expected = [(p, 2)] if p == q else sorted([(p, 1), (q, 1)])
             assert factorize(p * q) == expected, (p, q)
         # the p-1 stage: with p - 1 and q - 1 both 2048-smooth its gcd is n,

@@ -132,5 +132,6 @@ class TestSplittingType:
                 assert splitting_type(r, ell) is expected
 
     def test_two_always_inert(self, panel_ells):
-        for ell in panel_ells:
-            assert splitting_type(2, ell) is SplittingType.INERT
+        # 2 has no branch of its own: legendre(2, ell) = -1 for every ell = 5 (mod 8)
+        for ell in (*panel_ells, *family_sample(seed=5, count=40, low=4, high=12)):
+            assert splitting_type(2, ell) is SplittingType.INERT, ell

@@ -216,7 +216,6 @@ class TestPrimeTable:
         real = cli.splitting_type
         monkeypatch.setattr(cli, "splitting_type",
                             lambda r, ell: S if r == 5 else real(r, ell))
-        monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
         for command in ("scan", "verify"):
             assert main([command, "--ell", "37", "--n-max", "100", "--format", "csv"]) == 3
             err = capsys.readouterr().err

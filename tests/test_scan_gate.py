@@ -23,8 +23,7 @@ from qtr.rank import rank_closed, rank_unified
 SCAN_37_3000_SHA256 = "8fe8bed324dc67d6ade79c60ecb0dc2208fa464f7070c458a95c5c91fc68f986"
 
 
-def test_scan_csv_bytes(capsys, monkeypatch):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+def test_scan_csv_bytes(capsys):
     assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_37_3000_SHA256
@@ -37,7 +36,6 @@ SCAN_37_30000_SHA256 = "4179f51ef12ad8b688ce6c9ed42dc4c156d68a32c21d0b60b97c415d
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_census_csv_bytes(capsys, monkeypatch, jobs):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", jobs]
     assert main(argv) == 0
@@ -54,8 +52,7 @@ SCAN_TEXT_30000_SHA256 = {
 
 
 @pytest.mark.parametrize("options", sorted(SCAN_TEXT_30000_SHA256))
-def test_scan_text_bytes(capsys, monkeypatch, options):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+def test_scan_text_bytes(capsys, options):
     assert main(["scan", "--ell", "37", "--n-max", "30000", *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_TEXT_30000_SHA256[options]
@@ -66,8 +63,7 @@ def test_scan_text_bytes(capsys, monkeypatch, options):
 VERIFY_PANEL_3000_SHA256 = "9cbe07f73980b8961c75e9a102b554e41e7add046b1ee8791c9ad436737704f7"
 
 
-def test_verify_panel_json_bytes(capsys, monkeypatch, panel_ells):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+def test_verify_panel_json_bytes(capsys, panel_ells):
     h = hashlib.sha256()
     for ell in panel_ells:
         argv = ["verify", "--ell", str(ell), "--n-max", "3000", "--format", "json"]
@@ -88,8 +84,7 @@ VERIFY_37_3000 = {
 
 
 @pytest.mark.parametrize("fmt", sorted(VERIFY_37_3000))
-def test_verify_bytes(capsys, monkeypatch, fmt):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+def test_verify_bytes(capsys, fmt):
     assert main(["verify", "--ell", "37", "--n-max", "3000", "--format", fmt]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == ("".join(line + "\n" for line in VERIFY_37_3000[fmt]), "")
@@ -145,7 +140,6 @@ def test_signs_are_computed_only_for_a_printed_table(capsys, monkeypatch, comman
     # ell = 37), and only where a character table is printed: by table, and
     # by rank in text and JSON
     calls = count_calls(monkeypatch, "qtr.ntheory", "quartic_symbol")
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     for fmt in ("text", "csv", "json"):
         if command in ("scan", "verify"):
             argv = [command, "--ell", "37", "--n-max", "3000", "--format", fmt]
@@ -237,8 +231,7 @@ SCAN_3000_SHA256 = {
 
 
 @pytest.mark.parametrize("key", sorted(SCAN_3000_SHA256))
-def test_scan_bytes_for_every_format_and_option(capsys, monkeypatch, key):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+def test_scan_bytes_for_every_format_and_option(capsys, key):
     ell, fmt, *options = key.split()
     argv = ["scan", "--ell", ell, "--n-max", "3000", "--format", fmt, *options]
     for jobs in ("1", "2"):
@@ -259,8 +252,7 @@ HEADER = "n,delta,shape,mu,r_star,rank,case,conductor"
     ("0", "json", "[]\n"),
     ("-5", "json", "[]\n"),
 ])
-def test_scan_below_one_window(capsys, monkeypatch, n_max, fmt, expected):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
+def test_scan_below_one_window(capsys, n_max, fmt, expected):
     for jobs in ("1", "2"):
         assert main(["scan", "--ell", "13", "--n-max", n_max, "--format", fmt, "--jobs", jobs]) == 0
         assert capsys.readouterr().out == expected
@@ -356,7 +348,6 @@ def test_a_conductor_off_its_class_ratio_is_named(capsys, monkeypatch):
     with pytest.raises(InternalCheckError,
                        match=r"^ell=37 n=41 check=conductor: f = 6069 is not a multiple of n$"):
         scan_rows(37, 100)
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     assert main(["scan", "--ell", "37", "--n-max", "100", "--format", "csv"]) == 3
     out, err = capsys.readouterr()
     assert out == HEADER + "\n"
@@ -522,11 +513,11 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
     filled = []
     real = cli.legendre
     monkeypatch.setattr(cli, "legendre", lambda a, p: filled.append(p) or real(a, p))
-    monkeypatch.setattr(cli, "_worker_primes", PrimeTable(37))
-    first = cli._scan_chunk((1, _CHUNK + 1, False, None, True))
+    table = PrimeTable(37)
+    first = cli._scan_chunk((table, 1, _CHUNK + 1, False, None, True))
     assert filled and len(set(filled)) == len(filled)
     seen = len(filled)
-    second = cli._scan_chunk((_CHUNK + 1, 2 * _CHUNK + 1, False, None, True))
+    second = cli._scan_chunk((table, _CHUNK + 1, 2 * _CHUNK + 1, False, None, True))
     assert len(filled) > seen and len(set(filled)) == len(filled)
     assert sorted(p % 37 for p in classes) == list(range(1, 37))
     primes = PrimeTable(37)
@@ -551,7 +542,6 @@ def test_a_scan_makes_its_windows_as_they_run():
 
 def test_a_pooled_scan_builds_one_prime_table(capsys, monkeypatch):
     # the workers fork with the table the scan built and validated
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     validated = count_calls(monkeypatch, "qtr.quartic", "validate_ell")
     argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
@@ -564,7 +554,6 @@ def test_a_pooled_scan_builds_one_prime_table(capsys, monkeypatch):
 def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
     # the pool's workers fork with the broken entry; the first window fails at
     # n = 41, and the parent has written the same bytes as --jobs 1 before it
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split",
                         lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -633,7 +622,6 @@ def test_a_closed_stdout_exits_1_quietly(jobs):
 
 
 def test_without_fork_the_pool_runs_serially(capsys, monkeypatch):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.delattr(cli.os, "fork")
     argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
@@ -643,7 +631,6 @@ def test_without_fork_the_pool_runs_serially(capsys, monkeypatch):
 
 def test_one_usable_cpu_starts_no_pool(capsys, monkeypatch):
     # the machine may have more CPUs than this process may run on
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
 

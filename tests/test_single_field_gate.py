@@ -90,11 +90,6 @@ SINGLE_FIELD_SHA256 = {
 }
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("QTR_DEFAULT_FORMAT", raising=False)
-
-
 @pytest.mark.parametrize("key", sorted(SINGLE_FIELD_SHA256))
 def test_single_field_bytes(capsys, key):
     command, fmt = key.split()
