@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from itertools import islice
-from math import inf, isqrt, prod
+from math import isqrt, prod
 
 from .classify import classify_small_rank, small_rank_pattern
 from .errors import FieldInputError, InternalCheckError, JobsNotPositive
@@ -55,33 +55,19 @@ CLASS_ID_BITS = 2
 
 
 class PrimeTable(dict):
-    """The kinds (prime_kind) of the odd primes of n that a census of one
-    ell reads, each computed at its first lookup.  The splitting runs once
-    per residue class mod ell, kept while a later prime of the class can be
-    at most n_max; each split prime's Euler's-criterion check is (ell/p) =
-    +1, by reciprocity.  One serves one scan or verify call (a scan's pool
-    forks with it) and keeps its memo per shape class, `classes`: a scan
-    row's parts (_shape_row) or verify's conductor exponent (_class_checks).
-    A FieldInput never builds one.
-    """
+    """The kinds (prime_kind) of the odd primes p != ell of n in a census of
+    one ell, keyed by p mod 4 * ell, which fixes p mod 4 and, by reciprocity,
+    (p/ell): each class's kind is filled from its least residue.  One serves
+    a scan (its pool forks with it) or a verify call, with a memo per shape
+    class, `classes`: a scan row's parts (_shape_row) or verify's conductor
+    exponent (_class_checks).  A FieldInput never builds one."""
 
-    def __init__(self, ell: int, n_max: float = inf):
-        super().__init__()
+    def __init__(self, ell: int):
         self.ell = validate_ell(ell)
-        self._residues: dict[int, SplittingType] = {}  # p mod ell: p's splitting
-        self._reuse_to = n_max - 2 * ell  # the class's next odd number is p + 2 * ell
         self.classes: dict[int, tuple | int] = {}
 
-    def __missing__(self, prime: int) -> int:
-        ell = self.ell
-        tag = self._residues.get(prime % ell)
-        if tag is None:
-            tag = splitting_type(prime, ell)
-            if prime <= self._reuse_to:
-                self._residues[prime % ell] = tag
-        if tag is SplittingType.SPLIT and legendre(ell, prime) != 1:  # (ell/p) = (p/ell)
-            raise InternalCheckError(f"ell={ell} prime={prime}: split, but ({ell}/{prime}) != 1")
-        kind = self[prime] = prime_kind(prime, tag)
+    def __missing__(self, r: int) -> int:
+        kind = self[r] = prime_kind(r, splitting_type(r, self.ell))
         return kind
 
 
@@ -101,10 +87,18 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     multiple of p^2 or 4), so a squarefree n is its product times 1 or one
     larger prime.  The key's digits base 2**CLASS_ID_BITS are delta (never
     0), then the odd primes' kinds ascending (PrimeTable), a base prime's
-    looked up once per window, the leftover's last.  ell is never looked up.
+    looked up once per window, the leftover's last.  ell is never looked up,
+    and each other odd prime p is first looked up at n = p, by first_kind.
     """
     ell = primes.ell
-    size = hi - lo
+    modulus, size = 4 * ell, hi - lo
+
+    def first_kind(p: int) -> int:  # at n = p, where a split p's (ell/p) = +1 is checked
+        kind = primes[p % modulus]
+        if kind == prime_kind(p, SplittingType.SPLIT) and legendre(ell, p) != 1:
+            raise InternalCheckError(f"ell={ell} prime={p}: split, but ({ell}/{p}) != 1")
+        return kind
+
     # delta, 2 for even n and 1 for odd; an odd size leaves a spare last entry
     keys = [2 - lo % 2, 1 + lo % 2] * ((size + 1) // 2)
     product = keys[:]
@@ -113,7 +107,7 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
             for i in range(-lo % p, size, p):
                 product[i] *= p
         elif p != 2:
-            kind = primes[p]
+            kind = first_kind(p) if lo <= p else primes[p % modulus]
             for i in range(-lo % p, size, p):
                 keys[i] = keys[i] << CLASS_ID_BITS | kind
                 product[i] *= p
@@ -127,8 +121,10 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
             raise InternalCheckError(f"sieve product {d} times rest {n // d} is not n = {n}")
         elif n % ell == 0:
             out.append("NotCoprime")
-        else:  # the leftover n // d is 1 or a prime
-            out.append(key << CLASS_ID_BITS | primes[n // d] if n > d else key)
+        elif d == 1 and n > 1:  # n is a prime, at its first lookup
+            out.append(key << CLASS_ID_BITS | first_kind(n))
+        else:  # the leftover n // d is 1 or a prime looked up before
+            out.append(key << CLASS_ID_BITS | primes[n // d % modulus] if n > d else key)
     return out
 
 
@@ -280,7 +276,7 @@ def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
     """The output of each window of a scan (see _window_step), in window
     order, each step made as it runs.  ell and jobs are checked here, before
     any window is computed."""
-    primes = PrimeTable(ell, n_max)
+    primes = PrimeTable(ell)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
     steps = ((primes, lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max))
@@ -406,7 +402,7 @@ def cmd_verify(args, fmt: str) -> int:
     checks run once per shape class, whose exponent primes.classes keeps
     once all three pass.  A class that fails one is checked again at each of
     its fields, so each failure names its n."""
-    primes = PrimeTable(args.ell, args.n_max)
+    primes = PrimeTable(args.ell)
     memo = primes.classes
     ell, legs = primes.ell, two_squares(primes.ell)
     failures: list[tuple[int, str]] = []

@@ -220,6 +220,8 @@ def base_primes(m: int) -> list[int]:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
+    if p % 2 == 0:
+        raise InternalCheckError(f"({a}/{p}): p is even, not an odd prime")
     a %= p
     if a == 0:
         return 0
@@ -234,8 +236,8 @@ def quartic_symbol(a: int, p: int) -> int:
 
     Defined only when (a/p) = +1.  For p = 1 (mod 4) this is t = a^((p-1)/4)
     read as a sign, and t^2 is Euler's criterion for (a/p), so one pow gives
-    both.  Otherwise it is +1: the squares mod p = 3 (mod 4) form a group of
-    odd order (p-1)/2, so each is a fourth power, and mod 2 the one unit is 1.
+    both.  For p = 3 (mod 4) it is +1: the squares mod p form a group of odd
+    order (p-1)/2, so each is a fourth power.  legendre rejects an even p.
     """
     residue = a % p
     if p % 4 == 1:

@@ -84,8 +84,9 @@ def fundamental_unit(ell: int) -> FundamentalUnit:
 
 
 def splitting_type(r: int, ell: int) -> SplittingType:
-    """How the prime r behaves in Q(sqrt(ell)), ell prime = 5 (mod 8): 2 is
-    inert, as (2/ell) = -1; only a library call passes r = ell (RAMIFIED)."""
+    """How the prime r behaves in Q(sqrt(ell)), ell prime = 5 (mod 8), read
+    from (r/ell) alone, so a class's least residue stands for its primes: 2
+    is inert, as (2/ell) = -1; only a library call passes r = ell (RAMIFIED)."""
     if r == ell:
         return SplittingType.RAMIFIED
     return SplittingType.SPLIT if legendre(r, ell) == 1 else SplittingType.INERT

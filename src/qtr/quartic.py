@@ -29,7 +29,8 @@ KIND_LETTERS = (("p", "I"), ("p", "S"), ("q", "I"), ("q", "S"))
 
 
 def prime_kind(prime: int, tag: SplittingType) -> int:
-    """Which of the counts t1, t2, s1, s2 an odd prime of n bumps."""
+    """Which of the counts t1, t2, s1, s2 an odd prime of n bumps, read from
+    prime mod 4 and tag alone, so a class's least residue stands for its primes."""
     return (2 if prime % 4 == 3 else 0) + (1 if tag is SplittingType.SPLIT else 0)
 
 

@@ -70,6 +70,19 @@ def exit_only_in_forked_children():
     os._exit = real_exit
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """A fork fault can also send a child down the session's path, back out
+    of the test, where it would run the rest of the session and print a
+    second report: any process other than the session's that comes back
+    from a test ends here, with code 1, through os._exit, which the guard of
+    exit_only_in_forked_children passes on to the real one in such a process."""
+    session = os.getpid()
+    yield
+    if os.getpid() != session:
+        os._exit(1)
+
+
 @pytest.fixture(autouse=True)
 def no_default_format(monkeypatch):
     """Each test starts without QTR_DEFAULT_FORMAT, whatever the caller's

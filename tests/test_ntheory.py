@@ -249,6 +249,16 @@ class TestLegendre:
         with pytest.raises(InternalCheckError):
             legendre(2, 15)
 
+    @pytest.mark.parametrize("p", range(2, 17, 2))
+    def test_even_modulus_is_an_internal_error(self, p):
+        # an even p is no odd prime, for legendre and for quartic_symbol,
+        # whose p = 3 (mod 4) branch reads legendre, whatever a is
+        for a in (0, 1, 3, p + 1):
+            with pytest.raises(InternalCheckError, match="p is even"):
+                legendre(a, p)
+            with pytest.raises(InternalCheckError, match="p is even"):
+                quartic_symbol(a, p)
+
     def test_check_survives_optimized_mode(self):
         code = ("from qtr.errors import InternalCheckError\n"
                 "from qtr.ntheory import legendre\n"

@@ -165,50 +165,45 @@ class TestCharacterTable:
 
 class TestPrimeTable:
     def test_memo_table_equals_fresh_table(self, panel_ells):
-        # each odd prime's table value is its kind, and the kinds' entries
-        # (KIND_ENTRIES), in column order, are the odd columns of the
+        # each odd prime's class value mod 4 * ell is its kind, and the kinds'
+        # entries (KIND_ENTRIES), in column order, are the odd columns of the
         # field's own sign-free rows
         for ell in panel_ells[:6]:
             primes = PrimeTable(ell)
             for n in valid_n_values(ell, 400):
                 shape = n_shape(validate(ell, n))
-                kinds = [primes[prime] for prime in shape.primes]
+                kinds = [primes[prime % (4 * ell)] for prime in shape.primes]
                 assert kinds == list(shape.kinds)
                 assert kinds == [prime_kind(p, splitting_type(p, ell)) for p in shape.primes]
                 entries = [quartic.KIND_ENTRIES[kind] for kind in kinds]
                 minus_one, eps = sum((e[0] for e in entries), ()), sum((e[1] for e in entries), ())
                 odd = slice(1, 1 + len(minus_one))
                 assert (shape.rows[0][odd], shape.rows[1][odd]) == (minus_one, eps), (ell, n)
-        # at ell = 5 each residue class holds hundreds of these primes; at
-        # 1000000021 none holds two, and with the census's bound none is kept
-        for ell, bound in ((5, {}), (1000000021, {}), (1000000021, {"n_max": 20000})):
-            primes = PrimeTable(ell, **bound)
-            for p in range(3, 20000, 2):
-                if p != ell and is_prime(p):
-                    assert primes[p] == prime_kind(p, splitting_type(p, ell)), (ell, p)
-            assert len(primes._residues) == (0 if bound else min(ell - 1, len(primes)))
-
-    def test_residue_classes_kept_while_a_later_prime_can_occur(self):
-        # the next odd number of p's class mod 37 is p + 74: 127 + 74 = 201
-        # is the bound, 131 + 74 passes it (127 = 16 and 131 = 20 mod 37)
-        primes = PrimeTable(37, 201)
-        for p in (3, 5, 127, 131, 139):
-            primes[p]
-        assert sorted(primes._residues) == [3, 5, 16]
+        # at ell = 5 each of the 8 classes mod 20 holds hundreds of these
+        # primes; at 1000000021 none holds two
+        for ell, classes in ((5, 8), (1000000021, 2261)):
+            primes = PrimeTable(ell)
+            odd = [p for p in range(3, 20000, 2) if p != ell and is_prime(p)]
+            for p in odd:
+                assert primes[p % (4 * ell)] == prime_kind(p, splitting_type(p, ell)), (ell, p)
+            assert sorted(primes) == sorted({p % (4 * ell) for p in odd})
+            assert len(primes) == classes
 
     def test_symbols_once_per_prime_per_table(self, monkeypatch):
         # the table computes no quartic symbol; each split prime gets one
-        # Euler's-criterion check, (ell/p) by reciprocity, at its first lookup
-        odd = [prime for n in (41, 67, 71, 4757, 2 * 4757, 5 * 41)
-               for prime in n_shape(validate(37, n)).primes]
+        # Euler's-criterion check, (ell/p) by reciprocity, at its first
+        # lookup, n = p: a window past it reads its class alone, as at
+        # 4757 = 67 * 71 and 9514 = 2 * 67 * 71
         symbols, checks = [], []
         monkeypatch.setattr(rank, "quartic_symbol", lambda a, p: symbols.append((a, p)))
         real = cli.legendre
         monkeypatch.setattr(cli, "legendre", lambda a, p: checks.append((a, p)) or real(a, p))
         primes = PrimeTable(37)
-        for prime in odd:
-            primes[prime]
-        assert symbols == [] and sorted(checks) == [(37, 41), (37, 67), (37, 71)]
+        for lo, hi in [*cli._windows(10000), (4757, 4758), (9514, 9515)]:
+            cli._keyed_fields(primes, lo, hi)
+        split = [p for p in range(3, 10001, 2) if is_prime(p) and splitting_type(p, 37) is S]
+        assert symbols == [] and sorted(checks) == [(37, p) for p in split]
+        assert {41, 67, 71} <= set(split) and len(primes) == 72
 
     def test_a_misreported_splitting_exits_3(self, capsys, monkeypatch):
         # 5 is inert over 37; a splitting rule that calls it split fails the

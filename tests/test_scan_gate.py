@@ -13,7 +13,7 @@ import pytest
 from qtr import cli, ntheory, rank
 from qtr.cli import _CHUNK, CLASS_ID_BITS, PrimeTable, main, scan_rows
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
-from qtr.ntheory import factor_squarefree, legendre, two_squares
+from qtr.ntheory import factor_squarefree, is_prime, legendre, two_squares
 from qtr.quad import splitting_type
 from qtr.quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, prime_kind,
                          to_williams, williams_abc)
@@ -271,7 +271,7 @@ def factored_step(primes, n):
     key = 2 - n % 2
     for prime in factors:
         if prime != 2:
-            key = key << CLASS_ID_BITS | primes[prime]
+            key = key << CLASS_ID_BITS | primes[prime % (4 * primes.ell)]
     return key
 
 
@@ -384,20 +384,23 @@ def test_sieve_record_checks_its_primes(monkeypatch):
                                                     (197, 197 * 2, None)])
 def test_ell_is_never_in_the_prime_table(monkeypatch, ell, coprime_n, square_n):
     # at N = 3e4, 5 and 37 are base primes of the sieve and 197 is a
-    # leftover; either way ell's multiples are skipped before a lookup
+    # leftover; either way ell's multiples are skipped before a lookup, so
+    # the table's keys are the odd classes mod 4 * ell prime to ell, all met
     primes = PrimeTable(ell)
     for lo, hi in cli._windows(30000):
         cli._window_step(primes, lo, hi, True, None, True)
-    assert ell not in primes and len(primes) > 1000
+    assert sorted(primes) == [r for r in range(4 * ell) if r % 2 and r % ell]
     if square_n is not None:
         assert window_rows(primes, square_n, square_n + 1) == [(square_n, *SKIPPED, "NotSquarefree")]
     assert window_rows(primes, coprime_n, coprime_n + 1) == [(coprime_n, *SKIPPED, "NotCoprime")]
-    # the product check runs before the NotCoprime skip
+    assert all(r % ell for r in primes)
+    # the product check runs before the NotCoprime skip; of the keys, only
+    # the class of the fake base prime, a multiple of ell, is one too
     real = cli.base_primes
     monkeypatch.setattr(cli, "base_primes", lambda m: [*real(m), coprime_n])
     with pytest.raises(InternalCheckError, match=f"is not n = {coprime_n}$"):
         window_rows(primes, coprime_n, coprime_n + 1)
-    assert ell not in primes
+    assert [r for r in primes if r % ell == 0] == [coprime_n % (4 * ell)]
 
 
 def record_row(ell, n):
@@ -507,8 +510,8 @@ def test_csv_streams_one_window_at_a_time(monkeypatch):
 
 def test_a_worker_fills_each_prime_once(monkeypatch):
     # every window a worker runs reads the pool's one table: the reciprocity
-    # check (37/p) runs once for each split prime p the table holds, the
-    # splitting rule once for each residue class mod 37
+    # check (37/p) runs once for each split prime p of its windows, at n = p,
+    # the splitting rule once for each class mod 4 * 37 = 148
     classes = count_calls(monkeypatch, "qtr.quad", "splitting_type")
     filled = []
     real = cli.legendre
@@ -519,10 +522,23 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
     seen = len(filled)
     second = cli._scan_chunk((table, _CHUNK + 1, 2 * _CHUNK + 1, False, None, True))
     assert len(filled) > seen and len(set(filled)) == len(filled)
-    assert sorted(p % 37 for p in classes) == list(range(1, 37))
+    assert sorted(filled) == [p for p in range(3, 2 * _CHUNK + 1, 2)
+                              if p != 37 and is_prime(p) and legendre(p, 37) == 1]
+    assert sorted(classes) == sorted(table) == [r for r in range(148) if r % 2 and r % 37]
     primes = PrimeTable(37)
     assert first + second == "".join(cli._window_step(primes, lo, hi, False, None, True)
                                      for lo, hi in cli._windows(2 * _CHUNK))
+
+
+def test_a_census_table_stays_within_its_classes(capsys, monkeypatch):
+    # one kind per class mod 4 * ell: at most phi(148) = 72 entries for
+    # ell = 37, however many primes the census meets
+    tables = []
+    monkeypatch.setattr(cli, "PrimeTable", lambda ell: tables.append(PrimeTable(ell)) or tables[-1])
+    assert main(["scan", "--ell", "37", "--n-max", "100000", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") > 50_000
+    [table] = tables
+    assert 0 < len(table) <= 72
 
 
 def test_a_scan_makes_its_windows_as_they_run():
