@@ -58,9 +58,11 @@ class PrimeTable(dict):
     """The kinds (prime_kind) of the odd primes p != ell of n in a census of
     one ell, keyed by p mod 4 * ell, which fixes p mod 4 and, by reciprocity,
     (p/ell): each class's kind is filled from its least residue.  One serves
-    a scan (its pool forks with it) or a verify call, with a memo per shape
-    class, `classes`: a scan row's parts (_shape_row) or verify's conductor
-    exponent (_class_checks).  A FieldInput never builds one."""
+    a scan or a verify call; under --jobs J the scan's own process fills it
+    in its windows, and each of the J - 1 forked workers its own copy in
+    theirs.  It keeps a memo per shape class, `classes`: a scan row's parts
+    (_shape_row) or verify's conductor exponent (_class_checks).  A
+    FieldInput never builds one."""
 
     def __init__(self, ell: int):
         self.ell = validate_ell(ell)
@@ -196,7 +198,10 @@ def _csv_text(rows) -> str:
 
 
 def _scan_chunk(args: tuple) -> list[tuple] | str:
-    """One step in a pool worker: _window_step on the step, headed by the prime table."""
+    """One step in a forked pool worker (_run_worker): _window_step on the
+    step, headed by the prime table.  The scan's own process calls
+    _window_step for its windows, so rebinding this reaches the forked
+    workers alone."""
     return _window_step(*args)
 
 
@@ -208,13 +213,16 @@ def _usable_cpus() -> int | None:
 
 
 def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
-    """Worker processes for a scan: at most one per chunk and one per CPU."""
+    """Processes that compute a scan's windows: at most one per chunk and one
+    per CPU.  The scan's own process is one of them, so a pool of J forks
+    J - 1 workers."""
     return max(1, min(jobs, chunks, cpus or 1))
 
 
 def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
-    """In forked child `worker`: steps worker, worker + workers, ... in
-    order, each result, or the exception it raised, pickled down write_fd."""
+    """In forked child `worker`, 1 <= worker < workers (the scan's own
+    process is worker 0): steps worker, worker + workers, ... in order,
+    each result, or the exception it raised, pickled down write_fd."""
     import pickle
 
     with open(write_fd, "wb") as pipe:
@@ -230,15 +238,19 @@ def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
 
 
 def _pooled(workers: int, steps):
-    """The steps' results in step order, from `workers` forked children
-    (_run_worker) that inherit the steps, an iterator none has started, each
-    headed by the scan's prime table.  qtr starts no threads, so forking is
-    safe, and the children inherit the module state a caller or a tracer has set."""
+    """The steps' results in step order, from `workers` processes: this one
+    runs steps 0, workers, 2 * workers, ... itself (_window_step), and
+    workers - 1 forked children (_run_worker) run the rest, dealt round-robin.
+    The children inherit the steps, an iterator none has started, each
+    headed by the scan's prime table, and are forked before this process's
+    first step, so it overlaps their start-up.  qtr starts no threads, so
+    forking is safe, and the children inherit the module state a caller or
+    a tracer has set."""
     import pickle
 
     readers, pids = [], []
     try:
-        for worker in range(workers):
+        for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -255,9 +267,13 @@ def _pooled(workers: int, steps):
             pids.append(pid)
             os.close(write_fd)
             readers.append(open(read_fd, "rb"))
-        for index, (primes, lo, hi, *_) in enumerate(steps):
+        for index, step in enumerate(steps):
+            if index % workers == 0:
+                yield _window_step(*step)
+                continue
+            primes, lo, hi, *_ = step
             try:
-                ok, result = pickle.load(readers[index % workers])
+                ok, result = pickle.load(readers[index % workers - 1])
             except (EOFError, pickle.UnpicklingError):
                 raise InternalCheckError(f"ell={primes.ell} window n={lo}..{hi - 1}: "
                                          f"its pool worker ended without a result") from None

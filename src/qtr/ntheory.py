@@ -33,8 +33,8 @@ _PM1_LEVEL = 1 << 10
 # and seeds: ten times the 212,094 of the hardest of the 3,246 calls that reach
 # rho in the benchmark's request pool (n with two primes of 24-32 bits, so one
 # split each), which the p-1 stage does not split.  That stage is one pow per
-# composite part and is not counted.  The whole budget takes 1.2-1.5 s
-# (shared 2-vCPU host, Python 3.11).
+# composite part, none on the parts of a divisor it returned, and is not
+# counted.  The whole budget takes 1.2-1.5 s (shared 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
 
@@ -69,27 +69,27 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
+def _pollard_brent(n: int, budget: int, stage: bool = True) -> tuple[int, int, bool]:
     """Nontrivial factor of an odd composite n with no factor <= _TRIAL_LIMIT,
-    and the squarings it took.
+    the squarings it took, and whether the p-1 stage returned it.
 
     Brent's cycle variant with a fixed seed schedule, so repeated runs agree.
     The squarings are counted, and checked against budget once per batch of
-    m, before its gcd: past it, FactorBudgetExceeded.  When the first seed
-    reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1) squarings,
-    one Pollard p-1 stage returns gcd(2^_pm1_exponent() - 1, n) if it is a
-    proper divisor, which may be composite; rho carries on otherwise.  Its
-    one pow is not counted against budget.
+    m, before its gcd: past it, FactorBudgetExceeded.  With stage, when the
+    first seed reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1)
+    squarings, one Pollard p-1 stage returns gcd(2^_pm1_exponent() - 1, n)
+    if it is a proper divisor, which may be composite; rho carries on
+    otherwise.  Its one pow is not counted against budget.
     """
     steps = 0
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            if c == 1 and r == _PM1_LEVEL:
+            if stage and c == 1 and r == _PM1_LEVEL:
                 d = gcd(pow(2, _pm1_exponent(), n) - 1, n)
                 if 1 < d < n:
-                    return d, steps
+                    return d, steps, True
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -114,18 +114,21 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:
-            return g, steps
+            return g, steps, False
     raise InternalCheckError(f"Pollard-Brent found no factor of {n} in 63 seed schedules")
 
 
-def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
+def _factor_into(n: int, acc: dict[int, int], budget: int, stage: bool = True) -> int:
     """Add the primes of n > 1 to acc, splitting with at most budget squarings
-    in all; the squarings left."""
+    in all; the squarings left.  Without stage, rho runs no p-1 stage on n or
+    its parts: n divides a divisor the stage returned, so the stage's gcd on
+    any part of it is that whole part."""
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return budget
-    d, steps = _pollard_brent(n, budget)
-    return _factor_into(n // d, acc, _factor_into(d, acc, budget - steps))
+    d, steps, staged = _pollard_brent(n, budget, stage)
+    budget = _factor_into(d, acc, budget - steps, stage and not staged)
+    return _factor_into(n // d, acc, budget, stage)
 
 
 @functools.cache

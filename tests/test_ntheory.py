@@ -91,8 +91,8 @@ class TestFactorization:
     def test_rho_budget_passes_and_one_less_fails(self):
         # rho splits this n after 1,022 squarings
         n = 1000003 * 1000033
-        factor, steps = ntheory._pollard_brent(n, 1022)
-        assert factor in (1000003, 1000033) and steps == 1022
+        factor, steps, staged = ntheory._pollard_brent(n, 1022)
+        assert factor in (1000003, 1000033) and steps == 1022 and not staged
         with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 1021 "):
             ntheory._pollard_brent(n, 1021)
 
@@ -102,7 +102,7 @@ class TestFactorization:
         # at the top of the level r = 1024 returns the smooth prime after
         # 2 * (1 + 2 + ... + 512) = 2,046
         n = 10000019 * 10000079
-        assert ntheory._pollard_brent(n, 2046) == (10000019, 2046)
+        assert ntheory._pollard_brent(n, 2046) == (10000019, 2046, True)
         with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
             ntheory._pollard_brent(n, 2045)
 
@@ -111,8 +111,22 @@ class TestFactorization:
         # 2048-smooth, so the gcd is 1; 10000019 - 1 and 10000253 - 1 =
         # 2^2 * 43 * 53 * 1097 both are, so it is n.  Either way rho keeps the
         # squaring count it had without the stage
-        assert ntheory._pollard_brent(10000079 * 10000189, ntheory._RHO_BUDGET) == (10000189, 6270)
-        assert ntheory._pollard_brent(10000019 * 10000253, ntheory._RHO_BUDGET) == (10000253, 7934)
+        budget = ntheory._RHO_BUDGET
+        assert ntheory._pollard_brent(10000079 * 10000189, budget) == (10000189, 6270, False)
+        assert ntheory._pollard_brent(10000019 * 10000253, budget) == (10000253, 7934, False)
+
+    def test_p_minus_1_runs_once_on_the_divisor_it_returned(self, monkeypatch):
+        # p - 1 and q - 1 are 2048-smooth and r - 1 is not, so the stage
+        # returns p * q; its gcd on p * q, or on any part of it, is that whole
+        # part, so the split of p * q runs rho alone
+        p, q, r = 276870443, 98805767, 865776859
+        n = p * q * r
+        assert ntheory._pollard_brent(n, ntheory._RHO_BUDGET) == (p * q, 2046, True)
+        calls = []
+        real = ntheory._pm1_exponent
+        monkeypatch.setattr(ntheory, "_pm1_exponent", lambda: calls.append(1) or real())
+        assert factorize(n) == sorted(sympy.factorint(n).items()) == [(q, 1), (p, 1), (r, 1)]
+        assert len(calls) == 1
 
     def test_rho_over_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)

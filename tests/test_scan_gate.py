@@ -568,8 +568,9 @@ def test_a_pooled_scan_builds_one_prime_table(capsys, monkeypatch):
 
 
 def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
-    # the pool's workers fork with the broken entry; the first window fails at
-    # n = 41, and the parent has written the same bytes as --jobs 1 before it
+    # the pool's worker forks with the broken entry; the first window, which
+    # the scan's own process runs, fails at n = 41, and the parent has written
+    # the same bytes as --jobs 1 before it
     monkeypatch.setitem(rank._CLOSED_RANK, "p-only:split",
                         lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -581,6 +582,52 @@ def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
         assert "ell=37 n=41 check=cross_path" in err
         outputs.append(out)
     assert outputs[0] == outputs[1] == HEADER + "\n"
+    assert_no_child_left()
+
+
+def test_a_failing_check_in_a_forked_worker_exits_3(capsys, monkeypatch):
+    # the case pq-no2:q-both first occurs at n = 1995, in window 3, which
+    # --jobs 2 deals to its forked worker: the worker's exception is raised
+    # in the scan's process once windows 0-2 are written, as with --jobs 1
+    assert main(["scan", "--ell", "37", "--n-max", str(3 * _CHUNK), "--format", "csv"]) == 0
+    written = capsys.readouterr().out
+    real = rank._CLOSED_RANK["pq-no2:q-both"]
+    monkeypatch.setitem(rank._CLOSED_RANK, "pq-no2:q-both", lambda *counts: real(*counts) + 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for jobs in ("1", "2"):
+        argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", jobs]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err == ("internal error: ell=37 n=1995 check=cross_path: inconsistent rank "
+                       "result: mu=7 r*=0 rank=5 case=pq-no2:q-both\n"), jobs
+        assert out == written, jobs
+    assert_no_child_left()
+
+
+def test_a_pool_of_j_forks_j_minus_1_workers(capsys, monkeypatch):
+    # N = 3500 is 7 windows, which neither J = 2 nor J = 3 divides; the scan's
+    # own process runs windows 0, J, 2J, ... and J - 1 forked workers the rest
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    options = ([], ["--include-skipped"], ["--rank", "2"], ["--include-skipped", "--rank", "2"])
+    for fmt in cli.FORMATS:
+        for option in options:
+            argv = ["scan", "--ell", "37", "--n-max", "3500", "--format", fmt, *option]
+            assert main(argv + ["--jobs", "1"]) == 0
+            serial = capsys.readouterr().out
+            for jobs in (1, 2, 3):
+                forks.clear()
+                assert main(argv + ["--jobs", str(jobs)]) == 0
+                assert capsys.readouterr().out == serial, (fmt, option, jobs)
+                assert len(forks) == jobs - 1, (fmt, option, jobs)
+            assert serial.count("\n") > 30
     assert_no_child_left()
 
 
@@ -608,16 +655,18 @@ def scan_script(argv, *patches):
     ])
 
 
-def test_a_worker_that_dies_without_a_result_exits_3():
+def test_a_worker_that_dies_without_a_result_exits_3(capsys):
     # in a fresh interpreter, so that a pool that waited forever would fail
-    # the timeout instead of stopping the suite
+    # the timeout instead of stopping the suite; the scan's own process runs
+    # window 0 and the worker dies at its first window, n = 513..1024
     argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
     script = scan_script(argv, "cli._scan_chunk = lambda args: os._exit(0)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
+    assert main(["scan", "--ell", "37", "--n-max", str(_CHUNK), "--format", "csv"]) == 0
     assert proc.returncode == 3
-    assert proc.stdout == HEADER + "\n"
-    assert proc.stderr == ("internal error: ell=37 window n=1..512: "
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stderr == ("internal error: ell=37 window n=513..1024: "
                            "its pool worker ended without a result\n")
 
 

@@ -327,3 +327,17 @@ def test_single_field_bytes_under_every_supported_python():
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, (python, proc.stderr)
         assert json.loads(proc.stdout) == pinned, python
+
+
+def test_scan_cost_alternates_its_jobs_at_each_n():
+    # one line per run, --jobs 1 then 2 at the one N, each with the census's
+    # own sha256 prefix
+    script = Path(__file__).resolve().parents[1] / "tools" / "scan_cost.py"
+    proc = subprocess.run([sys.executable, str(script), "--n-max", "3000", "--jobs", "1", "2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split()[:5] == ["N", "jobs", "wall_s", "rss_mb", "sha256"]
+    runs = [(n, jobs, digest) for n, jobs, _, _, digest, _ in map(str.split, lines)]
+    prefix = SCAN_37_3000_SHA256[:12]
+    assert runs == [("3000", "1", prefix), ("3000", "2", prefix)]

@@ -1,15 +1,17 @@
 """Wall time and peak memory of `qtr scan` at several N, one fresh child each.
 
     python3 tools/scan_cost.py --n-max 100000 1000000 10000000 --jobs 1
+    python3 tools/scan_cost.py --n-max 1000000 1000000 1000000 --jobs 1 2
 
-For each N, in the order given (repeat an N to run it again), it runs
+For each N, in the order given (repeat an N to run it again), and for each J
+of --jobs in turn, so that `--jobs 1 2` gives paired runs, it runs
 `python -m qtr.cli scan --ell 37 --n-max N --format csv --jobs J`, with qtr
 imported from src/ of this checkout, and hashes the output as it streams.
 The peak RSS is that child's own, from os.wait4: the larger of its own peak
 and that of each pool worker it waited for.  (The parent's
 getrusage(RUSAGE_CHILDREN) would keep the maximum over every child waited
 for so far, so one run's reading could be an earlier run's.)  One line per
-N: the wall time, the peak RSS, the sha256 prefix of the output and the
+run: the wall time, the peak RSS, the sha256 prefix of the output and the
 1-minute load average before and after the run, which says whether the host
 was busy.  Standard library only; POSIX only (os.wait4, os.getloadavg).
 """
@@ -53,15 +55,16 @@ def run_scan(n_max: int, jobs: int) -> tuple[float, float, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n-max", type=int, nargs="+", required=True)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
     print(f"{'N':>10}  jobs  {'wall_s':>7}  {'rss_mb':>6}  {'sha256':<12}  load before/after")
     for n_max in args.n_max:
-        before = os.getloadavg()[0]
-        wall, rss_mb, digest = run_scan(n_max, args.jobs)
-        after = os.getloadavg()[0]
-        print(f"{n_max:>10}  {args.jobs:>4}  {wall:>7.2f}  {rss_mb:>6.1f}  {digest}  "
-              f"{before:.2f}/{after:.2f}", flush=True)
+        for jobs in args.jobs:
+            before = os.getloadavg()[0]
+            wall, rss_mb, digest = run_scan(n_max, jobs)
+            after = os.getloadavg()[0]
+            print(f"{n_max:>10}  {jobs:>4}  {wall:>7.2f}  {rss_mb:>6.1f}  {digest}  "
+                  f"{before:.2f}/{after:.2f}", flush=True)
     return 0
 
 
