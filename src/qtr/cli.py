@@ -239,18 +239,17 @@ def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
 
 def _pooled(workers: int, steps):
     """The steps' results in step order, from `workers` processes: this one
-    runs steps 0, workers, 2 * workers, ... itself (_window_step), and
-    workers - 1 forked children (_run_worker) run the rest, dealt round-robin.
-    The children inherit the steps, an iterator none has started, each
-    headed by the scan's prime table, and are forked before this process's
-    first step, so it overlaps their start-up.  qtr starts no threads, so
-    forking is safe, and the children inherit the module state a caller or
-    a tracer has set."""
-    import pickle
-
+    runs steps 0, workers, 2 * workers, ... itself (_window_step), all of
+    them when workers is 1, and workers - 1 forked children (_run_worker)
+    run the rest, dealt round-robin.  The children inherit the steps, an
+    iterator none has started, each headed by the scan's prime table, and
+    are forked before this process's first step, so it overlaps their
+    start-up.  qtr starts no threads, so forking is safe, and the children
+    inherit the module state a caller or a tracer has set."""
     readers, pids = [], []
     try:
         for worker in range(1, workers):
+            import pickle  # before the first fork, so no child imports it; not with one worker
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -290,15 +289,13 @@ def _pooled(workers: int, steps):
 def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
                   rank_filter: int | None, as_csv: bool):
     """The output of each window of a scan (see _window_step), in window
-    order, each step made as it runs.  ell and jobs are checked here, before
-    any window is computed."""
+    order from _pooled, each step made as it runs, in one process without
+    os.fork.  ell and jobs are checked here, before any window is computed."""
     primes = PrimeTable(ell)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
     steps = ((primes, lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max))
-    workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus())
-    if workers == 1 or not hasattr(os, "fork"):
-        return (_window_step(*step) for step in steps)
+    workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus()) if hasattr(os, "fork") else 1
     return _pooled(workers, steps)
 
 

@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 from .errors import FactorBudgetExceeded, InternalCheckError, NotQuadraticResidue, NotSquarefree
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Strong-pseudoprime witness set proven adequate for every n below
 # 3_317_044_064_679_887_385_961_981 (Sorenson & Webster), so the test is
 # unconditional well past 2**64.
@@ -32,9 +30,9 @@ _PM1_LEVEL = 1 << 10
 # The most Pollard-Brent squarings of one factorize call, over all its splits
 # and seeds: ten times the 212,094 of the hardest of the 3,246 calls that reach
 # rho in the benchmark's request pool (n with two primes of 24-32 bits, so one
-# split each), which the p-1 stage does not split.  That stage is one pow per
-# composite part, none on the parts of a divisor it returned, and is not
-# counted.  The whole budget takes 1.2-1.5 s (shared 2-vCPU host, Python 3.11).
+# split each), which the p-1 stage does not split.  That stage is at most one
+# pow per composite part, and is not counted.  The whole budget takes 1.2-1.5 s
+# (shared 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
 
@@ -47,10 +45,10 @@ def is_prime(m: int) -> bool:
     """
     if m < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if m % p == 0:
             return m == p
-    if m < 41 * 41:
+    if m < 43 * 43:  # _MR_BASES holds every prime below 43, so m has none below sqrt(m)
         return True
     d, r = m - 1, 0
     while d % 2 == 0:
@@ -69,27 +67,28 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, budget: int, stage: bool = True) -> tuple[int, int, bool]:
+def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
     """Nontrivial factor of an odd composite n with no factor <= _TRIAL_LIMIT,
-    the squarings it took, and whether the p-1 stage returned it.
+    and the squarings it took.
 
     Brent's cycle variant with a fixed seed schedule, so repeated runs agree.
     The squarings are counted, and checked against budget once per batch of
-    m, before its gcd: past it, FactorBudgetExceeded.  With stage, when the
-    first seed reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1)
-    squarings, one Pollard p-1 stage returns gcd(2^_pm1_exponent() - 1, n)
-    if it is a proper divisor, which may be composite; rho carries on
-    otherwise.  Its one pow is not counted against budget.
+    m, before its gcd: past it, FactorBudgetExceeded.  When the first seed
+    reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1) squarings,
+    one Pollard p-1 stage returns gcd(2^_pm1_exponent() - 1, n) if it is a
+    proper divisor, which may be composite; rho carries on otherwise, as on
+    a part of a divisor the stage returned, where the gcd is the whole part.
+    Its one pow is not counted against budget.
     """
     steps = 0
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            if stage and c == 1 and r == _PM1_LEVEL:
+            if c == 1 and r == _PM1_LEVEL:
                 d = gcd(pow(2, _pm1_exponent(), n) - 1, n)
                 if 1 < d < n:
-                    return d, steps, True
+                    return d, steps
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -114,21 +113,19 @@ def _pollard_brent(n: int, budget: int, stage: bool = True) -> tuple[int, int, b
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
         if g != n:
-            return g, steps, False
+            return g, steps
     raise InternalCheckError(f"Pollard-Brent found no factor of {n} in 63 seed schedules")
 
 
-def _factor_into(n: int, acc: dict[int, int], budget: int, stage: bool = True) -> int:
+def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
     """Add the primes of n > 1 to acc, splitting with at most budget squarings
-    in all; the squarings left.  Without stage, rho runs no p-1 stage on n or
-    its parts: n divides a divisor the stage returned, so the stage's gcd on
-    any part of it is that whole part."""
+    in all; the squarings left."""
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return budget
-    d, steps, staged = _pollard_brent(n, budget, stage)
-    budget = _factor_into(d, acc, budget - steps, stage and not staged)
-    return _factor_into(n // d, acc, budget, stage)
+    d, steps = _pollard_brent(n, budget)
+    budget = _factor_into(d, acc, budget - steps)
+    return _factor_into(n // d, acc, budget)
 
 
 @functools.cache
@@ -139,9 +136,9 @@ def _pm1_exponent() -> int:
 
 @functools.cache
 def _trial_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The primes 5 <= p < _TRIAL_LIMIT in ascending blocks of _BLOCK, each
-    as (first prime, product, primes); built at first use."""
-    primes = _primes_upto(_TRIAL_LIMIT)[2:]
+    """The primes p < _TRIAL_LIMIT in ascending blocks of _BLOCK, each as
+    (first prime, product, primes); built at first use."""
+    primes = _primes_upto(_TRIAL_LIMIT)
     blocks = []
     for i in range(0, len(primes), _BLOCK):
         chunk = tuple(primes[i : i + _BLOCK])
@@ -158,10 +155,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     acc: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            acc[p] = acc.get(p, 0) + 1
-            n //= p
     for first, product, primes in _trial_blocks():
         if first * first > n:
             break  # every prime below first is out, so n is 1 or prime
@@ -237,24 +230,14 @@ def legendre(a: int, p: int) -> int:
 def quartic_symbol(a: int, p: int) -> int:
     """Rational quartic residue symbol (a/p)_4 in {-1, +1}.
 
-    Defined only when (a/p) = +1.  For p = 1 (mod 4) this is t = a^((p-1)/4)
-    read as a sign, and t^2 is Euler's criterion for (a/p), so one pow gives
-    both.  For p = 3 (mod 4) it is +1: the squares mod p form a group of odd
-    order (p-1)/2, so each is a fourth power.  legendre rejects an even p.
+    Defined only when (a/p) = +1 (legendre, which rejects a p that is even
+    or fails Euler's criterion).  For p = 1 (mod 4) it is a^((p-1)/4) mod p
+    read as a sign; for p = 3 (mod 4) it is +1: the squares mod p form a
+    group of odd order (p-1)/2, so each is a fourth power.
     """
-    residue = a % p
-    if p % 4 == 1:
-        t = pow(residue, (p - 1) // 4, p)
-        euler = t * t % p
-        if residue and euler != 1 and euler != p - 1:
-            raise InternalCheckError(f"Euler's criterion failed for ({residue}/{p}): "
-                                     f"p is not an odd prime")
-        square = residue != 0 and euler == 1
-    else:
-        square = legendre(a, p) == 1
-        t = 1
-    if not square:
+    if legendre(a, p) != 1:
         raise NotQuadraticResidue(f"({a}/{p}) != +1, quartic symbol undefined")
+    t = pow(a, (p - 1) // 4, p) if p % 4 == 1 else 1
     if t != 1 and t != p - 1:
         raise InternalCheckError(f"({a}/{p})_4 is not a sign: p is not a prime")
     return 1 if t == 1 else -1

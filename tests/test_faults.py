@@ -90,6 +90,9 @@ FAULTS = {
     "inert q: eps entry +1": (entries_fault(2, ((1,), (1,))), {"hilbert"}, 0, False, False),
     "split p: eps entries (1, -1)": (
         entries_fault(1, ((1, 1), (1, -1))), {"hilbert"}, 0, False, False),
+    # a split p with one column: the unified path's mu check fails
+    "split p: one column": (
+        entries_fault(1, ((1,), (1,))), {"classify", "cross_path", "hilbert"}, 3, True, False),
     "split q: -1 entries +1": (
         entries_fault(3, ((1, 1), (1, -1))), {"classify", "cross_path", "hilbert"}, 3, True, True),
     "dyadic never ramifies for odd n": (

@@ -74,6 +74,11 @@ class TestFactorization:
         with pytest.raises(NotSquarefree):
             factor_squarefree(4 * 37)
 
+    @pytest.mark.parametrize("n", [0, -1, -6])
+    def test_factorize_below_one_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match=f"cannot factor {n}"):
+            factorize(n)
+
     def test_factorize_matches_sympy_small_range(self):
         for n in range(1, 2000):
             assert factorize(n) == sorted(sympy.factorint(n).items()), n
@@ -91,8 +96,8 @@ class TestFactorization:
     def test_rho_budget_passes_and_one_less_fails(self):
         # rho splits this n after 1,022 squarings
         n = 1000003 * 1000033
-        factor, steps, staged = ntheory._pollard_brent(n, 1022)
-        assert factor in (1000003, 1000033) and steps == 1022 and not staged
+        factor, steps = ntheory._pollard_brent(n, 1022)
+        assert factor in (1000003, 1000033) and steps == 1022
         with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 1021 "):
             ntheory._pollard_brent(n, 1021)
 
@@ -102,7 +107,7 @@ class TestFactorization:
         # at the top of the level r = 1024 returns the smooth prime after
         # 2 * (1 + 2 + ... + 512) = 2,046
         n = 10000019 * 10000079
-        assert ntheory._pollard_brent(n, 2046) == (10000019, 2046, True)
+        assert ntheory._pollard_brent(n, 2046) == (10000019, 2046)
         with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
             ntheory._pollard_brent(n, 2045)
 
@@ -112,21 +117,26 @@ class TestFactorization:
         # 2^2 * 43 * 53 * 1097 both are, so it is n.  Either way rho keeps the
         # squaring count it had without the stage
         budget = ntheory._RHO_BUDGET
-        assert ntheory._pollard_brent(10000079 * 10000189, budget) == (10000189, 6270, False)
-        assert ntheory._pollard_brent(10000019 * 10000253, budget) == (10000253, 7934, False)
+        assert ntheory._pollard_brent(10000079 * 10000189, budget) == (10000189, 6270)
+        assert ntheory._pollard_brent(10000019 * 10000253, budget) == (10000253, 7934)
 
-    def test_p_minus_1_runs_once_on_the_divisor_it_returned(self, monkeypatch):
+    def test_p_minus_1_on_the_divisor_it_returned_costs_no_squaring(self, monkeypatch):
         # p - 1 and q - 1 are 2048-smooth and r - 1 is not, so the stage
-        # returns p * q; its gcd on p * q, or on any part of it, is that whole
-        # part, so the split of p * q runs rho alone
+        # returns p * q; its gcd on p * q is the whole of p * q, so rho splits
+        # p * q with the squarings it takes with no stage at all
         p, q, r = 276870443, 98805767, 865776859
-        n = p * q * r
-        assert ntheory._pollard_brent(n, ntheory._RHO_BUDGET) == (p * q, 2046, True)
+        n, budget = p * q * r, ntheory._RHO_BUDGET
+        assert ntheory._pollard_brent(n, budget) == (p * q, 2046)
+        with monkeypatch.context() as mp:
+            mp.setattr(ntheory, "_PM1_LEVEL", 3)  # no power of 2, so the stage never runs
+            _, rho_alone = ntheory._pollard_brent(p * q, budget)
         calls = []
         real = ntheory._pm1_exponent
         monkeypatch.setattr(ntheory, "_pm1_exponent", lambda: calls.append(1) or real())
-        assert factorize(n) == sorted(sympy.factorint(n).items()) == [(q, 1), (p, 1), (r, 1)]
-        assert len(calls) == 1
+        acc = {}
+        left = ntheory._factor_into(n, acc, budget)
+        assert sorted(acc.items()) == sorted(sympy.factorint(n).items()) == [(q, 1), (p, 1), (r, 1)]
+        assert len(calls) == 2 and budget - left == 2046 + rho_alone
 
     def test_rho_over_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
@@ -215,7 +225,7 @@ class TestFactorization:
 class TestTrialBlocks:
     def test_blocks_cover_the_primes_below_the_limit(self):
         blocks = ntheory._trial_blocks()
-        assert [p for _, _, primes in blocks for p in primes] == list(sympy.primerange(5, 2**16))
+        assert [p for _, _, primes in blocks for p in primes] == list(sympy.primerange(2, 2**16))
         for first, product, primes in blocks:
             assert first == primes[0]
             assert product == prod(primes)

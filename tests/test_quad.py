@@ -7,7 +7,7 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 
 from qtr import quad
 from qtr.cli import main
-from qtr.errors import PeriodBudgetExceeded
+from qtr.errors import InternalCheckError, PeriodBudgetExceeded
 from qtr.ntheory import legendre
 from qtr.quad import SplittingType, fundamental_unit, splitting_type
 
@@ -25,6 +25,12 @@ class TestFundamentalUnit:
         # no half-integer solution exists here; the minimal one is even
         unit = fundamental_unit(ell)
         assert (unit.u, unit.v) == (u, v)
+
+    @pytest.mark.parametrize("ell", [2, 3, 7, 17, 41, 43])
+    def test_ell_not_five_mod_eight_is_an_internal_error(self, ell):
+        # validate_ell stops such an ell before any command reaches the unit
+        with pytest.raises(InternalCheckError, match=f"needs ell = 5 \\(mod 8\\), got {ell}"):
+            fundamental_unit(ell)
 
     def test_identity_and_minimality_below_500(self):
         for ell in range(5, 500, 8):

@@ -147,6 +147,32 @@ def test_import_leaves_out_the_pool_and_dataclass_machinery():
     assert added & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} == set()
 
 
+POOL_IMPORT_SCRIPT = """
+import contextlib, io, os, sys
+from qtr import cli
+real_fork, seen = os.fork, []
+def fork():
+    seen.append("pickle" in sys.modules)
+    return real_fork()
+os.fork = fork
+cli._usable_cpus = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv",
+                     "--jobs", sys.argv[1]])
+print(code, "pickle" in sys.modules, seen)
+"""
+
+
+@pytest.mark.parametrize("jobs, expected", [("1", "0 False []"), ("2", "0 True [True]")])
+def test_only_a_pool_imports_pickle_and_before_its_fork(jobs, expected):
+    # a --jobs 1 scan in a fresh interpreter never loads pickle; a pool loads
+    # it once, before its one fork, so its child does not load it again
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT, jobs], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
 def test_invariants_hold_under_python_O():
     # -O strips asserts, and the package has none: the census bytes and a
     # failing check's exit code are the same with it, in the pool's workers too
@@ -341,3 +367,24 @@ def test_scan_cost_alternates_its_jobs_at_each_n():
     runs = [(n, jobs, digest) for n, jobs, _, _, digest, _ in map(str.split, lines)]
     prefix = SCAN_37_3000_SHA256[:12]
     assert runs == [("3000", "1", prefix), ("3000", "2", prefix)]
+
+
+@pytest.mark.parametrize("safe_path", [False, True])
+def test_scan_cost_times_this_checkout_not_another_qtr(tmp_path, safe_path):
+    # `python -m` puts the working directory first on sys.path: run from a
+    # directory holding a stub qtr package, with PYTHONPATH unset or, under
+    # PYTHONSAFEPATH, naming that directory, the tool still times and hashes
+    # this checkout's census
+    stub = tmp_path / "qtr"
+    stub.mkdir()
+    (stub / "__init__.py").write_text("")
+    (stub / "cli.py").write_text("print('stub')\n")
+    script = Path(__file__).resolve().parents[1] / "tools" / "scan_cost.py"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    if safe_path:
+        env.update(PYTHONSAFEPATH="1", PYTHONPATH=str(tmp_path))
+    proc = subprocess.run([sys.executable, str(script), "--n-max", "3000", "--jobs", "1"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _, line = proc.stdout.splitlines()
+    assert line.split()[4] == SCAN_37_3000_SHA256[:12]

@@ -5,8 +5,11 @@
 
 For each N, in the order given (repeat an N to run it again), and for each J
 of --jobs in turn, so that `--jobs 1 2` gives paired runs, it runs
-`python -m qtr.cli scan --ell 37 --n-max N --format csv --jobs J`, with qtr
-imported from src/ of this checkout, and hashes the output as it streams.
+`python -m qtr.cli scan --ell 37 --n-max N --format csv --jobs J` in src/ of
+this checkout, which `-m` puts first on sys.path (PYTHONSAFEPATH, which
+would stop it, is unset for the child), so qtr is imported from there
+whatever the working directory and PYTHONPATH hold, and hashes the output
+as it streams.
 The peak RSS is that child's own, from os.wait4: the larger of its own peak
 and that of each pool worker it waited for.  (The parent's
 getrusage(RUSAGE_CHILDREN) would keep the maximum over every child waited
@@ -33,12 +36,12 @@ ELL = 37
 def run_scan(n_max: int, jobs: int) -> tuple[float, float, str]:
     """One scan in a fresh child: its wall time in s, its peak RSS in MB and
     the sha256 prefix of its CSV."""
-    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONSAFEPATH"}
     argv = [sys.executable, "-m", "qtr.cli", "scan", "--ell", str(ELL), "--n-max", str(n_max),
             "--format", "csv", "--jobs", str(jobs)]
     digest = hashlib.sha256()
     start = time.perf_counter()
-    child = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, cwd=SRC, env=env)
     for block in iter(lambda: child.stdout.read(1 << 16), b""):
         digest.update(block)
     child.stdout.close()
