@@ -21,18 +21,22 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 1 << 16
 _BLOCK = 64  # primes per trial-division gcd
-# One Pollard p-1 stage, with the exponent lcm(1, ..., _PM1_BOUND), runs when
-# the first rho seed reaches the level _PM1_LEVEL: a prime factor p too large
-# for rho to find by then is split off at once if every prime power in p - 1
-# is at most _PM1_BOUND.
+# Pollard p-1 runs when the first rho seed reaches the level _PM1_LEVEL: a
+# prime factor p too large for rho to find by then is split off at once if
+# every prime power in p - 1 is at most _PM1_BOUND (stage 1, the exponent
+# lcm(1, ..., _PM1_BOUND)), or all but one prime, which is at most _PM1_B2
+# (stage 2, the prime continuation of Montgomery, Math. Comp. 48, 1987).
 _PM1_BOUND = 1 << 11
+_PM1_B2 = 1 << 14
 _PM1_LEVEL = 1 << 10
 # The most Pollard-Brent squarings of one factorize call, over all its splits
 # and seeds: ten times the 212,094 of the hardest of the 3,246 calls that reach
 # rho in the benchmark's request pool (n with two primes of 24-32 bits, so one
-# split each), which the p-1 stage does not split.  That stage is at most one
-# pow per composite part, and is not counted.  The whole budget takes 1.2-1.5 s
-# (shared 2-vCPU host, Python 3.11).
+# split each), which neither p-1 stage splits.  p-1 is not counted: it is a
+# fixed cost per composite part, stage 1's one pow and stage 2's two modular
+# products for each of its 1,591 primes.  Stage 2 takes 0.3-0.6 ms at 64 bits
+# and 130 ms at 4,000 bits, and the whole budget 1.2-1.5 s at 64 bits (shared
+# 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
 
@@ -75,10 +79,13 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
     The squarings are counted, and checked against budget once per batch of
     m, before its gcd: past it, FactorBudgetExceeded.  When the first seed
     reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1) squarings,
-    one Pollard p-1 stage returns gcd(2^_pm1_exponent() - 1, n) if it is a
-    proper divisor, which may be composite; rho carries on otherwise, as on
-    a part of a divisor the stage returned, where the gcd is the whole part.
-    Its one pow is not counted against budget.
+    stage 1 of Pollard p-1 returns gcd(z - 1, n), z = 2^_pm1_exponent() mod
+    n, if it is a proper divisor, which may be composite.  If that gcd is 1,
+    stage 2 (_pm1_stage2) returns its own gcd if that is a proper divisor.
+    Rho carries on otherwise, as on a part of a divisor p-1 returned, where
+    stage 1's gcd is the whole part and stage 2 does not run.  p-1 is not
+    counted against budget: a fixed cost per composite part of one pow and,
+    for stage 2, two modular products for each of the 1,591 primes it covers.
     """
     steps = 0
     for c in range(1, 64):
@@ -86,7 +93,10 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
         x = ys = y
         while g == 1:
             if c == 1 and r == _PM1_LEVEL:
-                d = gcd(pow(2, _pm1_exponent(), n) - 1, n)
+                z = pow(2, _pm1_exponent(), n)
+                d = gcd(z - 1, n)
+                if d == 1:
+                    d = _pm1_stage2(z, n)
                 if 1 < d < n:
                     return d, steps
             x = y
@@ -132,6 +142,33 @@ def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
 def _pm1_exponent() -> int:
     """lcm(1, ..., _PM1_BOUND), the exponent of the p-1 stage; built at first use."""
     return lcm(*range(1, _PM1_BOUND + 1))
+
+
+@functools.cache
+def _pm1_gaps() -> tuple[int, tuple[int, ...]]:
+    """The least prime above _PM1_BOUND, and half the gap from each prime to
+    the next up to _PM1_B2, from _trial_blocks(); built at first use."""
+    primes = [p for _, _, block in _trial_blocks() for p in block if _PM1_BOUND < p <= _PM1_B2]
+    return primes[0], tuple((b - a) // 2 for a, b in zip(primes, primes[1:]))
+
+
+def _pm1_stage2(z: int, n: int) -> int:
+    """Stage 2 of Pollard p-1: gcd(n, product of z^q - 1 over the primes
+    _PM1_BOUND < q <= _PM1_B2) for z = 2^_pm1_exponent() mod n, so a prime p
+    of n divides it if the order of 2 mod p is q times a divisor of that
+    exponent.  z^q steps to the next prime's power by one product with
+    z^gap, from a table of z^2, z^4, ... up to the widest gap."""
+    first, halves = _pm1_gaps()
+    z2 = z * z % n
+    powers = [1, z2]  # powers[i] = z^(2i)
+    for _ in range(max(halves) - 1):
+        powers.append(powers[-1] * z2 % n)
+    x = pow(z, first, n)
+    acc = x - 1
+    for half in halves:
+        x = x * powers[half] % n
+        acc = acc * (x - 1) % n
+    return gcd(acc, n)
 
 
 @functools.cache

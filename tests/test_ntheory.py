@@ -46,6 +46,25 @@ class TestIsPrime:
         assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
+def stage_2_prime(rng: random.Random) -> int:
+    """A prime p < 2^32 with p - 1 = 2 * m * Q for a product m of distinct odd
+    primes below 2048 and a prime 2048 < Q <= 2^14, where the order of 2 mod
+    p is a multiple of Q: stage 1 of p-1 misses p and stage 2 finds it."""
+    small = list(sympy.primerange(3, 2048))
+    exponent = math.lcm(*range(1, 2049))
+    while True:
+        big = sympy.nextprime(rng.randrange(2048, 16381))  # 16381 is the last prime <= 2^14
+        factors, m = set(), 2 * big
+        while m < 2**24:
+            factor = rng.choice(small)
+            if factor not in factors:
+                factors.add(factor)
+                m *= factor
+        p = m + 1
+        if m < 2**32 and sympy.isprime(p) and pow(2, exponent, p) != 1:
+            return p
+
+
 def smooth_prime(rng: random.Random) -> int:
     """A prime p < 2^32 with p - 1 twice a product of distinct odd primes
     below 2048, so every prime power in p - 1 is at most 2048."""
@@ -119,6 +138,29 @@ class TestFactorization:
         budget = ntheory._RHO_BUDGET
         assert ntheory._pollard_brent(10000079 * 10000189, budget) == (10000189, 6270)
         assert ntheory._pollard_brent(10000019 * 10000253, budget) == (10000253, 7934)
+
+    def test_p_minus_1_stage_2_splits_at_the_level_1024(self):
+        # 9999739 - 1 = 2 * 3^2 * 7 * 19 * 4177 has one prime between 2048 and
+        # 2^14, 10000079 - 1 the prime 19763 above it: stage 1's gcd is 1, rho
+        # alone needs 3,838 squarings, and stage 2 at the top of the level
+        # r = 1024 returns 9999739 after 2,046
+        n = 9999739 * 10000079
+        assert gcd(pow(2, ntheory._pm1_exponent(), n) - 1, n) == 1
+        assert ntheory._pollard_brent(n, 2046) == (9999739, 2046)
+        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
+            ntheory._pollard_brent(n, 2045)
+
+    def test_rho_goes_on_when_p_minus_1_stage_2_finds_n(self, monkeypatch):
+        # 10000103 - 1 = 2 * 7 * 193 * 3701 and 10000247 - 1 = 2 * 349 * 14327
+        # both pass stage 2 and neither passes stage 1, so stage 2's gcd is n;
+        # rho goes on and splits n with the squarings it takes with no p-1
+        p, q = 10000103, 10000247
+        n, budget = p * q, ntheory._RHO_BUDGET
+        z = pow(2, ntheory._pm1_exponent(), n)
+        assert gcd(z - 1, n) == 1 and ntheory._pm1_stage2(z, n) == n
+        assert ntheory._pollard_brent(n, budget) == (q, 7422)
+        monkeypatch.setattr(ntheory, "_PM1_LEVEL", 3)  # no power of 2, so p-1 never runs
+        assert ntheory._pollard_brent(n, budget) == (q, 7422)
 
     def test_p_minus_1_on_the_divisor_it_returned_costs_no_squaring(self, monkeypatch):
         # p - 1 and q - 1 are 2048-smooth and r - 1 is not, so the stage
@@ -208,6 +250,13 @@ class TestFactorization:
         for _ in range(6):
             p = sympy.nextprime(rng.randrange(2**16, 2**24 - 2**10))
             cases += [p * p, p * p * sympy.nextprime(rng.randrange(2**24, 2**32 - 2**20))]
+        # stage 2: times a prime from sympy.nextprime, a stage-2 prime is
+        # split off by stage 2; times a 2048-smooth prime, by stage 1; times
+        # another stage-2 prime, stage 2's gcd is n and rho goes on
+        for _ in range(8):
+            p = stage_2_prime(rng)
+            r = sympy.nextprime(rng.randrange(2**24, 2**32 - 2**20))
+            cases += [p * r, p * smooth_prime(rng), p * stage_2_prime(rng)]
         for n in cases:
             assert factorize(n) == sorted(sympy.factorint(n).items()), n
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -168,6 +169,28 @@ def test_only_a_pool_imports_pickle_and_before_its_fork(jobs, expected):
     # a --jobs 1 scan in a fresh interpreter never loads pickle; a pool loads
     # it once, before its one fork, so its child does not load it again
     proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT, jobs], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+STAGE_2_SCRIPT = """
+import contextlib, io, sys
+from qtr import cli, ntheory
+built = [ntheory._pm1_gaps.cache_info().currsize]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["rank", "--ell", "37", "--n", sys.argv[1]])
+built.append(ntheory._pm1_gaps.cache_info().currsize)
+print(code, built)
+"""
+
+
+@pytest.mark.parametrize("n, expected", [("41", "0 [0, 0]"), (str(9999739 * 10000079), "0 [0, 1]")])
+def test_p_minus_1_stage_2_data_is_built_at_first_use(n, expected):
+    # import qtr.cli in a fresh interpreter builds no stage-2 prime gaps, nor
+    # does a rank whose n trial division factors; an n that reaches stage 2
+    # builds them
+    proc = subprocess.run([sys.executable, "-c", STAGE_2_SCRIPT, n], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
@@ -367,6 +390,36 @@ def test_scan_cost_alternates_its_jobs_at_each_n():
     runs = [(n, jobs, digest) for n, jobs, _, _, digest, _ in map(str.split, lines)]
     prefix = SCAN_37_3000_SHA256[:12]
     assert runs == [("3000", "1", prefix), ("3000", "2", prefix)]
+
+
+def test_split_cost_counts_every_split_by_its_stage():
+    # one line per band in the order given; stage 1, stage 2 and rho split
+    # every n of the band between them
+    script = Path(__file__).resolve().parents[1] / "tools" / "split_cost.py"
+    proc = subprocess.run([sys.executable, str(script), "--bits", "48", "40", "--count", "12"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split()[:8] == ["bits", "count", "ms_per_split", "median_ms", "max_ms",
+                                  "stage1", "stage2", "rho"]
+    rows = [line.split() for line in lines]
+    assert [row[:2] for row in rows] == [["48", "12"], ["40", "12"]]
+    assert [sum(map(int, row[5:8])) for row in rows] == [12, 12]
+
+
+@pytest.mark.parametrize("n, stage", [(1000003 * 1000033, "rho"),
+                                      (10000019 * 10000079, "stage1"),
+                                      (9999739 * 10000079, "stage2"),
+                                      (10000103 * 10000247, "rho")])
+def test_split_cost_names_the_stage_that_splits(n, stage, monkeypatch):
+    # the pins of tests/test_ntheory.py: rho before p-1 runs, each p-1 stage,
+    # and rho after stage 2's gcd is n
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ first
+    script = Path(__file__).resolve().parents[1] / "tools" / "split_cost.py"
+    spec = importlib.util.spec_from_file_location("split_cost", script)
+    split_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(split_cost)
+    assert split_cost.split_by(n) == stage
 
 
 @pytest.mark.parametrize("safe_path", [False, True])
