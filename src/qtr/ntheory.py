@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, groupby
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
@@ -27,15 +27,17 @@ _BLOCK = 64  # primes per trial-division gcd
 # lcm(1, ..., _PM1_BOUND)), or all but one prime, which is at most _PM1_B2
 # (stage 2, the prime continuation of Montgomery, Math. Comp. 48, 1987).
 _PM1_BOUND = 1 << 11
-_PM1_B2 = 1 << 14
+_PM1_B2 = 1 << 16
+_PM1_D = 210  # stage 2's giant step
+_PM1_GIANTS = 8  # stage 2's giant steps per gcd
 _PM1_LEVEL = 1 << 10
 # The most Pollard-Brent squarings of one factorize call, over all its splits
 # and seeds: ten times the 212,094 of the hardest of the 3,246 calls that reach
 # rho in the benchmark's request pool (n with two primes of 24-32 bits, so one
 # split each), which neither p-1 stage splits.  p-1 is not counted: it is a
-# fixed cost per composite part, stage 1's one pow and stage 2's two modular
-# products for each of its 1,591 primes.  Stage 2 takes 0.3-0.6 ms at 64 bits
-# and 130 ms at 4,000 bits, and the whole budget 1.2-1.5 s at 64 bits (shared
+# fixed cost per composite part, stage 1's one pow and stage 2's 5,226 modular
+# products.  A stage 2 that splits nothing takes 1.2-1.3 ms at 64 bits and
+# 260 ms at 4,423 bits, and the whole budget 1.2-1.5 s at 64 bits (shared
 # 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
@@ -85,7 +87,7 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
     Rho carries on otherwise, as on a part of a divisor p-1 returned, where
     stage 1's gcd is the whole part and stage 2 does not run.  p-1 is not
     counted against budget: a fixed cost per composite part of one pow and,
-    for stage 2, two modular products for each of the 1,591 primes it covers.
+    for stage 2, 5,226 modular products for the 6,233 primes it covers.
     """
     steps = 0
     for c in range(1, 64):
@@ -145,30 +147,51 @@ def _pm1_exponent() -> int:
 
 
 @functools.cache
-def _pm1_gaps() -> tuple[int, tuple[int, ...]]:
-    """The least prime above _PM1_BOUND, and half the gap from each prime to
-    the next up to _PM1_B2, from _trial_blocks(); built at first use."""
-    primes = [p for _, _, block in _trial_blocks() for p in block if _PM1_BOUND < p <= _PM1_B2]
-    return primes[0], tuple((b - a) // 2 for a, b in zip(primes, primes[1:]))
+def _pm1_plan() -> tuple[int, tuple[bytes, ...]]:
+    """Stage 2's first giant step v0 and, for v = v0, v0 + 1, ..., the u < D/2
+    for which vD - u or vD + u, D = _PM1_D, is a prime in (_PM1_BOUND,
+    _PM1_B2], as bytes; from _trial_blocks(), built at first use.  No v is
+    left out: consecutive primes below 2^16 are less than D apart."""
+    primes = (q for _, _, block in _trial_blocks() for q in block if _PM1_BOUND < q <= _PM1_B2)
+    plan = [(v, bytes(sorted({abs(q - v * _PM1_D) for q in qs})))  # q = vD - u or vD + u
+            for v, qs in groupby(primes, lambda q: (q + _PM1_D // 2) // _PM1_D)]
+    return plan[0][0], tuple(us for _, us in plan)
 
 
 def _pm1_stage2(z: int, n: int) -> int:
-    """Stage 2 of Pollard p-1: gcd(n, product of z^q - 1 over the primes
-    _PM1_BOUND < q <= _PM1_B2) for z = 2^_pm1_exponent() mod n, so a prime p
-    of n divides it if the order of 2 mod p is q times a divisor of that
-    exponent.  z^q steps to the next prime's power by one product with
-    z^gap, from a table of z^2, z^4, ... up to the widest gap."""
-    first, halves = _pm1_gaps()
-    z2 = z * z % n
-    powers = [1, z2]  # powers[i] = z^(2i)
-    for _ in range(max(halves) - 1):
-        powers.append(powers[-1] * z2 % n)
-    x = pow(z, first, n)
-    acc = x - 1
-    for half in halves:
-        x = x * powers[half] % n
-        acc = acc * (x - 1) % n
-    return gcd(acc, n)
+    """Stage 2 of Pollard p-1 on z = 2^_pm1_exponent() mod n, by Montgomery's
+    baby and giant steps with prime pairing.  With V_k = z^k + z^-k, the term
+    V_vD - V_u = (z^vD - z^u)(1 - z^-(vD+u)) is 0 mod each prime p of n where
+    the order of z divides vD - u or vD + u: _pm1_plan() has 4,859 terms for
+    the 6,233 primes, plus 367 products for the steps.  The result is the
+    first gcd with n that is not 1, of the product of the terms so far every
+    _PM1_GIANTS giant steps, and where that is n, of each term of the block
+    in turn; 1 if there is none."""
+    v0, uses = _pm1_plan()
+    v1 = (z + pow(z, -1, n)) % n
+    v2 = (v1 * v1 - 2) % n
+    baby, prev, cur = {}, v1, v1  # V_-1 = V_1, then V_1, V_3, ..., V_(D/2)
+    for k in range(1, _PM1_D // 2 + 1, 2):
+        baby[k] = cur
+        prev, cur = cur, (cur * v2 - prev) % n
+    giant = (prev * prev - 2) % n  # V_D
+    prev, cur = 2, giant
+    for _ in range(1, v0):
+        prev, cur = cur, (cur * giant - prev) % n
+    acc = 1
+    for start in range(0, len(uses), _PM1_GIANTS):
+        block = []
+        for us in uses[start : start + _PM1_GIANTS]:
+            block.append((cur, us))
+            for u in us:
+                acc = acc * (cur - baby[u]) % n
+            prev, cur = cur, (cur * giant - prev) % n
+        g = gcd(acc, n)
+        if g == n:
+            g = next(d for w, us in block for u in us if (d := gcd(w - baby[u], n)) > 1)
+        if g > 1:
+            return g
+    return 1
 
 
 @functools.cache

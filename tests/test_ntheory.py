@@ -48,12 +48,12 @@ class TestIsPrime:
 
 def stage_2_prime(rng: random.Random) -> int:
     """A prime p < 2^32 with p - 1 = 2 * m * Q for a product m of distinct odd
-    primes below 2048 and a prime 2048 < Q <= 2^14, where the order of 2 mod
+    primes below 2048 and a prime 2048 < Q <= 2^16, where the order of 2 mod
     p is a multiple of Q: stage 1 of p-1 misses p and stage 2 finds it."""
     small = list(sympy.primerange(3, 2048))
     exponent = math.lcm(*range(1, 2049))
     while True:
-        big = sympy.nextprime(rng.randrange(2048, 16381))  # 16381 is the last prime <= 2^14
+        big = sympy.nextprime(rng.randrange(2048, 65521))  # 65521 is the last prime <= 2^16
         factors, m = set(), 2 * big
         while m < 2**24:
             factor = rng.choice(small)
@@ -131,19 +131,20 @@ class TestFactorization:
             ntheory._pollard_brent(n, 2045)
 
     def test_rho_goes_on_when_p_minus_1_finds_nothing(self):
-        # 10000079 - 1 and 10000189 - 1 = 2^2 * 3^2 * 11 * 25253 are not
-        # 2048-smooth, so the gcd is 1; 10000019 - 1 and 10000253 - 1 =
-        # 2^2 * 43 * 53 * 1097 both are, so it is n.  Either way rho keeps the
-        # squaring count it had without the stage
+        # 10000141 - 1 = 2^2 * 3 * 5 * 166669 and 10000349 - 1 = 2^2 * 2500087
+        # each have a prime above 2^16, so both stages' gcds are 1;
+        # 10000019 - 1 and 10000253 - 1 = 2^2 * 43 * 53 * 1097 are both
+        # 2048-smooth, so stage 1's is n.  Either way rho keeps the squaring
+        # count it had without the stage
         budget = ntheory._RHO_BUDGET
-        assert ntheory._pollard_brent(10000079 * 10000189, budget) == (10000189, 6270)
+        assert ntheory._pollard_brent(10000141 * 10000349, budget) == (10000141, 6270)
         assert ntheory._pollard_brent(10000019 * 10000253, budget) == (10000253, 7934)
 
     def test_p_minus_1_stage_2_splits_at_the_level_1024(self):
-        # 9999739 - 1 = 2 * 3^2 * 7 * 19 * 4177 has one prime between 2048 and
-        # 2^14, 10000079 - 1 the prime 19763 above it: stage 1's gcd is 1, rho
-        # alone needs 3,838 squarings, and stage 2 at the top of the level
-        # r = 1024 returns 9999739 after 2,046
+        # 9999739 - 1 = 2 * 3^2 * 7 * 19 * 4177 has one prime above 2048, and
+        # 10000079 - 1 the larger prime 19763, which falls in a later block of
+        # stage 2: stage 1's gcd is 1, rho alone needs 3,838 squarings, and
+        # stage 2 at the top of the level r = 1024 returns 9999739 after 2,046
         n = 9999739 * 10000079
         assert gcd(pow(2, ntheory._pm1_exponent(), n) - 1, n) == 1
         assert ntheory._pollard_brent(n, 2046) == (9999739, 2046)
@@ -151,16 +152,43 @@ class TestFactorization:
             ntheory._pollard_brent(n, 2045)
 
     def test_rho_goes_on_when_p_minus_1_stage_2_finds_n(self, monkeypatch):
-        # 10000103 - 1 = 2 * 7 * 193 * 3701 and 10000247 - 1 = 2 * 349 * 14327
-        # both pass stage 2 and neither passes stage 1, so stage 2's gcd is n;
-        # rho goes on and splits n with the squarings it takes with no p-1
-        p, q = 10000103, 10000247
+        # 10009823 - 1 = 2 * 41 * 59 * 2069 and 10055341 - 1 = 2^2 * 3^5 * 5 *
+        # 2069 share the prime 2069, so the one term of stage 2 that holds
+        # either prime holds both, and its gcd is n even once per term; rho
+        # goes on and splits n with the squarings it takes with no p-1
+        p, q = 10009823, 10055341
         n, budget = p * q, ntheory._RHO_BUDGET
         z = pow(2, ntheory._pm1_exponent(), n)
         assert gcd(z - 1, n) == 1 and ntheory._pm1_stage2(z, n) == n
-        assert ntheory._pollard_brent(n, budget) == (q, 7422)
+        assert ntheory._pollard_brent(n, budget) == (p, 6654)
         monkeypatch.setattr(ntheory, "_PM1_LEVEL", 3)  # no power of 2, so p-1 never runs
-        assert ntheory._pollard_brent(n, budget) == (q, 7422)
+        assert ntheory._pollard_brent(n, budget) == (p, 6654)
+
+    @pytest.mark.parametrize("p", [10133609, 10614403])
+    def test_p_minus_1_stage_2_reaches_both_ends_of_its_range(self, p):
+        # 10133609 - 1 = 2^3 * 617 * 2053 and 10614403 - 1 = 2 * 3^4 * 65521
+        # hold the first and the last prime of stage 2's range; times
+        # 10000349, whose p - 1 has a prime above 2^16, stage 2 returns p at
+        # the top of the level r = 1024, where rho alone needs more squarings
+        n = p * 10000349
+        assert ntheory._pollard_brent(n, 2046) == (p, 2046)
+        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
+            ntheory._pollard_brent(n, 2045)
+
+    def test_p_minus_1_stage_2_backtracks_in_a_block_whose_gcd_is_n(self, monkeypatch):
+        # 10133609 - 1 = 2^3 * 617 * 2053 and 10041653 - 1 = 2^2 * 19 * 37 *
+        # 3571: 2053 = 10 * 210 - 47 and 3571 = 17 * 210 + 1 lie in different
+        # terms of the first block of _PM1_GIANTS giant steps, so that
+        # block's gcd is n, and one gcd per term returns the first prime
+        p, q = 10133609, 10041653
+        n = p * q
+        v0, uses = ntheory._pm1_plan()
+        assert v0 == 10 and ntheory._PM1_GIANTS == 8
+        assert 47 in uses[10 - v0] and 1 in uses[17 - v0]
+        seen = []
+        monkeypatch.setattr(ntheory, "gcd", lambda a, b: seen.append(gcd(a, b)) or seen[-1])
+        assert ntheory._pollard_brent(n, 2046) == (p, 2046)
+        assert seen.count(n) == 1 and seen[-1] == p
 
     def test_p_minus_1_on_the_divisor_it_returned_costs_no_squaring(self, monkeypatch):
         # p - 1 and q - 1 are 2048-smooth and r - 1 is not, so the stage
@@ -252,7 +280,8 @@ class TestFactorization:
             cases += [p * p, p * p * sympy.nextprime(rng.randrange(2**24, 2**32 - 2**20))]
         # stage 2: times a prime from sympy.nextprime, a stage-2 prime is
         # split off by stage 2; times a 2048-smooth prime, by stage 1; times
-        # another stage-2 prime, stage 2's gcd is n and rho goes on
+        # another stage-2 prime, by stage 2, or, when both primes fall in one
+        # term, by rho after stage 2's gcd is n
         for _ in range(8):
             p = stage_2_prime(rng)
             r = sympy.nextprime(rng.randrange(2**24, 2**32 - 2**20))
@@ -280,6 +309,22 @@ class TestTrialBlocks:
             assert product == prod(primes)
         assert {len(primes) for _, _, primes in blocks[:-1]} == {ntheory._BLOCK}
         assert blocks[-1][2][-1] == 65521
+
+    def test_stage_2_plan_covers_each_prime_once(self):
+        # each prime 2^11 < q <= 2^16 is vD - u or vD + u of exactly one term
+        # (v, u) of the plan, and each term holds at least one such prime
+        v0, uses = ntheory._pm1_plan()
+        D = ntheory._PM1_D
+        stage_2 = set(sympy.primerange(2**11 + 1, 2**16 + 1))
+        covered = []
+        for v, us in enumerate(uses, v0):
+            for u in us:
+                assert u < D // 2 and gcd(u, D) == 1, (v, u)
+                held = [q for q in (v * D - u, v * D + u) if q in stage_2]
+                assert held, (v, u)
+                covered += held
+        assert sorted(covered) == sorted(stage_2)
+        assert (len(stage_2), sum(map(len, uses))) == (6233, 4859)
 
     def test_primes_upto_matches_sympy(self):
         for m in range(3001):

@@ -177,19 +177,19 @@ def test_only_a_pool_imports_pickle_and_before_its_fork(jobs, expected):
 STAGE_2_SCRIPT = """
 import contextlib, io, sys
 from qtr import cli, ntheory
-built = [ntheory._pm1_gaps.cache_info().currsize]
+built = [ntheory._pm1_plan.cache_info().currsize]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["rank", "--ell", "37", "--n", sys.argv[1]])
-built.append(ntheory._pm1_gaps.cache_info().currsize)
+built.append(ntheory._pm1_plan.cache_info().currsize)
 print(code, built)
 """
 
 
 @pytest.mark.parametrize("n, expected", [("41", "0 [0, 0]"), (str(9999739 * 10000079), "0 [0, 1]")])
 def test_p_minus_1_stage_2_data_is_built_at_first_use(n, expected):
-    # import qtr.cli in a fresh interpreter builds no stage-2 prime gaps, nor
-    # does a rank whose n trial division factors; an n that reaches stage 2
-    # builds them
+    # import qtr.cli in a fresh interpreter builds no stage-2 plan, nor does
+    # a rank whose n trial division factors; an n that reaches stage 2
+    # builds it
     proc = subprocess.run([sys.executable, "-c", STAGE_2_SCRIPT, n], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -410,7 +410,7 @@ def test_split_cost_counts_every_split_by_its_stage():
 @pytest.mark.parametrize("n, stage", [(1000003 * 1000033, "rho"),
                                       (10000019 * 10000079, "stage1"),
                                       (9999739 * 10000079, "stage2"),
-                                      (10000103 * 10000247, "rho")])
+                                      (10009823 * 10055341, "rho")])
 def test_split_cost_names_the_stage_that_splits(n, stage, monkeypatch):
     # the pins of tests/test_ntheory.py: rho before p-1 runs, each p-1 stage,
     # and rho after stage 2's gcd is n

@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     if args.count < 1:
         parser.error("--count must be at least 1")
     # build the tables that factorize builds at first use, so no band pays for them
-    ntheory._trial_blocks(), ntheory._pm1_exponent(), ntheory._pm1_gaps()
+    ntheory._trial_blocks(), ntheory._pm1_exponent(), ntheory._pm1_plan()
     print(f"{'bits':>4}  {'count':>5}  {'ms_per_split':>12}  {'median_ms':>9}  {'max_ms':>7}  "
           f"stage1  stage2  {'rho':>5}  load before/after")
     for bits in args.bits:
