@@ -14,40 +14,45 @@ from typing import NamedTuple
 
 from .errors import FactorBudgetExceeded, InternalCheckError, NotQuadraticResidue, NotSquarefree
 
-# Strong-pseudoprime witness set proven adequate for every n below
-# 3_317_044_064_679_887_385_961_981 (Sorenson & Webster), so the test is
-# unconditional well past 2**64.
+# The strong-pseudoprime witnesses, the first 13 primes, and psi_k for k = 1,
+# ..., 13: the least strong pseudoprime to the first k of them (OEIS A014233;
+# Pollard, Proc. Cambridge Philos. Soc. 76, 1974; Sorenson & Webster, Math.
+# Comp. 86, 2017).  Below psi_k the first k bases prove m prime, so the test is
+# unconditional below psi_13 = 3.3e24, well past 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 
 _TRIAL_LIMIT = 1 << 16
 _BLOCK = 64  # primes per trial-division gcd
-# Pollard p-1 runs when the first rho seed reaches the level _PM1_LEVEL: a
-# prime factor p too large for rho to find by then is split off at once if
-# every prime power in p - 1 is at most _PM1_BOUND (stage 1, the exponent
-# lcm(1, ..., _PM1_BOUND)), or all but one prime, which is at most _PM1_B2
-# (stage 2, the prime continuation of Montgomery, Math. Comp. 48, 1987).
+# Pollard p-1 runs first on each composite part: a prime factor p is split off
+# at once if every prime power in p - 1 is at most _PM1_BOUND (stage 1, the
+# exponent lcm(1, ..., _PM1_BOUND)), or all but one prime, which is at most
+# _PM1_B2 (stage 2, the prime continuation of Montgomery, Math. Comp. 48,
+# 1987).  Pollard-Brent rho runs only when neither stage splits the part.
 _PM1_BOUND = 1 << 11
 _PM1_B2 = 1 << 16
 _PM1_D = 210  # stage 2's giant step
 _PM1_GIANTS = 8  # stage 2's giant steps per gcd
-_PM1_LEVEL = 1 << 10
 # The most Pollard-Brent squarings of one factorize call, over all its splits
-# and seeds: ten times the 212,094 of the hardest of the 3,246 calls that reach
+# and seeds: ten times the 212,094 of the hardest of the 1,022 calls that reach
 # rho in the benchmark's request pool (n with two primes of 24-32 bits, so one
 # split each), which neither p-1 stage splits.  p-1 is not counted: it is a
 # fixed cost per composite part, stage 1's one pow and stage 2's 5,226 modular
-# products.  A stage 2 that splits nothing takes 1.2-1.3 ms at 64 bits and
-# 260 ms at 4,423 bits, and the whole budget 1.2-1.5 s at 64 bits (shared
-# 2-vCPU host, Python 3.11).
+# products.  When neither splits, they take 0.35-0.5 ms and 0.9-1.2 ms at
+# 40-64 bits and 105-130 ms and 220-260 ms at 4,423 bits; the whole budget
+# takes 1.2-1.5 s at 64 bits (shared 2-vCPU host, Python 3.11).
 _RHO_BUDGET = 1 << 21
 
 
 def is_prime(m: int) -> bool:
     """Deterministic primality test.
 
-    Unconditional for m < 3.3e24 (covers 2**64); above that the same fixed
-    witness set is used, which is still deterministic but relies on no
-    counterexample being known.
+    Trial division by _MR_BASES, then the strong test to the first k of them,
+    k the least with m < psi_k (_MR_PSI): unconditional for m < psi_13 = 3.3e24
+    (covers 2**64).  Above it all 13 run, which is still deterministic but
+    relies on no counterexample being known.
     """
     if m < 2:
         return False
@@ -60,7 +65,7 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, m) + 1]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -79,28 +84,13 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
 
     Brent's cycle variant with a fixed seed schedule, so repeated runs agree.
     The squarings are counted, and checked against budget once per batch of
-    m, before its gcd: past it, FactorBudgetExceeded.  When the first seed
-    reaches the level r = _PM1_LEVEL, after 2 * (_PM1_LEVEL - 1) squarings,
-    stage 1 of Pollard p-1 returns gcd(z - 1, n), z = 2^_pm1_exponent() mod
-    n, if it is a proper divisor, which may be composite.  If that gcd is 1,
-    stage 2 (_pm1_stage2) returns its own gcd if that is a proper divisor.
-    Rho carries on otherwise, as on a part of a divisor p-1 returned, where
-    stage 1's gcd is the whole part and stage 2 does not run.  p-1 is not
-    counted against budget: a fixed cost per composite part of one pow and,
-    for stage 2, 5,226 modular products for the 6,233 primes it covers.
+    m, before its gcd: past it, FactorBudgetExceeded.
     """
     steps = 0
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            if c == 1 and r == _PM1_LEVEL:
-                z = pow(2, _pm1_exponent(), n)
-                d = gcd(z - 1, n)
-                if d == 1:
-                    d = _pm1_stage2(z, n)
-                if 1 < d < n:
-                    return d, steps
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -129,20 +119,39 @@ def _pollard_brent(n: int, budget: int) -> tuple[int, int]:
     raise InternalCheckError(f"Pollard-Brent found no factor of {n} in 63 seed schedules")
 
 
+def _split(n: int, budget: int) -> tuple[int, int]:
+    """Proper divisor of an odd composite n with no factor <= _TRIAL_LIMIT,
+    which may be composite, and the rho squarings it took.
+
+    Pollard p-1 first: stage 1's gcd(z - 1, n), z = 2^_pm1_exponent() mod n,
+    and, if that is 1, stage 2's (_pm1_stage2).  A proper divisor from either
+    is returned with 0 squarings, as p-1 is not counted against budget
+    (_RHO_BUDGET).  Otherwise _pollard_brent splits n under budget, as on a
+    divisor p-1 returned: stage 1's gcd on it is the whole divisor.
+    """
+    z = pow(2, _pm1_exponent(), n)
+    d = gcd(z - 1, n)
+    if d == 1:
+        d = _pm1_stage2(z, n)
+    if 1 < d < n:
+        return d, 0
+    return _pollard_brent(n, budget)
+
+
 def _factor_into(n: int, acc: dict[int, int], budget: int) -> int:
-    """Add the primes of n > 1 to acc, splitting with at most budget squarings
-    in all; the squarings left."""
+    """Add the primes of n > 1 to acc, splitting each composite part with
+    _split and at most budget rho squarings in all; the squarings left."""
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return budget
-    d, steps = _pollard_brent(n, budget)
+    d, steps = _split(n, budget)
     budget = _factor_into(d, acc, budget - steps)
     return _factor_into(n // d, acc, budget)
 
 
 @functools.cache
 def _pm1_exponent() -> int:
-    """lcm(1, ..., _PM1_BOUND), the exponent of the p-1 stage; built at first use."""
+    """lcm(1, ..., _PM1_BOUND), the exponent of p-1's stage 1; built at first use."""
     return lcm(*range(1, _PM1_BOUND + 1))
 
 

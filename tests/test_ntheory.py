@@ -45,6 +45,47 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)  # Mersenne prime
         assert not is_prime((2**31 - 1) * (2**61 - 1))
 
+    # the first 13 terms of OEIS A014233: psi_k, the least strong pseudoprime
+    # to the first k prime bases
+    A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+               341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+               3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+    def test_psi_is_a014233(self):
+        assert ntheory._MR_PSI == self.A014233
+
+    def test_each_psi_is_a_strong_pseudoprime_to_its_bases(self):
+        def strong_probable_prime(m, a):
+            d, r = m - 1, 0
+            while d % 2 == 0:
+                d, r = d // 2, r + 1
+            x = pow(a, d, m)
+            return x == 1 or any(pow(x, 2**i, m) == m - 1 for i in range(r))
+
+        bases = list(sympy.primerange(2, 42))
+        for k, psi in enumerate(self.A014233, 1):
+            assert not sympy.isprime(psi), k
+            assert all(strong_probable_prime(psi, a) for a in bases[:k]), k
+
+    def test_each_psi_below_the_last_is_composite(self):
+        # psi_k passes the first k bases, and for k = 7, 9 and 10 the next
+        # base as well, so a tier one base short calls it prime.  psi_13
+        # passes all 13 bases: the proof of the test ends below it
+        for k, psi in enumerate(self.A014233[:12], 1):
+            assert is_prime(psi) is False, k
+
+    def test_against_sympy_in_each_tier(self):
+        rng = random.Random(13)
+        edges = sorted({43 * 43, *self.A014233, 2 * self.A014233[-1]})
+        for low, high in zip(edges, edges[1:]):
+            for _ in range(25):
+                m = rng.randrange(low, high)
+                for x in (m, sympy.nextprime(m)):
+                    assert is_prime(x) == sympy.isprime(x), x
+        for psi in self.A014233:
+            for x in (psi - 2, psi + 2):
+                assert is_prime(x) == sympy.isprime(x), x
+
 
 def stage_2_prime(rng: random.Random) -> int:
     """A prime p < 2^32 with p - 1 = 2 * m * Q for a product m of distinct odd
@@ -103,7 +144,8 @@ class TestFactorization:
             assert factorize(n) == sorted(sympy.factorint(n).items()), n
 
     def test_factorize_beyond_trial_limit(self):
-        # both factors exceed the trial-division bound, forcing the rho path
+        # both factors exceed the trial-division bound; 1000033 - 1 = 2^5 * 3 *
+        # 11 * 947 is 2048-smooth, so stage 1 of p-1 splits n
         n = 1000003 * 1000033
         assert factorize(n) == [(1000003, 1), (1000033, 1)]
 
@@ -113,67 +155,69 @@ class TestFactorization:
             ntheory._pollard_brent(1000003, ntheory._RHO_BUDGET)
 
     def test_rho_budget_passes_and_one_less_fails(self):
-        # rho splits this n after 1,022 squarings
-        n = 1000003 * 1000033
-        factor, steps = ntheory._pollard_brent(n, 1022)
-        assert factor in (1000003, 1000033) and steps == 1022
-        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 1021 "):
-            ntheory._pollard_brent(n, 1021)
+        # 1000003 - 1 = 2 * 3 * 166667 and 1000667 - 1 = 2 * 500333 each have
+        # a prime above 2^16, so neither p-1 stage splits n, and rho splits it
+        # after 510 squarings
+        n = 1000003 * 1000667
+        assert ntheory._split(n, 510) == (1000667, 510)
+        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 509 "):
+            ntheory._split(n, 509)
 
-    def test_p_minus_1_splits_at_the_level_1024(self):
+    def test_p_minus_1_splits_before_rho(self, monkeypatch):
         # 10000019 - 1 = 2 * 7^2 * 67 * 1523 is 2048-smooth, 10000079 - 1 has
-        # the prime 19763: rho alone needs 7,678 squarings, and the p-1 stage
-        # at the top of the level r = 1024 returns the smooth prime after
-        # 2 * (1 + 2 + ... + 512) = 2,046
+        # the prime 19763: rho alone needs 7,678 squarings, and stage 1 of
+        # p-1 returns the smooth prime with none
         n = 10000019 * 10000079
-        assert ntheory._pollard_brent(n, 2046) == (10000019, 2046)
-        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
-            ntheory._pollard_brent(n, 2045)
+        assert ntheory._pollard_brent(n, ntheory._RHO_BUDGET) == (10000079, 7678)
+        assert ntheory._split(n, 0) == (10000019, 0)
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 0)
+        assert factorize(n) == [(10000019, 1), (10000079, 1)]
 
     def test_rho_goes_on_when_p_minus_1_finds_nothing(self):
         # 10000141 - 1 = 2^2 * 3 * 5 * 166669 and 10000349 - 1 = 2^2 * 2500087
         # each have a prime above 2^16, so both stages' gcds are 1;
         # 10000019 - 1 and 10000253 - 1 = 2^2 * 43 * 53 * 1097 are both
         # 2048-smooth, so stage 1's is n.  Either way rho keeps the squaring
-        # count it had without the stage
+        # count it has alone
         budget = ntheory._RHO_BUDGET
-        assert ntheory._pollard_brent(10000141 * 10000349, budget) == (10000141, 6270)
-        assert ntheory._pollard_brent(10000019 * 10000253, budget) == (10000253, 7934)
+        for n, split in [(10000141 * 10000349, (10000141, 6270)),
+                         (10000019 * 10000253, (10000253, 7934))]:
+            assert ntheory._split(n, budget) == ntheory._pollard_brent(n, budget) == split
 
-    def test_p_minus_1_stage_2_splits_at_the_level_1024(self):
+    def test_p_minus_1_stage_2_splits_before_rho(self, monkeypatch):
         # 9999739 - 1 = 2 * 3^2 * 7 * 19 * 4177 has one prime above 2048, and
         # 10000079 - 1 the larger prime 19763, which falls in a later block of
         # stage 2: stage 1's gcd is 1, rho alone needs 3,838 squarings, and
-        # stage 2 at the top of the level r = 1024 returns 9999739 after 2,046
+        # stage 2 returns 9999739 with none
         n = 9999739 * 10000079
         assert gcd(pow(2, ntheory._pm1_exponent(), n) - 1, n) == 1
-        assert ntheory._pollard_brent(n, 2046) == (9999739, 2046)
-        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
-            ntheory._pollard_brent(n, 2045)
+        assert ntheory._pollard_brent(n, ntheory._RHO_BUDGET) == (9999739, 3838)
+        assert ntheory._split(n, 0) == (9999739, 0)
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 0)
+        assert factorize(n) == [(9999739, 1), (10000079, 1)]
 
-    def test_rho_goes_on_when_p_minus_1_stage_2_finds_n(self, monkeypatch):
+    def test_rho_goes_on_when_p_minus_1_stage_2_finds_n(self):
         # 10009823 - 1 = 2 * 41 * 59 * 2069 and 10055341 - 1 = 2^2 * 3^5 * 5 *
         # 2069 share the prime 2069, so the one term of stage 2 that holds
         # either prime holds both, and its gcd is n even once per term; rho
-        # goes on and splits n with the squarings it takes with no p-1
+        # goes on and splits n with the squarings it takes alone
         p, q = 10009823, 10055341
         n, budget = p * q, ntheory._RHO_BUDGET
         z = pow(2, ntheory._pm1_exponent(), n)
         assert gcd(z - 1, n) == 1 and ntheory._pm1_stage2(z, n) == n
-        assert ntheory._pollard_brent(n, budget) == (p, 6654)
-        monkeypatch.setattr(ntheory, "_PM1_LEVEL", 3)  # no power of 2, so p-1 never runs
-        assert ntheory._pollard_brent(n, budget) == (p, 6654)
+        assert ntheory._split(n, budget) == ntheory._pollard_brent(n, budget) == (p, 6654)
 
     @pytest.mark.parametrize("p", [10133609, 10614403])
-    def test_p_minus_1_stage_2_reaches_both_ends_of_its_range(self, p):
+    def test_p_minus_1_stage_2_reaches_both_ends_of_its_range(self, p, monkeypatch):
         # 10133609 - 1 = 2^3 * 617 * 2053 and 10614403 - 1 = 2 * 3^4 * 65521
         # hold the first and the last prime of stage 2's range; times
-        # 10000349, whose p - 1 has a prime above 2^16, stage 2 returns p at
-        # the top of the level r = 1024, where rho alone needs more squarings
+        # 10000349, whose p - 1 has a prime above 2^16, stage 2 returns p
+        # with no rho squaring
         n = p * 10000349
-        assert ntheory._pollard_brent(n, 2046) == (p, 2046)
-        with pytest.raises(FactorBudgetExceeded, match=f"no factor of {n} found in 2045 "):
-            ntheory._pollard_brent(n, 2045)
+        assert gcd(pow(2, ntheory._pm1_exponent(), n) - 1, n) == 1
+        assert ntheory._split(n, 0) == (p, 0)
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 0)
+        assert factorize(n) == [(10000349, 1), (p, 1)]
 
     def test_p_minus_1_stage_2_backtracks_in_a_block_whose_gcd_is_n(self, monkeypatch):
         # 10133609 - 1 = 2^3 * 617 * 2053 and 10041653 - 1 = 2^2 * 19 * 37 *
@@ -186,44 +230,47 @@ class TestFactorization:
         assert v0 == 10 and ntheory._PM1_GIANTS == 8
         assert 47 in uses[10 - v0] and 1 in uses[17 - v0]
         seen = []
-        monkeypatch.setattr(ntheory, "gcd", lambda a, b: seen.append(gcd(a, b)) or seen[-1])
-        assert ntheory._pollard_brent(n, 2046) == (p, 2046)
+        with monkeypatch.context() as mp:
+            mp.setattr(ntheory, "gcd", lambda a, b: seen.append(gcd(a, b)) or seen[-1])
+            assert ntheory._split(n, 0) == (p, 0)
         assert seen.count(n) == 1 and seen[-1] == p
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 0)
+        assert factorize(n) == [(q, 1), (p, 1)]
 
     def test_p_minus_1_on_the_divisor_it_returned_costs_no_squaring(self, monkeypatch):
         # p - 1 and q - 1 are 2048-smooth and r - 1 is not, so the stage
         # returns p * q; its gcd on p * q is the whole of p * q, so rho splits
-        # p * q with the squarings it takes with no stage at all
+        # p * q with the squarings rho alone takes
         p, q, r = 276870443, 98805767, 865776859
         n, budget = p * q * r, ntheory._RHO_BUDGET
-        assert ntheory._pollard_brent(n, budget) == (p * q, 2046)
-        with monkeypatch.context() as mp:
-            mp.setattr(ntheory, "_PM1_LEVEL", 3)  # no power of 2, so the stage never runs
-            _, rho_alone = ntheory._pollard_brent(p * q, budget)
+        assert ntheory._split(n, budget) == (p * q, 0)
+        _, rho_alone = ntheory._pollard_brent(p * q, budget)
         calls = []
         real = ntheory._pm1_exponent
         monkeypatch.setattr(ntheory, "_pm1_exponent", lambda: calls.append(1) or real())
         acc = {}
         left = ntheory._factor_into(n, acc, budget)
         assert sorted(acc.items()) == sorted(sympy.factorint(n).items()) == [(q, 1), (p, 1), (r, 1)]
-        assert len(calls) == 2 and budget - left == 2046 + rho_alone
+        assert len(calls) == 2 and budget - left == rho_alone
 
     def test_rho_over_budget_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1021)
-        assert main(["rank", "--ell", "37", "--n", str(1000003 * 1000033)]) == 2
+        # the n of test_rho_budget_passes_and_one_less_fails
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 509)
+        assert main(["rank", "--ell", "37", "--n", str(1000003 * 1000667)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: FactorBudgetExceeded: ")
 
     def test_one_rho_budget_covers_every_split(self, capsys, monkeypatch):
-        # rho splits this n in two, after 1,022 and then 1,790 squarings: each
-        # split fits a budget of 1,790, and only their sum fits the request
-        n = 1000003 * 1000033 * 1000037
-        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1022 + 1790)
-        assert factorize(n) == [(1000003, 1), (1000033, 1), (1000037, 1)]
-        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1022 + 1790 - 1)
+        # each p - 1 has a prime above 2^16, so p-1 splits nothing, and rho
+        # splits this n in two, after 510 and then 894 squarings: each split
+        # fits a budget of 894, and only their sum fits the request
+        n = 1000003 * 1000667 * 1000669
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 510 + 894)
+        assert factorize(n) == [(1000003, 1), (1000667, 1), (1000669, 1)]
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 510 + 894 - 1)
         with pytest.raises(FactorBudgetExceeded):
             factorize(n)
-        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 1790)
+        monkeypatch.setattr(ntheory, "_RHO_BUDGET", 894)
         assert main(["rank", "--ell", "37", "--n", str(n)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: FactorBudgetExceeded: ")
@@ -254,7 +301,7 @@ class TestFactorization:
         for _ in range(40):
             n = rng.randrange(2**32, 2**64)
             assert factorize(n) == sorted(sympy.factorint(n).items()), n
-        # products of two 24-32-bit primes go through Miller-Rabin and rho
+        # products of two 24-32-bit primes go through Miller-Rabin, p-1 and rho
         for _ in range(20):
             p = sympy.nextprime(rng.randrange(2**rng.randrange(24, 32), 2**32))
             q = sympy.nextprime(rng.randrange(2**rng.randrange(24, 32), 2**32))

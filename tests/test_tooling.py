@@ -407,13 +407,13 @@ def test_split_cost_counts_every_split_by_its_stage():
     assert [sum(map(int, row[5:8])) for row in rows] == [12, 12]
 
 
-@pytest.mark.parametrize("n, stage", [(1000003 * 1000033, "rho"),
+@pytest.mark.parametrize("n, stage", [(1000003 * 1000667, "rho"),
                                       (10000019 * 10000079, "stage1"),
                                       (9999739 * 10000079, "stage2"),
                                       (10009823 * 10055341, "rho")])
 def test_split_cost_names_the_stage_that_splits(n, stage, monkeypatch):
-    # the pins of tests/test_ntheory.py: rho before p-1 runs, each p-1 stage,
-    # and rho after stage 2's gcd is n
+    # the pins of tests/test_ntheory.py: rho after both p-1 stages find
+    # nothing, each p-1 stage, and rho after stage 2's gcd is n
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ first
     script = Path(__file__).resolve().parents[1] / "tools" / "split_cost.py"
     spec = importlib.util.spec_from_file_location("split_cost", script)

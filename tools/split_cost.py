@@ -5,10 +5,10 @@
 For each band B, in the order given (repeat a B to run it again), it draws
 --count products n = p * q of two distinct primes, each the least prime at
 or above a seeded draw of B // 2 bits, so that n has about B bits and no
-factor below 2^16: factorize goes through Miller-Rabin to Pollard-Brent and
-its p-1 stages.  The products are seeded by --seed and B alone, not drawn
-from the benchmark's request pool.  qtr is imported from src/ of this
-checkout.
+factor below 2^16: factorize goes through Miller-Rabin to the two stages of
+Pollard p-1 and, if they do not split n, Pollard-Brent rho.  The products
+are seeded by --seed and B alone, not drawn from the benchmark's request
+pool.  qtr is imported from src/ of this checkout.
 
 One line per band: the mean time of one factorize call (one split) in ms,
 its median and its largest; how many of the n were split by p-1's stage 1,
@@ -53,20 +53,18 @@ def next_prime(m: int) -> int:
 
 
 def split_by(n: int) -> str:
-    """Which of stage1, stage2 and rho splits n in ntheory._pollard_brent.
-
-    p-1 runs at most once, at 2 * (_PM1_LEVEL - 1) squarings, and rho then
-    squares at least _PM1_LEVEL more times before it can return: so a split
-    at that count after p-1 ran is p-1's, and stage 2's if stage 2 ran."""
-    ran = []
-    exponent, stage2 = ntheory._pm1_exponent, ntheory._pm1_stage2
-    ntheory._pm1_exponent = lambda: ran.append("stage1") or exponent()
+    """Which of stage1, stage2 and rho returns the split of n in ntheory._split:
+    the last of them that ran, as stage 1 always runs and each of the others
+    runs only when the one before it split nothing."""
+    ran = ["stage1"]
+    stage2, rho = ntheory._pm1_stage2, ntheory._pollard_brent
     ntheory._pm1_stage2 = lambda z, m: ran.append("stage2") or stage2(z, m)
+    ntheory._pollard_brent = lambda m, budget: ran.append("rho") or rho(m, budget)
     try:
-        _, steps = ntheory._pollard_brent(n, ntheory._RHO_BUDGET)
+        ntheory._split(n, ntheory._RHO_BUDGET)
     finally:
-        ntheory._pm1_exponent, ntheory._pm1_stage2 = exponent, stage2
-    return ran[-1] if ran and steps == 2 * (ntheory._PM1_LEVEL - 1) else "rho"
+        ntheory._pm1_stage2, ntheory._pollard_brent = stage2, rho
+    return ran[-1]
 
 
 def main(argv=None) -> int:
