@@ -39,6 +39,7 @@ from .rank import UNIT_LABELS, character_table, flat_ranks
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
 _CHUNK = 512
+_WHEEL = 2 * 3 * 5 * 7  # the period of PrimeTable.wheel
 
 
 def _shape_text(shape: NShape) -> str:
@@ -72,6 +73,20 @@ class PrimeTable(dict):
         kind = self[r] = prime_kind(r, splitting_type(r, self.ell))
         return kind
 
+    @functools.cached_property
+    def wheel(self) -> tuple[list[int], list[int]]:
+        """Where each window of _keyed_fields starts, built at a process's first
+        window: the keys and products mod _WHEEL of delta, 3, 5 and 7 (ell = 5
+        only in the product)."""
+        keys = [2 - r % 2 for r in range(_WHEEL)]
+        product = keys[:]
+        for p in (3, 5, 7):
+            for r in range(0, _WHEEL, p):
+                product[r] *= p
+                if p != self.ell:
+                    keys[r] = keys[r] << CLASS_ID_BITS | self[p % (4 * self.ell)]
+        return keys, product
+
 
 def _windows(n_max: int):
     """The windows [lo, hi) of n = 1..n_max, ascending, _CHUNK wide."""
@@ -89,26 +104,31 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
     multiple of p^2 or 4), so a squarefree n is its product times 1 or one
     larger prime.  The key's digits base 2**CLASS_ID_BITS are delta (never
     0), then the odd primes' kinds ascending (PrimeTable), a base prime's
-    looked up once per window, the leftover's last.  ell is never looked up,
-    and each other odd prime p is first looked up at n = p, by first_kind.
+    looked up once per window, the leftover's last.  A window starts from the
+    table's wheel of delta, 3, 5 and 7, so its prime loops begin at 11; its
+    square loops run for every base prime.  ell is never looked up, and each
+    other odd prime p is first looked up at n = p, by first_kind.
     """
     ell = primes.ell
     modulus, size = 4 * ell, hi - lo
+    split = [prime_kind(r, SplittingType.SPLIT) for r in range(4)]  # by p mod 4
 
     def first_kind(p: int) -> int:  # at n = p, where a split p's (ell/p) = +1 is checked
         kind = primes[p % modulus]
-        if kind == prime_kind(p, SplittingType.SPLIT) and legendre(ell, p) != 1:
+        if kind == split[p % 4] and legendre(ell, p) != 1:
             raise InternalCheckError(f"ell={ell} prime={p}: split, but ({ell}/{p}) != 1")
         return kind
 
-    # delta, 2 for even n and 1 for odd; an odd size leaves a spare last entry
-    keys = [2 - lo % 2, 1 + lo % 2] * ((size + 1) // 2)
-    product = keys[:]
+    start, copies = lo % _WHEEL, (lo % _WHEEL + size) // _WHEEL + 1
+    keys, product = ((wheel * copies)[start : start + size] for wheel in primes.wheel)
+    for p in (3, 5, 7):
+        if lo <= p < hi and p != ell:
+            first_kind(p)
     for p in base_primes(max(2, isqrt(hi - 1))):
-        if p == ell:
+        if p == ell and p > 7:
             for i in range(-lo % p, size, p):
                 product[i] *= p
-        elif p != 2:
+        elif p > 7:
             kind = first_kind(p) if lo <= p else primes[p % modulus]
             for i in range(-lo % p, size, p):
                 keys[i] = keys[i] << CLASS_ID_BITS | kind
@@ -123,10 +143,12 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
             raise InternalCheckError(f"sieve product {d} times rest {n // d} is not n = {n}")
         elif n % ell == 0:
             out.append("NotCoprime")
-        elif d == 1 and n > 1:  # n is a prime, at its first lookup
+        elif n == d:
+            out.append(key)
+        elif d == 1:  # n is a prime, at its first lookup
             out.append(key << CLASS_ID_BITS | first_kind(n))
-        else:  # the leftover n // d is 1 or a prime looked up before
-            out.append(key << CLASS_ID_BITS | primes[n // d % modulus] if n > d else key)
+        else:  # the leftover n // d is a prime looked up before
+            out.append(key << CLASS_ID_BITS | primes[n // d % modulus])
     return out
 
 

@@ -18,7 +18,8 @@ from .errors import FactorBudgetExceeded, InternalCheckError, NotQuadraticResidu
 # ..., 13: the least strong pseudoprime to the first k of them (OEIS A014233;
 # Pollard, Proc. Cambridge Philos. Soc. 76, 1974; Sorenson & Webster, Math.
 # Comp. 86, 2017).  Below psi_k the first k bases prove m prime, so the test is
-# unconditional below psi_13 = 3.3e24, well past 2**64.
+# unconditional below psi_13 = 3.3e24, well past 2**64.  psi_13 itself is a
+# strong pseudoprime to all 13, so from it up is_prime runs BPSW instead.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
@@ -51,8 +52,9 @@ def is_prime(m: int) -> bool:
 
     Trial division by _MR_BASES, then the strong test to the first k of them,
     k the least with m < psi_k (_MR_PSI): unconditional for m < psi_13 = 3.3e24
-    (covers 2**64).  Above it all 13 run, which is still deterministic but
-    relies on no counterexample being known.
+    (covers 2**64).  From psi_13 up, the Baillie-PSW test (Baillie & Wagstaff,
+    Math. Comp. 35, 1980): the strong test to base 2 and _strong_lucas, which
+    is deterministic but relies on no counterexample being known.
     """
     if m < 2:
         return False
@@ -65,7 +67,8 @@ def is_prime(m: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES[:bisect_right(_MR_PSI, m) + 1]:
+    proven = m < _MR_PSI[-1]
+    for a in _MR_BASES[:bisect_right(_MR_PSI, m) + 1] if proven else (2,):
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -75,7 +78,54 @@ def is_prime(m: int) -> bool:
                 break
         else:
             return False
-    return True
+    return proven or _strong_lucas(m)
+
+
+def _jacobi(a: int, m: int) -> int:
+    """Jacobi symbol (a/m) for an odd m > 0, by reciprocity."""
+    a, t = a % m, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                t = -t
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            t = -t
+        a %= m
+    return t if m == 1 else 0
+
+
+def _strong_lucas(m: int) -> bool:
+    """Whether an odd m, with no prime factor up to 41 and above 41^2, is a
+    strong Lucas probable prime with Selfridge's parameters: D the first of
+    5, -7, 9, -11, ... with (D/m) = -1, P = 1 and Q = (1 - D)/4.  With m + 1 =
+    d * 2^s, d odd, that is U_d = 0 or V_(d*2^r) = 0 (mod m) for some r < s."""
+    if isqrt(m) ** 2 == m:  # no D would have (D/m) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, m)) != -1:
+        if j == 0:  # |D| < m shares a factor with m
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = m + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (m + 1) // 2  # 1/2 mod m
+    U, V, Qk = 1, 1, Q % m  # U_k, V_k and Q^k at k = 1, then k = d by its bits
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % m, (V * V - 2 * Qk) % m, Qk * Qk % m
+        if bit == "1":
+            U, V, Qk = (U + V) * half % m, (D * U + V) * half % m, Qk * Q % m
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % m, Qk * Qk % m
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int, budget: int) -> tuple[int, int]:

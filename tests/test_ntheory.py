@@ -86,6 +86,38 @@ class TestIsPrime:
             for x in (psi - 2, psi + 2):
                 assert is_prime(x) == sympy.isprime(x), x
 
+    def test_from_psi_13_up_bpsw_decides(self):
+        # psi_13 = 1287836182261 * 2575672364521 passes all 13 bases; the
+        # strong Lucas test rejects it, and agrees with sympy on seeded
+        # primes and semiprimes above it
+        psi = self.A014233[-1]
+        assert is_prime(psi) is False
+        rng = random.Random(33)
+        cases = []
+        for bits in (42, 48, 64, 100, 256):
+            for _ in range(6):
+                p = sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits))
+                q = sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits))
+                cases += [p * q, sympy.nextprime(p * q)]
+        assert min(cases) > psi
+        for m in cases:
+            assert is_prime(m) == sympy.isprime(m), m
+
+    def test_rank_reads_both_primes_of_psi_13(self, capsys):
+        # with psi_13 called prime, this was the one-prime row "p [I]", rank 1
+        psi = self.A014233[-1]
+        assert main(["rank", "--ell", "37", "--n", str(psi), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f'{psi},1,"p·p [I,S]",5,1,3,p-only:both,490922521572623333122373188')
+
+    # the strong Lucas pseudoprimes below 1e5 with Selfridge's parameters
+    # (OEIS A217255); none has a prime factor up to 41
+    A217255 = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+    def test_strong_lucas_pseudoprimes_are_a217255(self):
+        odd = [m for m in range(43 * 43 + 2, 10**5, 2) if gcd(m, prod(ntheory._MR_BASES)) == 1]
+        assert [m for m in odd if ntheory._strong_lucas(m) != is_prime(m)] == self.A217255
+
 
 def stage_2_prime(rng: random.Random) -> int:
     """A prime p < 2^32 with p - 1 = 2 * m * Q for a product m of distinct odd

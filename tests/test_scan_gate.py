@@ -1,8 +1,10 @@
 """Gate tests for the census: its exact bytes, how often each per-field and
 per-prime step runs, and the sieve it reads."""
 
+import functools
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -258,13 +260,21 @@ def test_scan_below_one_window(capsys, n_max, fmt, expected):
         assert capsys.readouterr().out == expected
 
 
+@functools.lru_cache(maxsize=4096)
+def squarefree_factors(n):
+    """factor_squarefree(n), or None if n is not squarefree."""
+    try:
+        return factor_squarefree(n)
+    except NotSquarefree:
+        return None
+
+
 def factored_step(primes, n):
     """The census step of n from factor_squarefree: the skip reason in
     FieldInput's order, or the key folded from n's parity and its odd
     primes' kinds ascending."""
-    try:
-        factors = factor_squarefree(n)
-    except NotSquarefree:
+    factors = squarefree_factors(n)
+    if factors is None:
         return "NotSquarefree"
     if n % primes.ell == 0:
         return "NotCoprime"
@@ -275,15 +285,23 @@ def factored_step(primes, n):
     return key
 
 
+# One seeded window at each height from 1e9 to 1e12, starting at residues
+# 107, 110, 44 and 163 of the wheel (cli._WHEEL = 210).
+_FAR = random.Random(30)
+FAR_WINDOWS = [(lo, lo + _CHUNK)
+               for lo in (10**k + _FAR.randrange(10**6) for k in (9, 10, 11, 12))]
+
+
 # (9797, 10001): the leftover 101 of 9797 = 97 * 101 is just above
 # sqrt(hi - 1) = 100; (10150, 10202): hi - 1 = 101^2, so 101 is a base prime
 # and its square is marked.
 @pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (3 * _CHUNK + 17, 5 * _CHUNK + 3),
                                    (9797, 10001), (10150, 10202),
-                                   (1_000_001, 1_000_001 + _CHUNK)])
+                                   (1_000_001, 1_000_001 + _CHUNK), *FAR_WINDOWS])
 def test_sieve_window_matches_factorization(lo, hi):
-    # ell = 5 and 37 are base primes of every window here, 197 only of some
-    for ell in (5, 37, 197):
+    # ell = 5 and 37 are base primes of every window here, 197 only of
+    # some, and 1000000021 of none
+    for ell in (5, 37, 197, 1000000021):
         primes = PrimeTable(ell)
         steps = cli._keyed_fields(primes, lo, hi)
         assert steps == [factored_step(primes, n) for n in range(lo, hi)], ell
@@ -372,10 +390,11 @@ def test_sieve_record_checks_its_primes(monkeypatch):
     assert window_rows(primes, 2 * 37 * 37, 2 * 37 * 37 + 1) == [
         (2 * 37 * 37, *SKIPPED, "NotSquarefree")]
     assert window_rows(primes, 74, 75) == [(74, *SKIPPED, "NotCoprime")]
-    # a composite "prime" 15 in the base list divides 15 inexactly
+    # a composite "prime" 15 in the base list divides 15 inexactly: the
+    # wheel's 3 * 5 times the fake 15
     real = cli.base_primes
     monkeypatch.setattr(cli, "base_primes", lambda m: [*real(m), 15])
-    message = r"sieve product 45 times rest 0 is not n = 15"
+    message = r"sieve product 225 times rest 0 is not n = 15"
     with pytest.raises(InternalCheckError, match=message):
         window_rows(primes, 1, 20)
 

@@ -111,22 +111,25 @@ def test_invalid_request_names_its_error(capsys, ell, n, error):
 
 def test_single_field_commands_build_no_census_state(capsys, monkeypatch):
     # the census gate tests compare the scan against these commands' path,
-    # so it must read n's primes afresh: no PrimeTable, no sieve
-    built, sieved = [], []
+    # so it must read n's primes afresh: no PrimeTable, no sieve, no wheel
+    built, sieved, wheels = [], [], []
     real_init, real_sieve = cli.PrimeTable.__init__, cli._keyed_fields
+    real_wheel = cli.PrimeTable.wheel.func
     monkeypatch.setattr(cli.PrimeTable, "__init__",
                         lambda self, ell, *bound: built.append(ell) or real_init(self, ell, *bound))
     monkeypatch.setattr(cli, "_keyed_fields",
                         lambda primes, lo, hi: sieved.append(lo) or real_sieve(primes, lo, hi))
-    for command in ("rank", "table", "classify", "conductor"):
+    monkeypatch.setattr(cli.PrimeTable.wheel, "func",
+                        lambda primes: wheels.append(primes.ell) or real_wheel(primes))
+    for command in ("rank", "table", "classify", "conductor", "poly", "unit"):
         for fmt in FORMATS:
             for argv in requests(command, fmt):
                 main(argv)
-    assert built == [] and sieved == []
-    # the same hooks see a census
+    assert built == [] and sieved == [] and wheels == []
+    # the same hooks see a census, whose table builds its wheel once
     assert main(["scan", "--ell", "37", "--n-max", "600", "--format", "csv"]) == 0
     capsys.readouterr()
-    assert built == [37] and sieved == [1, 513]
+    assert built == [37] and sieved == [1, 513] and wheels == [37]
 
 
 def test_parser_built_once():

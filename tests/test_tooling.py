@@ -386,10 +386,22 @@ def test_scan_cost_alternates_its_jobs_at_each_n():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
-    assert header.split()[:5] == ["N", "jobs", "wall_s", "rss_mb", "sha256"]
-    runs = [(n, jobs, digest) for n, jobs, _, _, digest, _ in map(str.split, lines)]
+    assert header.split()[:6] == ["N", "jobs", "wall_s", "us_per_n", "rss_mb", "sha256"]
+    runs = [(n, jobs, digest) for n, jobs, _, _, _, digest, _ in map(str.split, lines)]
     prefix = SCAN_37_3000_SHA256[:12]
     assert runs == [("3000", "1", prefix), ("3000", "2", prefix)]
+    # us_per_n is the wall time per n, both rounded as printed
+    for line in lines:
+        wall, us_per_n = map(float, line.split()[2:4])
+        assert abs(us_per_n * 3000 / 1e6 - wall) <= 0.005 + 3000 * 0.005 / 1e6
+
+
+def test_scan_cost_needs_a_positive_n():
+    script = Path(__file__).resolve().parents[1] / "tools" / "scan_cost.py"
+    proc = subprocess.run([sys.executable, str(script), "--n-max", "3000", "0"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--n-max must be at least 1" in proc.stderr
 
 
 def test_split_cost_counts_every_split_by_its_stage():
@@ -440,4 +452,4 @@ def test_scan_cost_times_this_checkout_not_another_qtr(tmp_path, safe_path):
                           capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     _, line = proc.stdout.splitlines()
-    assert line.split()[4] == SCAN_37_3000_SHA256[:12]
+    assert line.split()[5] == SCAN_37_3000_SHA256[:12]

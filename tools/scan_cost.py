@@ -14,9 +14,10 @@ The peak RSS is that child's own, from os.wait4: the larger of its own peak
 and that of each pool worker it waited for.  (The parent's
 getrusage(RUSAGE_CHILDREN) would keep the maximum over every child waited
 for so far, so one run's reading could be an earlier run's.)  One line per
-run: the wall time, the peak RSS, the sha256 prefix of the output and the
-1-minute load average before and after the run, which says whether the host
-was busy.  Standard library only; POSIX only (os.wait4, os.getloadavg).
+run: the wall time, the wall time per n in microseconds (us_per_n), the
+peak RSS, the sha256 prefix of the output and the 1-minute load average
+before and after the run, which says whether the host was busy.
+Standard library only; POSIX only (os.wait4, os.getloadavg).
 """
 
 from __future__ import annotations
@@ -60,14 +61,17 @@ def main(argv=None) -> int:
     parser.add_argument("--n-max", type=int, nargs="+", required=True)
     parser.add_argument("--jobs", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
-    print(f"{'N':>10}  jobs  {'wall_s':>7}  {'rss_mb':>6}  {'sha256':<12}  load before/after")
+    if min(args.n_max) < 1:
+        parser.error("each N of --n-max must be at least 1")
+    print(f"{'N':>10}  jobs  {'wall_s':>7}  {'us_per_n':>8}  {'rss_mb':>6}  {'sha256':<12}  "
+          "load before/after")
     for n_max in args.n_max:
         for jobs in args.jobs:
             before = os.getloadavg()[0]
             wall, rss_mb, digest = run_scan(n_max, jobs)
             after = os.getloadavg()[0]
-            print(f"{n_max:>10}  {jobs:>4}  {wall:>7.2f}  {rss_mb:>6.1f}  {digest}  "
-                  f"{before:.2f}/{after:.2f}", flush=True)
+            print(f"{n_max:>10}  {jobs:>4}  {wall:>7.2f}  {wall / n_max * 1e6:>8.2f}  "
+                  f"{rss_mb:>6.1f}  {digest}  {before:.2f}/{after:.2f}", flush=True)
     return 0
 
 
