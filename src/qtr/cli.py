@@ -25,7 +25,7 @@ import io
 import json
 import os
 import sys
-from itertools import islice
+from itertools import compress, islice
 from math import isqrt, prod
 
 from .classify import classify_small_rank, small_rank_pattern
@@ -56,18 +56,23 @@ CLASS_ID_BITS = 2
 
 
 class PrimeTable(dict):
-    """The kinds (prime_kind) of the odd primes p != ell of n in a census of
-    one ell, keyed by p mod 4 * ell, which fixes p mod 4 and, by reciprocity,
-    (p/ell): each class's kind is filled from its least residue.  One serves
-    a scan or a verify call; under --jobs J the scan's own process fills it
-    in its windows, and each of the J - 1 forked workers its own copy in
-    theirs.  It keeps a memo per shape class, `classes`: a scan row's parts
-    (_shape_row) or verify's conductor exponent (_class_checks).  A
+    """The census state of one scan or verify call for one ell.  Its items
+    are the kinds (prime_kind) of the odd primes p != ell of n, keyed by p
+    mod 4 * ell, which fixes p mod 4 and, by reciprocity, (p/ell): each
+    class's kind is filled from its least residue.  `classes` is its memo of
+    one record per shape class, which _keyed_fields builds with
+    `record(ell, n, shape)` at the class's first field n: a scan row's parts
+    (_shape_row, when record is None) or verify's class checks
+    (_class_checks).  `split_kinds` is a split prime's kind by p mod 4.
+    Under --jobs J the scan's own process fills the table in its windows,
+    and each of the J - 1 forked workers its own copy in theirs.  A
     FieldInput never builds one."""
 
-    def __init__(self, ell: int):
+    def __init__(self, ell: int, record=None):
         self.ell = validate_ell(ell)
-        self.classes: dict[int, tuple | int] = {}
+        self.record = record or _shape_row
+        self.classes: dict[int, tuple] = {}
+        self.split_kinds = [prime_kind(r, SplittingType.SPLIT) for r in range(4)]
 
     def __missing__(self, r: int) -> int:
         kind = self[r] = prime_kind(r, splitting_type(r, self.ell))
@@ -75,17 +80,19 @@ class PrimeTable(dict):
 
     @functools.cached_property
     def wheel(self) -> tuple[list[int], list[int]]:
-        """Where each window of _keyed_fields starts, built at a process's first
-        window: the keys and products mod _WHEEL of delta, 3, 5 and 7 (ell = 5
-        only in the product)."""
+        """The keys and products of delta, 3, 5 and 7 other than ell at
+        n = 0, 1, ..., _WHEEL + _CHUNK - 1, built at a process's first window:
+        a window of _keyed_fields at most _CHUNK wide starts as one slice of
+        each."""
         keys = [2 - r % 2 for r in range(_WHEEL)]
         product = keys[:]
         for p in (3, 5, 7):
-            for r in range(0, _WHEEL, p):
-                product[r] *= p
-                if p != self.ell:
+            if p != self.ell:
+                for r in range(0, _WHEEL, p):
+                    product[r] *= p
                     keys[r] = keys[r] << CLASS_ID_BITS | self[p % (4 * self.ell)]
-        return keys, product
+        copies = _CHUNK // _WHEEL + 2
+        return (keys * copies)[:_WHEEL + _CHUNK], (product * copies)[:_WHEEL + _CHUNK]
 
 
 def _windows(n_max: int):
@@ -94,24 +101,30 @@ def _windows(n_max: int):
         yield lo, min(lo + _CHUNK, n_max + 1)
 
 
-def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
-    """The census step over n in [lo, hi), 1 <= lo: for each n, the
-    hypothesis it fails, checked in FieldInput's order ("NotSquarefree" or
-    "NotCoprime"), or else the int key of its shape class.
+def _keyed_fields(primes: PrimeTable, lo: int, hi: int,
+                  skipped: bool = False) -> tuple[list[int], list[tuple | str]]:
+    """The census kernel of scan and verify over n in [lo, hi), 1 <= lo: the
+    valid n ascending and, in a parallel list, the record of each one's shape
+    class in primes.classes, built by primes.record at the class's first
+    field.  With skipped, every n is listed, and a rejected n's record is the
+    hypothesis it fails, in FieldInput's order: "NotSquarefree", then
+    "NotCoprime".
 
     A keyed segmented sieve: the product of the primes dividing n starts at
-    delta, and each odd prime p <= sqrt(hi - 1) is multiplied in (0 at a
-    multiple of p^2 or 4), so a squarefree n is its product times 1 or one
-    larger prime.  The key's digits base 2**CLASS_ID_BITS are delta (never
-    0), then the odd primes' kinds ascending (PrimeTable), a base prime's
-    looked up once per window, the leftover's last.  A window starts from the
-    table's wheel of delta, 3, 5 and 7, so its prime loops begin at 11; its
-    square loops run for every base prime.  ell is never looked up, and each
-    other odd prime p is first looked up at n = p, by first_kind.
+    delta, and each odd prime p != ell up to sqrt(hi - 1) is multiplied in,
+    so a squarefree n prime to ell is its product times 1 or one larger
+    prime.  ell's multiples are then checked (the product times ell divides
+    n) and marked None, and the multiples of each base prime's square or 4
+    marked 0 after them, so NotSquarefree wins; itertools.compress drops
+    both marks.  The key's digits base 2**CLASS_ID_BITS are delta (never 0),
+    then the odd primes' kinds ascending (PrimeTable), a base prime's looked
+    up once per window, the leftover's last.  A window starts from the
+    table's wheel of delta, 3, 5 and 7, so its prime loops begin at 11.  ell
+    is never looked up, and each other odd prime p is first looked up at n =
+    p, by first_kind.
     """
-    ell = primes.ell
-    modulus, size = 4 * ell, hi - lo
-    split = [prime_kind(r, SplittingType.SPLIT) for r in range(4)]  # by p mod 4
+    ell, memo, record, bits = primes.ell, primes.classes, primes.record, CLASS_ID_BITS
+    modulus, size, split = 4 * ell, hi - lo, primes.split_kinds
 
     def first_kind(p: int) -> int:  # at n = p, where a split p's (ell/p) = +1 is checked
         kind = primes[p % modulus]
@@ -119,46 +132,61 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int) -> list[int | str]:
             raise InternalCheckError(f"ell={ell} prime={p}: split, but ({ell}/{p}) != 1")
         return kind
 
-    start, copies = lo % _WHEEL, (lo % _WHEEL + size) // _WHEEL + 1
-    keys, product = ((wheel * copies)[start : start + size] for wheel in primes.wheel)
+    start, wheel = lo % _WHEEL, primes.wheel
+    if start + size > len(wheel[0]):  # a window wider than _CHUNK
+        wheel = [w[:_WHEEL] * ((start + size) // _WHEEL + 1) for w in wheel]
+    keys, product = (w[start:start + size] for w in wheel)
     for p in (3, 5, 7):
         if lo <= p < hi and p != ell:
             first_kind(p)
-    for p in base_primes(max(2, isqrt(hi - 1))):
-        if p == ell and p > 7:
-            for i in range(-lo % p, size, p):
-                product[i] *= p
-        elif p > 7:
+    base = base_primes(max(2, isqrt(hi - 1)))
+    for p in base:
+        if p > 7 and p != ell:
             kind = first_kind(p) if lo <= p else primes[p % modulus]
             for i in range(-lo % p, size, p):
-                keys[i] = keys[i] << CLASS_ID_BITS | kind
+                keys[i] = keys[i] << bits | kind
                 product[i] *= p
+    for i in range(-lo % ell, size, ell):  # NotCoprime, once the product is whole
+        if (lo + i) % (d := product[i] * ell):
+            raise _product_error(lo + i, d)
+        product[i] = None
+    for p in base:  # NotSquarefree, after ell's marks
         for i in range(-lo % (p * p), size, p * p):
             product[i] = 0
-    out = []
-    for n, key, d in zip(range(lo, hi), keys, product):
-        if not d:
-            out.append("NotSquarefree")
-        elif n % d:
-            raise InternalCheckError(f"sieve product {d} times rest {n // d} is not n = {n}")
-        elif n % ell == 0:
-            out.append("NotCoprime")
-        elif n == d:
-            out.append(key)
-        elif d == 1:  # n is a prime, at its first lookup
-            out.append(key << CLASS_ID_BITS | first_kind(n))
-        else:  # the leftover n // d is a prime looked up before
-            out.append(key << CLASS_ID_BITS | primes[n // d % modulus])
-    return out
+    fields, records = list(compress(range(lo, hi), product)), []
+    append = records.append
+    for n, key, d in zip(fields, compress(keys, product), compress(product, product)):
+        if n % d:
+            raise _product_error(n, d)
+        if n != d:  # the leftover prime: at its first lookup if n is prime, else looked up before
+            key = key << bits | (first_kind(n) if d == 1 else primes[n // d % modulus])
+        try:
+            found = memo[key]
+        except KeyError:
+            found = memo[key] = record(ell, n, _class_step(key))
+        append(found)
+    if not skipped:
+        return fields, records
+    kept = iter(records)
+    return list(range(lo, hi)), [next(kept) if d else "NotCoprime" if d is None else "NotSquarefree"
+                                 for d in product]
+
+
+def _product_error(n: int, d: int) -> InternalCheckError:
+    return InternalCheckError(f"sieve product {d} times rest {n // d} is not n = {n}")
+
+
+# The base of the key's digits, as _class_step reads them back.
+_KIND_BASE = 1 << CLASS_ID_BITS
 
 
 def _class_step(key: int) -> NShape:
     """The shape record of the shape class of key (quartic.shape_class, with
-    no primes), whose digits (see _keyed_fields) are delta and the kinds of
-    its odd primes."""
+    no primes), whose digits base _KIND_BASE (see _keyed_fields) are delta
+    and the kinds of its odd primes."""
     kinds = []
-    while key >> CLASS_ID_BITS:
-        key, kind = divmod(key, 1 << CLASS_ID_BITS)
+    while key >= _KIND_BASE:
+        key, kind = divmod(key, _KIND_BASE)
         kinds.append(kind)
     return shape_class(key, kinds[::-1])
 
@@ -180,7 +208,6 @@ def _shape_row(ell: int, n: int, shape: NShape) -> tuple[tuple, str, int]:
 
 
 _NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
-_NO_ROW_CSV = "," * len(SCAN_FIELDS)
 _CLASS_RANK = SCAN_FIELDS.index("rank") - 1  # the rank's index in a class's values
 
 
@@ -188,28 +215,21 @@ def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
                  rank_filter: int | None, as_csv: bool) -> list[tuple] | str:
     """One window of a scan: the rows of n in [lo, hi) that include_skipped
     and rank_filter keep, as value tuples in SCAN_FIELDS order, or as CSV
-    text.  With include_skipped, each row has a reason, and a rejected n has
-    only n and it.  The first field of each shape class builds its values,
-    their text and f/n (_shape_row) and keeps them in primes.classes, unless a
-    check fails; the rest of the class reads them there, so its CSV line is
-    n, the class's text and n * f/n."""
-    memo, ell = primes.classes, primes.ell
-    end, reason = (",\n", ("",)) if include_skipped else ("\n", ())
-    out = []
-    for n, key in zip(range(lo, hi), _keyed_fields(primes, lo, hi)):
-        if type(key) is str:
-            if include_skipped:
-                out.append(f"{n}{_NO_ROW_CSV}{key}\n" if as_csv else (n, *_NO_ROW, key))
-            continue
-        shape = memo.get(key)
-        if shape is None:
-            shape = memo[key] = _shape_row(ell, n, _class_step(key))
-        values, text, ratio = shape
-        if rank_filter is not None and values[_CLASS_RANK] != rank_filter:
-            continue
-        f = n * ratio
-        out.append(f"{n},{text},{f}{end}" if as_csv else (n, *values, f, *reason))
-    return "".join(out) if as_csv else out
+    text, from one pass of _keyed_fields, whose records are the class parts
+    of _shape_row: a field's CSV line is n, its class's text and n * f/n.
+    With include_skipped, each row has a reason, a rejected n has only n and
+    it, and the csv module writes the rows."""
+    if include_skipped:
+        rows = [(n, *_NO_ROW, r) if type(r) is str else (n, *r[0], n * r[2], "")
+                for n, r in zip(*_keyed_fields(primes, lo, hi, True))
+                if type(r) is str or rank_filter is None or r[0][_CLASS_RANK] == rank_filter]
+        return _csv_text(rows) if as_csv else rows
+    fields = zip(*_keyed_fields(primes, lo, hi))
+    if rank_filter is not None:
+        fields = [(n, r) for n, r in fields if r[0][_CLASS_RANK] == rank_filter]
+    if as_csv:
+        return "".join([f"{n},{text},{n * ratio}\n" for n, (_, text, ratio) in fields])
+    return [(n, *values, n * ratio) for n, (values, _, ratio) in fields]
 
 
 def _csv_text(rows) -> str:
@@ -311,8 +331,9 @@ def _pooled(workers: int, steps):
 def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
                   rank_filter: int | None, as_csv: bool):
     """The output of each window of a scan (see _window_step), in window
-    order from _pooled, each step made as it runs, in one process without
-    os.fork.  ell and jobs are checked here, before any window is computed."""
+    order from _pooled, each step made as it runs, in one process when there
+    is no os.fork.  ell and jobs are checked here, before any window is
+    computed."""
     primes = PrimeTable(ell)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
@@ -412,50 +433,53 @@ def cmd_scan(args, fmt: str) -> int:
 _CHECKS = ("cross_path", "hilbert", "bridge", "classify")
 
 
-def _class_checks(ell: int, n: int, shape: NShape) -> tuple[int, tuple]:
-    """The conductor exponent e of a shape class, and whether the class
-    passes cross_path, hilbert and classify at its field n; a cross_path
-    failure goes to stderr, named by n.  e is 3 for even n (b odd) and, for
-    odd n, 2 or 0 as the dyadic prime ramifies or not (see _shape_row)."""
+def _class_checks(ell: int, n: int, shape: NShape) -> tuple:
+    """verify's record of a shape class, from its field n: the conductor
+    exponent e, the checks of cross_path, hilbert and classify that fail at
+    n, the cross_path error there (None if it passes), and the shape, from
+    which a failing class is checked again at each of its fields.  e is 3
+    for even n (b odd) and, for odd n, 2 or 0 as the dyadic prime ramifies
+    or not (see _shape_row)."""
     try:
-        rank = flat_ranks(ell, n, shape).rank
+        rank, error = flat_ranks(ell, n, shape).rank, None
     except InternalCheckError as exc:
-        print(exc, file=sys.stderr)
-        rank = None
+        rank, error = None, exc
     pattern = small_rank_pattern(shape, ell, n)
     small = pattern.rank if pattern else None  # None from rank 4 on
     e = 3 if shape.delta == 2 else (2 if shape.dyadic_ramifies else 0)
     # hilbert and classify read the rank results, so they fail with them
-    return e, (rank is not None,
-               rank is not None and tuple(map(prod, shape.rows)) == (1, 1, 1),
-               rank is not None and small == (rank if rank <= 3 else None))
+    cross_path = rank is not None
+    hilbert = cross_path and tuple(map(prod, shape.rows)) == (1, 1, 1)
+    classify = cross_path and small == (rank if rank <= 3 else None)
+    failed = () if hilbert and classify else tuple(
+        check for check, ok in (("cross_path", cross_path), ("hilbert", hilbert),
+                                ("classify", classify)) if not ok)
+    return e, failed, error, shape
 
 
 def cmd_verify(args, fmt: str) -> int:
-    """Re-check every built-in invariant over all valid n <= n_max.  bridge
-    compares each field's conductor exponent with its class's; the other
-    checks run once per shape class, whose exponent primes.classes keeps
-    once all three pass.  A class that fails one is checked again at each of
-    its fields, so each failure names its n."""
-    primes = PrimeTable(args.ell)
-    memo = primes.classes
+    """Re-check every built-in invariant over all valid n <= n_max, from one
+    pass of _keyed_fields per window, whose records are the class checks
+    (_class_checks), built once per shape class.  bridge compares each
+    field's conductor exponent with its class's.  A class that fails another
+    check is checked again at each of its fields, so each failure, and each
+    cross_path error on stderr, names its n."""
+    primes = PrimeTable(args.ell, _class_checks)
     ell, legs = primes.ell, two_squares(primes.ell)
     failures: list[tuple[int, str]] = []
     fields_checked = 0
     for lo, hi in _windows(args.n_max):
-        for n, key in zip(range(lo, hi), _keyed_fields(primes, lo, hi)):
-            if type(key) is str:
-                continue
+        fields, records = _keyed_fields(primes, lo, hi)
+        fields_checked += len(fields)
+        for n, (expected, failed, _, shape) in zip(fields, records):
             a, b, _ = williams_abc(n, legs)
             e = conductor_parts(a, b, ell)[0]
-            fields_checked += 1
-            expected = memo.get(key)
-            if expected is None:
-                expected, (cross_path, hilbert, classify) = _class_checks(ell, n, _class_step(key))
-                if cross_path and hilbert and classify:
-                    memo[key] = expected
-                passed = (cross_path, hilbert, e == expected, classify)
-                failures += [(n, check) for check, ok in zip(_CHECKS, passed) if not ok]
+            if failed:
+                expected, failed, error, _ = _class_checks(ell, n, shape)
+                if error:
+                    print(error, file=sys.stderr)
+                failures += [(n, check) for check in _CHECKS
+                             if check in failed or check == "bridge" and e != expected]
             elif e != expected:
                 failures.append((n, "bridge"))
     checks = {check: fields_checked - sum(1 for _, c in failures if c == check)

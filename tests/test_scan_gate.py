@@ -13,12 +13,12 @@ from math import isqrt
 import pytest
 
 from qtr import cli, ntheory, rank
-from qtr.cli import _CHUNK, CLASS_ID_BITS, PrimeTable, main, scan_rows
+from qtr.cli import _CHUNK, PrimeTable, main, scan_rows
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, is_prime, legendre, two_squares
 from qtr.quad import splitting_type
 from qtr.quartic import (KIND_LETTERS, FieldInput, conductor, conductor_parts, prime_kind,
-                         to_williams, williams_abc)
+                         shape_class, to_williams, williams_abc)
 from qtr.rank import rank_closed, rank_unified
 
 # sha256 of `qtr scan --ell 37 --n-max 3000 --format csv`.
@@ -269,20 +269,32 @@ def squarefree_factors(n):
         return None
 
 
+def shape_table(ell):
+    """A census table whose record of each shape class is the class's shape
+    (quartic.shape_class), so the kernel's records are its classes."""
+    return PrimeTable(ell, lambda ell, n, shape: shape)
+
+
 def factored_step(primes, n):
     """The census step of n from factor_squarefree: the skip reason in
-    FieldInput's order, or the key folded from n's parity and its odd
+    FieldInput's order, or the shape class of n's parity and its odd
     primes' kinds ascending."""
     factors = squarefree_factors(n)
     if factors is None:
         return "NotSquarefree"
     if n % primes.ell == 0:
         return "NotCoprime"
-    key = 2 - n % 2
-    for prime in factors:
-        if prime != 2:
-            key = key << CLASS_ID_BITS | primes[prime % (4 * primes.ell)]
-    return key
+    kinds = [primes[prime % (4 * primes.ell)] for prime in factors if prime != 2]
+    return shape_class(2 - n % 2, kinds)
+
+
+def assert_window_factored(primes, lo, hi):
+    """The kernel's window [lo, hi), with and without the reasons of the
+    rejected n, equals factored_step at each n."""
+    expected = [factored_step(primes, n) for n in range(lo, hi)]
+    assert cli._keyed_fields(primes, lo, hi, True) == (list(range(lo, hi)), expected)
+    valid = [(n, step) for n, step in zip(range(lo, hi), expected) if type(step) is not str]
+    assert cli._keyed_fields(primes, lo, hi) == ([n for n, _ in valid], [step for _, step in valid])
 
 
 # One seeded window at each height from 1e9 to 1e12, starting at residues
@@ -290,6 +302,13 @@ def factored_step(primes, n):
 _FAR = random.Random(30)
 FAR_WINDOWS = [(lo, lo + _CHUNK)
                for lo in (10**k + _FAR.randrange(10**6) for k in (9, 10, 11, 12))]
+# Windows that hold ell, 2 * ell and ell * p^2, 512 wide as in a census:
+# [1, 513) for ell = 5, whose 3, 5 and 7 come from the wheel (with 25k), and
+# for ell = 37 (37 * 2^2, 37 * 3^2); [4400, 4912) for 5 * 31^2 = 4805 and
+# 37 * 11^2 = 4477; for ell = BIG_ELL, above sqrt(hi), ell and 2 * ell.
+BIG_ELL = 1000000021
+ELL_WINDOWS = [(1, _CHUNK + 1), (4400, 4400 + _CHUNK),
+               (BIG_ELL - 100, BIG_ELL + 412), (2 * BIG_ELL - 200, 2 * BIG_ELL + 312)]
 
 
 # (9797, 10001): the leftover 101 of 9797 = 97 * 101 is just above
@@ -297,25 +316,22 @@ FAR_WINDOWS = [(lo, lo + _CHUNK)
 # and its square is marked.
 @pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (3 * _CHUNK + 17, 5 * _CHUNK + 3),
                                    (9797, 10001), (10150, 10202),
-                                   (1_000_001, 1_000_001 + _CHUNK), *FAR_WINDOWS])
+                                   (1_000_001, 1_000_001 + _CHUNK), *FAR_WINDOWS, *ELL_WINDOWS])
 def test_sieve_window_matches_factorization(lo, hi):
-    # ell = 5 and 37 are base primes of every window here, 197 only of
-    # some, and 1000000021 of none
-    for ell in (5, 37, 197, 1000000021):
-        primes = PrimeTable(ell)
-        steps = cli._keyed_fields(primes, lo, hi)
-        assert steps == [factored_step(primes, n) for n in range(lo, hi)], ell
+    # ell = 5 is a base prime of every window here, 37 of all but
+    # [1, 513), 197 only of some, and BIG_ELL of none
+    for ell in (5, 37, 197, BIG_ELL):
+        assert_window_factored(shape_table(ell), lo, hi)
 
 
 def test_sieve_base_grows_across_windows(monkeypatch):
     # from an empty base list, the census's windows cross several growths of
     # it, and a window below its bound afterwards reads a prefix
     monkeypatch.setattr(ntheory, "_sieve_base", ([], 1))
-    primes = PrimeTable(37)
+    primes = shape_table(37)
     bounds = set()
     for lo, hi in [*cli._windows(20000), (1, _CHUNK + 1), (3001, 3011)]:
-        steps = cli._keyed_fields(primes, lo, hi)
-        assert steps == [factored_step(primes, n) for n in range(lo, hi)], (lo, hi)
+        assert_window_factored(primes, lo, hi)
         bounds.add(ntheory._sieve_base[1])
     assert len(bounds) >= 4 and max(bounds) >= isqrt(20000)
 
@@ -345,6 +361,25 @@ def test_scan_reads_the_conductor_once_per_shape_class(monkeypatch):
     rows = scan_rows(37, 3000)
     assert len(rows) == 1776
     assert 0 < len(conductors) == len(classes) < len(rows) / 4
+
+
+def test_scan_and_verify_run_one_kernel_pass_per_window(capsys, monkeypatch):
+    # both commands read each window's fields and class records from one
+    # call of the one kernel; once every check passes, verify builds each
+    # class's record once, as scan builds each class's row once
+    passes = count_calls(monkeypatch, "qtr.cli", "_keyed_fields")
+    rows = count_calls(monkeypatch, "qtr.cli", "_shape_row")
+    checked = []
+    real = cli._class_checks
+    monkeypatch.setattr(cli, "_class_checks",
+                        lambda ell, n, shape: checked.append(shape) or real(ell, n, shape))
+    windows = -(-3000 // _CHUNK)
+    assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "1"]) == 0
+    assert len(passes) == windows
+    assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0
+    assert "1776 fields checked" in capsys.readouterr().out
+    assert len(passes) == 2 * windows
+    assert 0 < len(checked) == len(set(checked)) == len(rows) < 1776 / 4
 
 
 def test_verify_reads_the_conductor_at_every_field(capsys, monkeypatch):
@@ -459,11 +494,11 @@ def test_census_step_equals_the_record_path(ell):
     assert got == record_steps(ell, 1, 3001)
     # the census's record of each field's class, decoded from the kinds in
     # its key, equals the field's own record, rows (and so signs) included
+    primes = shape_table(ell)
     for lo, hi in cli._windows(3000):
-        for n, key in zip(range(lo, hi), cli._keyed_fields(primes, lo, hi)):
-            if type(key) is int:
-                own = FieldInput(ell, n).shape._replace(primes=())
-                assert cli._class_step(key) == own, n
+        for n, shape in zip(*cli._keyed_fields(primes, lo, hi)):
+            own = FieldInput(ell, n).shape._replace(primes=())
+            assert shape == own, n
 
 
 @pytest.mark.parametrize("ell", [37, 1000000021])
