@@ -56,16 +56,16 @@ CLASS_ID_BITS = 2
 
 
 class PrimeTable(dict):
-    """The census state of one scan or verify call for one ell.  Its items
-    are the kinds (prime_kind) of the odd primes p != ell of n, keyed by p
-    mod 4 * ell, which fixes p mod 4 and, by reciprocity, (p/ell): each
-    class's kind is filled from its least residue.  `classes` is its memo of
-    one record per shape class, which _keyed_fields builds with
-    `record(ell, n, shape)` at the class's first field n: a scan row's parts
-    (_shape_row, when record is None) or verify's class checks
-    (_class_checks).  `split_kinds` is a split prime's kind by p mod 4.
-    Under --jobs J the scan's own process fills the table in its windows,
-    and each of the J - 1 forked workers its own copy in theirs.  A
+    """The census state of one scan or verify call for one ell, built once by
+    the census driver (_census).  Its items are the kinds (prime_kind) of the
+    odd primes p != ell of n, keyed by p mod 4 * ell, which fixes p mod 4
+    and, by reciprocity, (p/ell): each class's kind is filled from its least
+    residue.  `classes` is its memo of one record per shape class, which
+    _keyed_fields builds with `record(ell, n, shape)` at the class's first
+    field n: a scan row's parts (_shape_row, the default) or verify's class
+    checks (_class_checks).  `split_kinds` is a split prime's kind by p mod
+    4.  Under --jobs J the scan's own process fills the table in its
+    windows, and each of the J - 1 forked workers its own copy in theirs.  A
     FieldInput never builds one."""
 
     def __init__(self, ell: int, record=None):
@@ -211,14 +211,19 @@ _NO_ROW = ("",) * (len(SCAN_FIELDS) - 1)
 _CLASS_RANK = SCAN_FIELDS.index("rank") - 1  # the rank's index in a class's values
 
 
-def _window_step(primes: PrimeTable, lo: int, hi: int, include_skipped: bool,
-                 rank_filter: int | None, as_csv: bool) -> list[tuple] | str:
-    """One window of a scan: the rows of n in [lo, hi) that include_skipped
-    and rank_filter keep, as value tuples in SCAN_FIELDS order, or as CSV
-    text, from one pass of _keyed_fields, whose records are the class parts
-    of _shape_row: a field's CSV line is n, its class's text and n * f/n.
-    With include_skipped, each row has a reason, a rejected n has only n and
-    it, and the csv module writes the rows."""
+def _scan_chunk(args: tuple) -> tuple | list[tuple] | str:
+    """One census window, args = (primes, lo, hi, *options), from one pass
+    of _keyed_fields over n in [lo, hi): the step of every process of the
+    pool (_pooled), so a wrapper of this name sees every window.  verify
+    gives no options and reads the pass itself.  A scan's options give the
+    rows that include_skipped and rank_filter keep, as value tuples in
+    SCAN_FIELDS order, or as CSV text (as_csv), from the class parts of
+    _shape_row: a field's CSV line is n, its class's text and n * f/n.  With
+    include_skipped, each row has a reason, a rejected n has only n and it,
+    and the csv module writes the rows."""
+    if len(args) == 3:
+        return _keyed_fields(*args)
+    primes, lo, hi, include_skipped, rank_filter, as_csv = args
     if include_skipped:
         rows = [(n, *_NO_ROW, r) if type(r) is str else (n, *r[0], n * r[2], "")
                 for n, r in zip(*_keyed_fields(primes, lo, hi, True))
@@ -239,14 +244,6 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _scan_chunk(args: tuple) -> list[tuple] | str:
-    """One step in a forked pool worker (_run_worker): _window_step on the
-    step, headed by the prime table.  The scan's own process calls
-    _window_step for its windows, so rebinding this reaches the forked
-    workers alone."""
-    return _window_step(*args)
-
-
 def _usable_cpus() -> int | None:
     """The CPUs this process may run on; os.cpu_count() counts the machine's."""
     if hasattr(os, "sched_getaffinity"):
@@ -261,16 +258,16 @@ def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(jobs, chunks, cpus or 1))
 
 
-def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
-    """In forked child `worker`, 1 <= worker < workers (the scan's own
-    process is worker 0): steps worker, worker + workers, ... in order,
-    each result, or the exception it raised, pickled down write_fd."""
+def _run_worker(worker: int, workers: int, step, windows, write_fd: int) -> None:
+    """In forked child `worker`, 1 <= worker < workers (the census's own
+    process is worker 0): step on windows worker, worker + workers, ... in
+    order, each result, or the exception it raised, pickled down write_fd."""
     import pickle
 
     with open(write_fd, "wb") as pipe:
-        for step in islice(steps, worker, None, workers):
+        for window in islice(windows, worker, None, workers):
             try:
-                message = (True, _scan_chunk(step))
+                message = (True, step(window))
             except Exception as exc:
                 message = (False, exc)
             pickle.dump(message, pipe)
@@ -279,13 +276,14 @@ def _run_worker(worker: int, workers: int, steps, write_fd: int) -> None:
                 return
 
 
-def _pooled(workers: int, steps):
-    """The steps' results in step order, from `workers` processes: this one
-    runs steps 0, workers, 2 * workers, ... itself (_window_step), all of
-    them when workers is 1, and workers - 1 forked children (_run_worker)
-    run the rest, dealt round-robin.  The children inherit the steps, an
-    iterator none has started, each headed by the scan's prime table, and
-    are forked before this process's first step, so it overlaps their
+def _pooled(workers: int, step, windows):
+    """The census's one window driver: step's result on each of the windows,
+    in window order, from `workers` processes.  This one runs windows 0,
+    workers, 2 * workers, ... itself, all of them when workers is 1, and
+    workers - 1 forked children (_run_worker) run the rest, dealt
+    round-robin.  The children inherit step and the windows, an iterator
+    none has started, each headed by the census's prime table, and are
+    forked before this process's first window, so it overlaps their
     start-up.  qtr starts no threads, so forking is safe, and the children
     inherit the module state a caller or a tracer has set."""
     readers, pids = [], []
@@ -300,7 +298,7 @@ def _pooled(workers: int, steps):
                     for reader in readers:
                         reader.close()
                     os.close(read_fd)
-                    _run_worker(worker, workers, steps, write_fd)
+                    _run_worker(worker, workers, step, windows, write_fd)
                     code = 0
                 finally:
                     # skip the parent's cleanup and its inherited stdio buffers
@@ -308,11 +306,11 @@ def _pooled(workers: int, steps):
             pids.append(pid)
             os.close(write_fd)
             readers.append(open(read_fd, "rb"))
-        for index, step in enumerate(steps):
+        for index, window in enumerate(windows):
             if index % workers == 0:
-                yield _window_step(*step)
+                yield step(window)
                 continue
-            primes, lo, hi, *_ = step
+            primes, lo, hi, *_ = window
             try:
                 ok, result = pickle.load(readers[index % workers - 1])
             except (EOFError, pickle.UnpicklingError):
@@ -328,18 +326,18 @@ def _pooled(workers: int, steps):
             os.waitpid(pid, 0)
 
 
-def _scan_windows(ell: int, n_max: int, jobs: int, include_skipped: bool,
-                  rank_filter: int | None, as_csv: bool):
-    """The output of each window of a scan (see _window_step), in window
-    order from _pooled, each step made as it runs, in one process when there
-    is no os.fork.  ell and jobs are checked here, before any window is
-    computed."""
-    primes = PrimeTable(ell)
+def _census(ell: int, n_max: int, jobs: int, record, step, *options):
+    """The one census driver of scan and verify: step's result on (primes,
+    lo, hi, *options) for each window of n = 1..n_max, in order from
+    _pooled, each made as it runs, in one process when there is no os.fork.
+    primes is the census's one PrimeTable(ell, record), and ell and jobs
+    are checked here, before any window is computed."""
+    primes = PrimeTable(ell, record)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
-    steps = ((primes, lo, hi, include_skipped, rank_filter, as_csv) for lo, hi in _windows(n_max))
+    windows = ((primes, lo, hi, *options) for lo, hi in _windows(n_max))
     workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus()) if hasattr(os, "fork") else 1
-    return _pooled(workers, steps)
+    return _pooled(workers, step, windows)
 
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
@@ -349,7 +347,8 @@ def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False
     output is identical for every jobs count."""
     fields = (SCAN_FIELDS + ("reason",)) if include_skipped else SCAN_FIELDS
     return [dict(zip(fields, values))
-            for rows in _scan_windows(ell, n_max, jobs, include_skipped, rank_filter, False)
+            for rows in _census(ell, n_max, jobs, _shape_row, _scan_chunk,
+                                include_skipped, rank_filter, False)
             for values in rows]
 
 
@@ -413,14 +412,15 @@ def cmd_rank(args, fmt: str) -> int:
 def cmd_scan(args, fmt: str) -> int:
     """CSV streams one window at a time; text needs every row for its column
     widths, and JSON is one document, of scan_rows."""
-    options = (args.ell, args.n_max, args.jobs, args.include_skipped, args.rank)
+    census, options = (args.ell, args.n_max, args.jobs), (args.include_skipped, args.rank)
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
     if fmt == "json":
-        _answer(fmt, lambda: scan_rows(*options), None)
+        _answer(fmt, lambda: scan_rows(*census, *options), None)
     elif fmt == "text":
-        _emit_table_rows([row for rows in _scan_windows(*options, False) for row in rows], fields)
+        windows = _census(*census, _shape_row, _scan_chunk, *options, False)
+        _emit_table_rows([row for rows in windows for row in rows], fields)
     else:
-        windows = _scan_windows(*options, True)
+        windows = _census(*census, _shape_row, _scan_chunk, *options, True)
         sys.stdout.write(_csv_text([fields]))
         try:
             for text in windows:
@@ -459,17 +459,16 @@ def _class_checks(ell: int, n: int, shape: NShape) -> tuple:
 
 def cmd_verify(args, fmt: str) -> int:
     """Re-check every built-in invariant over all valid n <= n_max, from one
-    pass of _keyed_fields per window, whose records are the class checks
-    (_class_checks), built once per shape class.  bridge compares each
-    field's conductor exponent with its class's.  A class that fails another
-    check is checked again at each of its fields, so each failure, and each
-    cross_path error on stderr, names its n."""
-    primes = PrimeTable(args.ell, _class_checks)
-    ell, legs = primes.ell, two_squares(primes.ell)
+    pass of _keyed_fields per window (_census, _scan_chunk with no options),
+    whose records are the class checks (_class_checks), built once per shape
+    class.  bridge compares each field's conductor exponent with its class's.
+    A class that fails another check is checked again at each of its fields,
+    so each failure, and each cross_path error on stderr, names its n."""
+    windows = _census(args.ell, args.n_max, 1, _class_checks, _scan_chunk)
+    ell, legs = args.ell, two_squares(args.ell)
     failures: list[tuple[int, str]] = []
     fields_checked = 0
-    for lo, hi in _windows(args.n_max):
-        fields, records = _keyed_fields(primes, lo, hi)
+    for fields, records in windows:
         fields_checked += len(fields)
         for n, (expected, failed, _, shape) in zip(fields, records):
             a, b, _ = williams_abc(n, legs)

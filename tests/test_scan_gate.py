@@ -364,9 +364,11 @@ def test_scan_reads_the_conductor_once_per_shape_class(monkeypatch):
 
 
 def test_scan_and_verify_run_one_kernel_pass_per_window(capsys, monkeypatch):
-    # both commands read each window's fields and class records from one
+    # both commands enter each window once, through the one entry the pool
+    # calls in every process, and read its fields and class records from one
     # call of the one kernel; once every check passes, verify builds each
     # class's record once, as scan builds each class's row once
+    entries = count_calls(monkeypatch, "qtr.cli", "_scan_chunk")
     passes = count_calls(monkeypatch, "qtr.cli", "_keyed_fields")
     rows = count_calls(monkeypatch, "qtr.cli", "_shape_row")
     checked = []
@@ -375,10 +377,11 @@ def test_scan_and_verify_run_one_kernel_pass_per_window(capsys, monkeypatch):
                         lambda ell, n, shape: checked.append(shape) or real(ell, n, shape))
     windows = -(-3000 // _CHUNK)
     assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "1"]) == 0
-    assert len(passes) == windows
+    assert len(passes) == len(entries) == windows
     assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0
     assert "1776 fields checked" in capsys.readouterr().out
-    assert len(passes) == 2 * windows
+    assert len(passes) == len(entries) == 2 * windows
+    assert [window[1:3] for window in entries] == 2 * list(cli._windows(3000))
     assert 0 < len(checked) == len(set(checked)) == len(rows) < 1776 / 4
 
 
@@ -410,7 +413,7 @@ def test_a_conductor_off_its_class_ratio_is_named(capsys, monkeypatch):
 def window_rows(primes, lo, hi):
     """The census's rows of n in [lo, hi), as `scan --include-skipped` keeps
     them, in value tuples."""
-    return cli._window_step(primes, lo, hi, True, None, False)
+    return cli._scan_chunk((primes, lo, hi, True, None, False))
 
 
 SKIPPED = ("",) * 7
@@ -420,7 +423,7 @@ def test_sieve_record_checks_its_primes(monkeypatch):
     primes = PrimeTable(37)
     for n in (2 * 3 * 67, 4757):
         assert window_rows(primes, n, n + 1) == [(*record_row(37, n), "")]
-        assert cli._window_step(primes, n, n + 1, False, None, False) == [record_row(37, n)]
+        assert cli._scan_chunk((primes, n, n + 1, False, None, False)) == [record_row(37, n)]
     # the same order as FieldInput(ell, n): NotSquarefree before NotCoprime
     assert window_rows(primes, 2 * 37 * 37, 2 * 37 * 37 + 1) == [
         (2 * 37 * 37, *SKIPPED, "NotSquarefree")]
@@ -442,7 +445,7 @@ def test_ell_is_never_in_the_prime_table(monkeypatch, ell, coprime_n, square_n):
     # the table's keys are the odd classes mod 4 * ell prime to ell, all met
     primes = PrimeTable(ell)
     for lo, hi in cli._windows(30000):
-        cli._window_step(primes, lo, hi, True, None, True)
+        cli._scan_chunk((primes, lo, hi, True, None, True))
     assert sorted(primes) == [r for r in range(4 * ell) if r % 2 and r % ell]
     if square_n is not None:
         assert window_rows(primes, square_n, square_n + 1) == [(square_n, *SKIPPED, "NotSquarefree")]
@@ -504,12 +507,12 @@ def test_census_step_equals_the_record_path(ell):
 @pytest.mark.parametrize("ell", [37, 1000000021])
 def test_census_rows_past_1e5_equal_the_record_path(ell):
     # the memo of shape classes is filled by the first window, then read in
-    # windows far past it
+    # windows far past it, up to the seeded windows from 1e9 to 1e12
     primes = PrimeTable(ell)
     window_rows(primes, 1, _CHUNK + 1)
     warm = len(primes.classes)
-    for lo in (100_001, 524_289, 999_489):
-        assert window_rows(primes, lo, lo + _CHUNK) == record_steps(ell, lo, lo + _CHUNK)
+    for lo, hi in [(lo, lo + _CHUNK) for lo in (100_001, 524_289, 999_489)] + FAR_WINDOWS:
+        assert window_rows(primes, lo, hi) == record_steps(ell, lo, hi), (lo, hi)
     assert 0 < warm < len(primes.classes)
 
 
@@ -523,8 +526,8 @@ def test_csv_lines_equal_the_csv_module(ell, include_skipped, rank_filter):
     primes = PrimeTable(ell)
     windows = [*cli._windows(3000), (100_001, 100_001 + _CHUNK), (999_489, 999_489 + _CHUNK)]
     for lo, hi in windows:
-        text = cli._window_step(primes, lo, hi, include_skipped, rank_filter, True)
-        rows = cli._window_step(primes, lo, hi, include_skipped, rank_filter, False)
+        text = cli._scan_chunk((primes, lo, hi, include_skipped, rank_filter, True))
+        rows = cli._scan_chunk((primes, lo, hi, include_skipped, rank_filter, False))
         assert text == cli._csv_text(rows), (lo, hi)
     assert text
 
@@ -580,7 +583,7 @@ def test_a_worker_fills_each_prime_once(monkeypatch):
                               if p != 37 and is_prime(p) and legendre(p, 37) == 1]
     assert sorted(classes) == sorted(table) == [r for r in range(148) if r % 2 and r % 37]
     primes = PrimeTable(37)
-    assert first + second == "".join(cli._window_step(primes, lo, hi, False, None, True)
+    assert first + second == "".join(cli._scan_chunk((primes, lo, hi, False, None, True))
                                      for lo, hi in cli._windows(2 * _CHUNK))
 
 
@@ -588,7 +591,8 @@ def test_a_census_table_stays_within_its_classes(capsys, monkeypatch):
     # one kind per class mod 4 * ell: at most phi(148) = 72 entries for
     # ell = 37, however many primes the census meets
     tables = []
-    monkeypatch.setattr(cli, "PrimeTable", lambda ell: tables.append(PrimeTable(ell)) or tables[-1])
+    monkeypatch.setattr(cli, "PrimeTable",
+                        lambda ell, record: tables.append(PrimeTable(ell, record)) or tables[-1])
     assert main(["scan", "--ell", "37", "--n-max", "100000", "--format", "csv"]) == 0
     assert capsys.readouterr().out.count("\n") > 50_000
     [table] = tables
@@ -600,13 +604,13 @@ def test_a_scan_makes_its_windows_as_they_run():
     # n_max = 1e9; the first window comes with a few MB at most
     tracemalloc.start()
     try:
-        windows = cli._scan_windows(37, 10**9, 1, False, None, True)
+        windows = cli._census(37, 10**9, 1, cli._shape_row, cli._scan_chunk, False, None, True)
         first = next(windows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     windows.close()
-    assert first == cli._window_step(PrimeTable(37), 1, _CHUNK + 1, False, None, True)
+    assert first == cli._scan_chunk((PrimeTable(37), 1, _CHUNK + 1, False, None, True))
     assert peak < 4 * 2**20
 
 
@@ -712,9 +716,12 @@ def scan_script(argv, *patches):
 def test_a_worker_that_dies_without_a_result_exits_3(capsys):
     # in a fresh interpreter, so that a pool that waited forever would fail
     # the timeout instead of stopping the suite; the scan's own process runs
-    # window 0 and the worker dies at its first window, n = 513..1024
+    # window 0 through the same entry, and the forked worker dies at its
+    # first window, n = 513..1024
     argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
-    script = scan_script(argv, "cli._scan_chunk = lambda args: os._exit(0)")
+    script = scan_script(argv, "scan, real = os.getpid(), cli._scan_chunk",
+                         "cli._scan_chunk = lambda args: real(args) if os.getpid() == scan "
+                         "else os._exit(0)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert main(["scan", "--ell", "37", "--n-max", str(_CHUNK), "--format", "csv"]) == 0

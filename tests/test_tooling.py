@@ -196,28 +196,46 @@ def test_p_minus_1_stage_2_data_is_built_at_first_use(n, expected):
     assert proc.stdout.strip() == expected
 
 
+BROKEN_ENTRY = "rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1"
+
+
+def main_script(argv, patch="", optimize=1) -> str:
+    """A fresh interpreter's script: qtr's main(argv) after the patch line,
+    exiting with main's code, and with 5 if sys.flags.optimize is not the
+    given level."""
+    return "\n".join([
+        "import sys",
+        "from qtr import rank",
+        "from qtr.cli import main",
+        f"if sys.flags.optimize != {optimize}:",
+        "    sys.exit(5)",
+        patch,
+        f"sys.exit(main({argv!r}))",
+    ])
+
+
 def test_invariants_hold_under_python_O():
     # -O strips asserts, and the package has none: the census bytes and a
-    # failing check's exit code are the same with it, in the pool's workers too
+    # failing check's exit code are the same with it, in the pool's workers
+    # too, and verify writes the same bytes, failures and stderr lines
     for jobs in ("1", "2"):
         argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", jobs]
         proc = subprocess.run([sys.executable, "-O", "-m", "qtr.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, jobs
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCAN_37_3000_SHA256, jobs
-        script = "\n".join([
-            "import sys",
-            "from qtr import rank",
-            "from qtr.cli import main",
-            "if not sys.flags.optimize:",
-            "    sys.exit(5)",
-            "rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1",
-            f"sys.exit(main({argv!r}))",
-        ])
-        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                              text=True)
+        proc = subprocess.run([sys.executable, "-O", "-c", main_script(argv, BROKEN_ENTRY)],
+                              capture_output=True, text=True)
         assert proc.returncode == 3, jobs
         assert "ell=37 n=41 check=cross_path" in proc.stderr, jobs
+    argv = ["verify", "--ell", "37", "--n-max", "3000", "--format", "json"]
+    for patch, code in (("", 0), (BROKEN_ENTRY, 3)):
+        runs = [subprocess.run([sys.executable, *flags, "-c", main_script(argv, patch, len(flags))],
+                               capture_output=True, text=True) for flags in ([], ["-O"])]
+        plain, optimized = [(run.returncode, run.stdout, run.stderr) for run in runs]
+        assert plain == optimized and plain[0] == code, patch
+    assert '"n": 41,\n      "check": "cross_path"' in plain[1]
+    assert plain[2].startswith("ell=37 n=41 check=cross_path")
 
 
 # Checks made at the first field of a shape class: a case-table entry off by
@@ -225,8 +243,7 @@ def test_invariants_hold_under_python_O():
 # and at a prime's first lookup: a split prime with (ell/p) = -1 fails the
 # reciprocity check.  Each maps to its patch and the error it names.
 CLASS_CHECK_PATCHES = {
-    "cross_path": ("rank._CLOSED_RANK['p-only:split'] = lambda t1, t2, s1, s2: 2 * (t1 + t2) + 1",
-                   "ell=37 n=41 check=cross_path"),
+    "cross_path": (BROKEN_ENTRY, "ell=37 n=41 check=cross_path"),
     "conductor": ("\n".join([
         "real = cli.conductor_parts",
         "def conductor_parts(a, b, ell):",
