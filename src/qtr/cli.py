@@ -38,7 +38,7 @@ from .rank import UNIT_LABELS, character_table, flat_ranks
 
 FORMATS = ("text", "csv", "json")
 SCAN_FIELDS = ("n", "delta", "shape", "mu", "r_star", "rank", "case", "conductor")
-_CHUNK = 512
+_CHUNK = 4096
 _WHEEL = 2 * 3 * 5 * 7  # the period of PrimeTable.wheel
 
 
@@ -82,8 +82,9 @@ class PrimeTable(dict):
     def wheel(self) -> tuple[list[int], list[int]]:
         """The keys and products of delta, 3, 5 and 7 other than ell at
         n = 0, 1, ..., _WHEEL + _CHUNK - 1, built at a process's first window:
-        a window of _keyed_fields at most _CHUNK wide starts as one slice of
-        each."""
+        a window of _keyed_fields at most _CHUNK wide (every census window
+        below 2**24) starts as one slice of each, and a wider one as a slice
+        of their first period repeated."""
         keys = [2 - r % 2 for r in range(_WHEEL)]
         product = keys[:]
         for p in (3, 5, 7):
@@ -96,9 +97,17 @@ class PrimeTable(dict):
 
 
 def _windows(n_max: int):
-    """The windows [lo, hi) of n = 1..n_max, ascending, _CHUNK wide."""
-    for lo in range(1, n_max + 1, _CHUNK):
-        yield lo, min(lo + _CHUNK, n_max + 1)
+    """The windows [lo, hi) of n = 1..n_max, ascending, the last clipped to
+    n_max: each as wide as the power of two above sqrt(lo), but at least
+    _CHUNK (as every window below 2**24 is) and at most 8 * _CHUNK.  A
+    window loops over every base prime up to sqrt(hi), so a width near
+    sqrt(n), as in any segmented sieve, keeps that loop from outweighing the
+    window's own n; the cap bounds a window's lists (4-5 MiB at 1e10)."""
+    lo = 1
+    while lo <= n_max:
+        hi = min(lo + max(_CHUNK, min(8 * _CHUNK, 1 << isqrt(lo).bit_length())), n_max + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _keyed_fields(primes: PrimeTable, lo: int, hi: int,
@@ -119,9 +128,10 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int,
     both marks.  The key's digits base 2**CLASS_ID_BITS are delta (never 0),
     then the odd primes' kinds ascending (PrimeTable), a base prime's looked
     up once per window, the leftover's last.  A window starts from the
-    table's wheel of delta, 3, 5 and 7, so its prime loops begin at 11.  ell
-    is never looked up, and each other odd prime p is first looked up at n =
-    p, by first_kind.
+    table's wheel of delta, 3, 5 and 7, a slice of it or, for a window wider
+    than _CHUNK (as past 2**24), of its period repeated, so its prime loops
+    begin at 11.  ell is never looked up, and each other odd prime p is first
+    looked up at n = p, by first_kind.
     """
     ell, memo, record, bits = primes.ell, primes.classes, primes.record, CLASS_ID_BITS
     modulus, size, split = 4 * ell, hi - lo, primes.split_kinds
@@ -133,7 +143,7 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int,
         return kind
 
     start, wheel = lo % _WHEEL, primes.wheel
-    if start + size > len(wheel[0]):  # a window wider than _CHUNK
+    if start + size > len(wheel[0]):  # a window wider than _CHUNK, past 2**24
         wheel = [w[:_WHEEL] * ((start + size) // _WHEEL + 1) for w in wheel]
     keys, product = (w[start:start + size] for w in wheel)
     for p in (3, 5, 7):
@@ -336,6 +346,8 @@ def _census(ell: int, n_max: int, jobs: int, record, step, *options):
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
     windows = ((primes, lo, hi, *options) for lo, hi in _windows(n_max))
+    # Exact below 2**24, where every window is _CHUNK wide; too high past it,
+    # where a census has over 4,096 windows, more than the CPUs bounding J.
     workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus()) if hasattr(os, "fork") else 1
     return _pooled(workers, step, windows)
 

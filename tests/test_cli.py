@@ -212,6 +212,7 @@ class TestFailingChecksExit3:
         assert err == "FAIL ell=37 n=13 check=bridge\n"
 
     def test_scan_csv_stops_after_the_first_window(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", 512)  # windows 1..512, 513..1024, ...
         _, first_window, _ = run(capsys, "scan", "--ell", "37", "--n-max", "512",
                                  "--format", "csv")
         real = cli.flat_ranks

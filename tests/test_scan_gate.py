@@ -45,7 +45,7 @@ def test_census_csv_bytes(capsys, monkeypatch, jobs):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_37_30000_SHA256
 
 
-# sha256 of `qtr scan --ell 37 --n-max 30000` in text, 59 windows sized
+# sha256 of `qtr scan --ell 37 --n-max 30000` in text, 8 windows sized
 # together, without and with --include-skipped.
 SCAN_TEXT_30000_SHA256 = {
     (): "831d712b6e31a9ea526aacbf9d861dbf336068f78557e30b719f30ab61951d16",
@@ -297,26 +297,30 @@ def assert_window_factored(primes, lo, hi):
     assert cli._keyed_fields(primes, lo, hi) == ([n for n, _ in valid], [step for _, step in valid])
 
 
-# One seeded window at each height from 1e9 to 1e12, starting at residues
-# 107, 110, 44 and 163 of the wheel (cli._WHEEL = 210).
+# The kernel takes any window [lo, hi), so the windows checked against
+# factorization here are 512 wide, narrower than a census's, which keeps
+# that check cheap.  One seeded window at each height from 1e9 to 1e12,
+# starting at residues 107, 110, 44 and 163 of the wheel (cli._WHEEL = 210).
 _FAR = random.Random(30)
-FAR_WINDOWS = [(lo, lo + _CHUNK)
+FAR_WINDOWS = [(lo, lo + 512)
                for lo in (10**k + _FAR.randrange(10**6) for k in (9, 10, 11, 12))]
-# Windows that hold ell, 2 * ell and ell * p^2, 512 wide as in a census:
-# [1, 513) for ell = 5, whose 3, 5 and 7 come from the wheel (with 25k), and
-# for ell = 37 (37 * 2^2, 37 * 3^2); [4400, 4912) for 5 * 31^2 = 4805 and
-# 37 * 11^2 = 4477; for ell = BIG_ELL, above sqrt(hi), ell and 2 * ell.
+# Windows that hold ell, 2 * ell and ell * p^2: [1, 513) for ell = 5, whose
+# 3, 5 and 7 come from the wheel (with 25k), and for ell = 37 (37 * 2^2,
+# 37 * 3^2); [4400, 4912) for 5 * 31^2 = 4805 and 37 * 11^2 = 4477; for
+# ell = BIG_ELL, above sqrt(hi), ell and 2 * ell.
 BIG_ELL = 1000000021
-ELL_WINDOWS = [(1, _CHUNK + 1), (4400, 4400 + _CHUNK),
+ELL_WINDOWS = [(1, 513), (4400, 4912),
                (BIG_ELL - 100, BIG_ELL + 412), (2 * BIG_ELL - 200, 2 * BIG_ELL + 312)]
 
 
+# (_CHUNK + 17, 2 * _CHUNK + 300) is wider than the table's wheel, so it
+# repeats the wheel's period, as the census's windows past 2**24 do;
 # (9797, 10001): the leftover 101 of 9797 = 97 * 101 is just above
 # sqrt(hi - 1) = 100; (10150, 10202): hi - 1 = 101^2, so 101 is a base prime
 # and its square is marked.
-@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (3 * _CHUNK + 17, 5 * _CHUNK + 3),
+@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (_CHUNK + 17, 2 * _CHUNK + 300),
                                    (9797, 10001), (10150, 10202),
-                                   (1_000_001, 1_000_001 + _CHUNK), *FAR_WINDOWS, *ELL_WINDOWS])
+                                   (1_000_001, 1_000_513), *FAR_WINDOWS, *ELL_WINDOWS])
 def test_sieve_window_matches_factorization(lo, hi):
     # ell = 5 is a base prime of every window here, 37 of all but
     # [1, 513), 197 only of some, and BIG_ELL of none
@@ -326,14 +330,67 @@ def test_sieve_window_matches_factorization(lo, hi):
 
 def test_sieve_base_grows_across_windows(monkeypatch):
     # from an empty base list, the census's windows cross several growths of
-    # it, and a window below its bound afterwards reads a prefix
+    # it, and a window below its bound afterwards reads a prefix; 512-wide
+    # windows cross four growths by N = 2e4, where 4,096-wide ones cross three
     monkeypatch.setattr(ntheory, "_sieve_base", ([], 1))
+    monkeypatch.setattr(cli, "_CHUNK", 512)
     primes = shape_table(37)
     bounds = set()
-    for lo, hi in [*cli._windows(20000), (1, _CHUNK + 1), (3001, 3011)]:
+    for lo, hi in [*cli._windows(20000), (1, 513), (3001, 3011)]:
         assert_window_factored(primes, lo, hi)
         bounds.add(ntheory._sieve_base[1])
     assert len(bounds) >= 4 and max(bounds) >= isqrt(20000)
+
+
+def rule_width(lo):
+    """The width of a census window from lo: 4,096, doubled while its square
+    is at most lo, up to 32,768."""
+    width = 4096
+    while width * width <= lo and width < 32768:
+        width *= 2
+    return width
+
+
+@pytest.mark.parametrize("n_max,count", [(1, 1), (4096, 1), (4097, 2), (30000, 8),
+                                         (2**24 + 5, 4097), (10**9, 44854)])
+def test_windows_tile_one_to_n_max_widening_with_height(n_max, count):
+    # ascending and contiguous from 1 to n_max, each as wide as rule_width
+    # but the last, which n_max clips
+    windows = list(cli._windows(n_max))
+    assert len(windows) == count
+    assert windows[0][0] == 1 and windows[-1][1] == n_max + 1
+    assert all(hi == after for (_, hi), (after, _) in zip(windows, windows[1:]))
+    assert all(hi - lo == rule_width(lo) for lo, hi in windows[:-1])
+    assert 0 < windows[-1][1] - windows[-1][0] <= rule_width(windows[-1][0])
+
+
+def test_no_window_is_wider_than_the_cap():
+    # the power of two above sqrt(lo) passes 8 * _CHUNK at lo = 2**30 and is
+    # 4 times it by 2**32; a census to 1e12 stays at the cap up to there (all
+    # its 30 million windows would take about 25 s to walk, and the width
+    # never falls as lo grows)
+    widths = []
+    for lo, hi in cli._windows(10**12):
+        widths.append(hi - lo)
+        if lo > 2**32:
+            break
+    assert max(widths) == 8 * _CHUNK == widths[-1] == 32768
+    assert widths == sorted(widths)
+
+
+@pytest.mark.parametrize("ell", [37, BIG_ELL])
+def test_a_wide_window_equals_its_narrow_windows(ell):
+    # the census to 1e9's 32,768-wide window next to its last repeats the
+    # wheel's period; its CSV and its kernel pass, rejects listed, equal
+    # those of its 64 windows 512 wide, in order
+    lo, hi = 999_948_289, 999_981_057
+    narrow = [(start, start + 512) for start in range(lo, hi, 512)]
+    primes = PrimeTable(ell)
+    assert cli._scan_chunk((primes, lo, hi, False, None, True)) == "".join(
+        cli._scan_chunk((primes, *window, False, None, True)) for window in narrow)
+    passes = [cli._keyed_fields(primes, *window, skipped=True) for window in narrow]
+    assert cli._keyed_fields(primes, lo, hi, skipped=True) == (
+        [n for fields, _ in passes for n in fields], [r for _, records in passes for r in records])
 
 
 def field_conductor(ell, n):
@@ -348,9 +405,9 @@ def test_every_row_has_the_conductor_of_its_own_n(ell):
     # a warm first one
     rows = [(row["n"], row["conductor"]) for row in scan_rows(ell, 30000)]
     primes = PrimeTable(ell)
-    window_rows(primes, 1, _CHUNK + 1)
+    window_rows(primes, 1, 513)
     for lo in (100_001, 999_489):
-        rows += [(row[0], row[-2]) for row in window_rows(primes, lo, lo + _CHUNK) if row[-1] == ""]
+        rows += [(row[0], row[-2]) for row in window_rows(primes, lo, lo + 512) if row[-1] == ""]
     assert len(rows) > 15_000 + 2 * 250
     assert [f for _, f in rows] == [field_conductor(ell, n) for n, _ in rows]
 
@@ -509,9 +566,9 @@ def test_census_rows_past_1e5_equal_the_record_path(ell):
     # the memo of shape classes is filled by the first window, then read in
     # windows far past it, up to the seeded windows from 1e9 to 1e12
     primes = PrimeTable(ell)
-    window_rows(primes, 1, _CHUNK + 1)
+    window_rows(primes, 1, 513)
     warm = len(primes.classes)
-    for lo, hi in [(lo, lo + _CHUNK) for lo in (100_001, 524_289, 999_489)] + FAR_WINDOWS:
+    for lo, hi in [(lo, lo + 512) for lo in (100_001, 524_289, 999_489)] + FAR_WINDOWS:
         assert window_rows(primes, lo, hi) == record_steps(ell, lo, hi), (lo, hi)
     assert 0 < warm < len(primes.classes)
 
@@ -524,7 +581,7 @@ def test_csv_lines_equal_the_csv_module(ell, include_skipped, rank_filter):
     # writes the same bytes from the step's value tuples, in the windows of
     # n <= 3000 and in windows far past a warm first one
     primes = PrimeTable(ell)
-    windows = [*cli._windows(3000), (100_001, 100_001 + _CHUNK), (999_489, 999_489 + _CHUNK)]
+    windows = [*cli._windows(3000), (100_001, 100_513), (999_489, 1_000_001)]
     for lo, hi in windows:
         text = cli._scan_chunk((primes, lo, hi, include_skipped, rank_filter, True))
         rows = cli._scan_chunk((primes, lo, hi, include_skipped, rank_filter, False))
@@ -614,13 +671,30 @@ def test_a_scan_makes_its_windows_as_they_run():
     assert peak < 4 * 2**20
 
 
+def test_a_window_at_the_cap_stays_small():
+    # the cap's reason: at 1e10 one 32,768-wide CSV window, on a warm table
+    # and base, peaks at 4-5 MiB; the 131,072-wide window of the uncapped
+    # rule there peaks at 16-17 MiB
+    primes, lo = PrimeTable(37), 10**10
+    cli._scan_chunk((primes, 1, _CHUNK + 1, False, None, True))
+    ntheory.base_primes(isqrt(lo + 8 * _CHUNK))
+    tracemalloc.start()
+    try:
+        text = cli._scan_chunk((primes, lo, lo + 8 * _CHUNK, False, None, True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") > 8 * _CHUNK / 2
+    assert peak < 6 * 2**20
+
+
 def test_a_pooled_scan_builds_one_prime_table(capsys, monkeypatch):
     # the workers fork with the table the scan built and validated
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     validated = count_calls(monkeypatch, "qtr.quartic", "validate_ell")
-    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", "2"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_30000_SHA256
     assert validated == [37]
     assert_no_child_left()
 
@@ -634,7 +708,7 @@ def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     outputs = []
     for jobs in ("1", "2"):
-        argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", jobs]
+        argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", jobs]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert "ell=37 n=41 check=cross_path" in err
@@ -644,10 +718,12 @@ def test_a_failing_check_in_a_worker_exits_3(capsys, monkeypatch):
 
 
 def test_a_failing_check_in_a_forked_worker_exits_3(capsys, monkeypatch):
-    # the case pq-no2:q-both first occurs at n = 1995, in window 3, which
-    # --jobs 2 deals to its forked worker: the worker's exception is raised
-    # in the scan's process once windows 0-2 are written, as with --jobs 1
-    assert main(["scan", "--ell", "37", "--n-max", str(3 * _CHUNK), "--format", "csv"]) == 0
+    # the case pq-no2:q-both first occurs at n = 1995, in 512-wide window 3,
+    # which --jobs 2 deals to its forked worker: the worker's exception is
+    # raised in the scan's process once windows 0-2 are written, as with
+    # --jobs 1
+    monkeypatch.setattr(cli, "_CHUNK", 512)
+    assert main(["scan", "--ell", "37", "--n-max", "1536", "--format", "csv"]) == 0
     written = capsys.readouterr().out
     real = rank._CLOSED_RANK["pq-no2:q-both"]
     monkeypatch.setitem(rank._CLOSED_RANK, "pq-no2:q-both", lambda *counts: real(*counts) + 1)
@@ -663,8 +739,10 @@ def test_a_failing_check_in_a_forked_worker_exits_3(capsys, monkeypatch):
 
 
 def test_a_pool_of_j_forks_j_minus_1_workers(capsys, monkeypatch):
-    # N = 3500 is 7 windows, which neither J = 2 nor J = 3 divides; the scan's
-    # own process runs windows 0, J, 2J, ... and J - 1 forked workers the rest
+    # N = 3500 is 7 windows 512 wide, which neither J = 2 nor J = 3 divides;
+    # the scan's own process runs windows 0, J, 2J, ... and J - 1 forked
+    # workers the rest, in each format and option
+    monkeypatch.setattr(cli, "_CHUNK", 512)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     forks = []
     real_fork = os.fork
@@ -686,6 +764,26 @@ def test_a_pool_of_j_forks_j_minus_1_workers(capsys, monkeypatch):
                 assert capsys.readouterr().out == serial, (fmt, option, jobs)
                 assert len(forks) == jobs - 1, (fmt, option, jobs)
             assert serial.count("\n") > 30
+    assert_no_child_left()
+
+
+def test_a_pool_at_the_census_width_forks_one_worker(capsys, monkeypatch):
+    # N = 3e4 is 8 windows 4,096 wide: --jobs 2 forks one worker, the scan's
+    # own process runs windows 0, 2, 4 and 6, and the bytes are --jobs 1's
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(cli.os, "fork", lambda: forks.append(1) or real_fork())
+    entries = count_calls(monkeypatch, "qtr.cli", "_scan_chunk")
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert forks == [] and len(entries) == 8
+    entries.clear()
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert forks == [1]
+    assert [window[1:3] for window in entries] == list(cli._windows(30000))[::2]
     assert_no_child_left()
 
 
@@ -717,14 +815,14 @@ def test_a_worker_that_dies_without_a_result_exits_3(capsys):
     # in a fresh interpreter, so that a pool that waited forever would fail
     # the timeout instead of stopping the suite; the scan's own process runs
     # window 0 through the same entry, and the forked worker dies at its
-    # first window, n = 513..1024
+    # first window, n = 513..1024 of 512-wide windows
     argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
-    script = scan_script(argv, "scan, real = os.getpid(), cli._scan_chunk",
+    script = scan_script(argv, "cli._CHUNK = 512", "scan, real = os.getpid(), cli._scan_chunk",
                          "cli._scan_chunk = lambda args: real(args) if os.getpid() == scan "
                          "else os._exit(0)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
-    assert main(["scan", "--ell", "37", "--n-max", str(_CHUNK), "--format", "csv"]) == 0
+    assert main(["scan", "--ell", "37", "--n-max", "512", "--format", "csv"]) == 0
     assert proc.returncode == 3
     assert proc.stdout == capsys.readouterr().out
     assert proc.stderr == ("internal error: ell=37 window n=513..1024: "
@@ -750,9 +848,9 @@ def test_a_closed_stdout_exits_1_quietly(jobs):
 def test_without_fork_the_pool_runs_serially(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.delattr(cli.os, "fork")
-    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", "2"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_30000_SHA256
 
 
 def test_one_usable_cpu_starts_no_pool(capsys, monkeypatch):
@@ -764,6 +862,6 @@ def test_one_usable_cpu_starts_no_pool(capsys, monkeypatch):
         raise AssertionError("a pool was started on one usable CPU")
 
     monkeypatch.setattr(cli.os, "fork", no_pool)
-    argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "2"]
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", "2"]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_3000_SHA256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_37_30000_SHA256

@@ -126,7 +126,9 @@ def test_single_field_commands_build_no_census_state(capsys, monkeypatch):
             for argv in requests(command, fmt):
                 main(argv)
     assert built == [] and sieved == [] and wheels == []
-    # the same hooks see a census, whose table builds its wheel once
+    # the same hooks see a census, whose table builds its wheel once, here in
+    # 512-wide windows
+    monkeypatch.setattr(cli, "_CHUNK", 512)
     assert main(["scan", "--ell", "37", "--n-max", "600", "--format", "csv"]) == 0
     capsys.readouterr()
     assert built == [37] and sieved == [1, 513] and wheels == [37]

@@ -17,7 +17,7 @@ import pytest
 
 import qtr
 
-from .test_scan_gate import SCAN_37_3000_SHA256
+from .test_scan_gate import SCAN_37_3000_SHA256, SCAN_37_30000_SHA256
 from .test_single_field_gate import SINGLE_FIELD_SHA256, requests
 
 SOURCES = sorted(Path(qtr.__file__).parent.glob("*.py"))
@@ -158,7 +158,7 @@ def fork():
 os.fork = fork
 cli._usable_cpus = lambda: 2
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv",
+    code = cli.main(["scan", "--ell", "37", "--n-max", "10000", "--format", "csv",
                      "--jobs", sys.argv[1]])
 print(code, "pickle" in sys.modules, seen)
 """
@@ -166,8 +166,9 @@ print(code, "pickle" in sys.modules, seen)
 
 @pytest.mark.parametrize("jobs, expected", [("1", "0 False []"), ("2", "0 True [True]")])
 def test_only_a_pool_imports_pickle_and_before_its_fork(jobs, expected):
-    # a --jobs 1 scan in a fresh interpreter never loads pickle; a pool loads
-    # it once, before its one fork, so its child does not load it again
+    # a --jobs 1 scan in a fresh interpreter never loads pickle; a pool, over
+    # the 3 windows of N = 1e4, loads it once, before its one fork, so its
+    # child does not load it again
     proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT, jobs], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -219,11 +220,11 @@ def test_invariants_hold_under_python_O():
     # failing check's exit code are the same with it, in the pool's workers
     # too, and verify writes the same bytes, failures and stderr lines
     for jobs in ("1", "2"):
-        argv = ["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", jobs]
+        argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "csv", "--jobs", jobs]
         proc = subprocess.run([sys.executable, "-O", "-m", "qtr.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, jobs
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCAN_37_3000_SHA256, jobs
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == SCAN_37_30000_SHA256, jobs
         proc = subprocess.run([sys.executable, "-O", "-c", main_script(argv, BROKEN_ENTRY)],
                               capture_output=True, text=True)
         assert proc.returncode == 3, jobs
