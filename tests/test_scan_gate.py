@@ -313,12 +313,14 @@ ELL_WINDOWS = [(1, 513), (4400, 4912),
                (BIG_ELL - 100, BIG_ELL + 412), (2 * BIG_ELL - 200, 2 * BIG_ELL + 312)]
 
 
+# (1553, 2563) starts and ends off any multiple of 512 or of the wheel;
 # (_CHUNK + 17, 2 * _CHUNK + 300) is wider than the table's wheel, so it
 # repeats the wheel's period, as the census's windows past 2**24 do;
 # (9797, 10001): the leftover 101 of 9797 = 97 * 101 is just above
 # sqrt(hi - 1) = 100; (10150, 10202): hi - 1 = 101^2, so 101 is a base prime
 # and its square is marked.
-@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (_CHUNK + 17, 2 * _CHUNK + 300),
+@pytest.mark.parametrize("lo,hi", [(1, 3001), (29990, 30001), (1553, 2563),
+                                   (_CHUNK + 17, 2 * _CHUNK + 300),
                                    (9797, 10001), (10150, 10202),
                                    (1_000_001, 1_000_513), *FAR_WINDOWS, *ELL_WINDOWS])
 def test_sieve_window_matches_factorization(lo, hi):
