@@ -19,6 +19,7 @@ from math import prod
 
 import pytest
 
+from qtr import cli
 from qtr.classify import classify_small_rank
 from qtr.cli import main
 from qtr.errors import NotCoprime, NotSquarefree
@@ -261,7 +262,9 @@ def test_criterion_6_fundamental_unit():
     assert not failures, failures
 
 
-def test_criterion_7_scan_determinism(capsys):
+def test_criterion_7_scan_determinism(capsys, monkeypatch):
+    # 512-wide windows, so --jobs 8 deals N = 3000's 6 windows to a pool
+    monkeypatch.setattr(cli, "_CHUNK", 512)
     code1 = main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "1"])
     out1 = capsys.readouterr().out
     code8 = main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "8"])

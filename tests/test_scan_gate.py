@@ -233,7 +233,9 @@ SCAN_3000_SHA256 = {
 
 
 @pytest.mark.parametrize("key", sorted(SCAN_3000_SHA256))
-def test_scan_bytes_for_every_format_and_option(capsys, key):
+def test_scan_bytes_for_every_format_and_option(capsys, monkeypatch, key):
+    # 512-wide windows, so --jobs 2 deals N = 3000's 6 windows to a pool
+    monkeypatch.setattr(cli, "_CHUNK", 512)
     ell, fmt, *options = key.split()
     argv = ["scan", "--ell", ell, "--n-max", "3000", "--format", fmt, *options]
     for jobs in ("1", "2"):
@@ -354,30 +356,18 @@ def rule_width(lo):
 
 
 @pytest.mark.parametrize("n_max,count", [(1, 1), (4096, 1), (4097, 2), (30000, 8),
-                                         (2**24 + 5, 4097), (10**9, 44854)])
+                                         (2**24 + 5, 4097), (10**9, 44854),
+                                         (2**32 + 5, 145409)])
 def test_windows_tile_one_to_n_max_widening_with_height(n_max, count):
     # ascending and contiguous from 1 to n_max, each as wide as rule_width
-    # but the last, which n_max clips
+    # but the last, which n_max clips; past 2**30 the power of two above
+    # sqrt(lo) outgrows the cap, so 2**32 + 5's last windows are 32,768 wide
     windows = list(cli._windows(n_max))
     assert len(windows) == count
     assert windows[0][0] == 1 and windows[-1][1] == n_max + 1
     assert all(hi == after for (_, hi), (after, _) in zip(windows, windows[1:]))
     assert all(hi - lo == rule_width(lo) for lo, hi in windows[:-1])
     assert 0 < windows[-1][1] - windows[-1][0] <= rule_width(windows[-1][0])
-
-
-def test_no_window_is_wider_than_the_cap():
-    # the power of two above sqrt(lo) passes 8 * _CHUNK at lo = 2**30 and is
-    # 4 times it by 2**32; a census to 1e12 stays at the cap up to there (all
-    # its 30 million windows would take about 25 s to walk, and the width
-    # never falls as lo grows)
-    widths = []
-    for lo, hi in cli._windows(10**12):
-        widths.append(hi - lo)
-        if lo > 2**32:
-            break
-    assert max(widths) == 8 * _CHUNK == widths[-1] == 32768
-    assert widths == sorted(widths)
 
 
 @pytest.mark.parametrize("ell", [37, BIG_ELL])
@@ -434,7 +424,8 @@ def test_scan_and_verify_run_one_kernel_pass_per_window(capsys, monkeypatch):
     real = cli._class_checks
     monkeypatch.setattr(cli, "_class_checks",
                         lambda ell, n, shape: checked.append(shape) or real(ell, n, shape))
-    windows = -(-3000 // _CHUNK)
+    monkeypatch.setattr(cli, "_CHUNK", 512)
+    windows = -(-3000 // 512)
     assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv", "--jobs", "1"]) == 0
     assert len(passes) == len(entries) == windows
     assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0

@@ -352,9 +352,11 @@ def test_census_bytes_under_every_supported_python():
         pytest.skip("no other CPython >= requires-python is installed beside this one")
     src = str(Path(qtr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    # 512-wide windows, so --jobs 2 deals N = 3000's 6 windows to a pool
+    script = "import sys; from qtr import cli; cli._CHUNK = 512; sys.exit(cli.main())"
     for python in pythons:
         for jobs in ("1", "2"):
-            proc = subprocess.run([str(python), "-m", "qtr.cli", "scan", "--ell", "37", "--n-max",
+            proc = subprocess.run([str(python), "-c", script, "scan", "--ell", "37", "--n-max",
                                    "3000", "--format", "csv", "--jobs", jobs],
                                   capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == 0, (python, jobs, proc.stderr)
