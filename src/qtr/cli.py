@@ -18,13 +18,13 @@ into head), 2 invalid input, 3 internal invariant violation.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
 import json
 import os
 import sys
+import types
 from itertools import compress, islice
 from math import isqrt, prod
 
@@ -564,40 +564,91 @@ def cmd_classify(args, fmt: str) -> int:
     return 0
 
 
+# Each option's help; every command takes --format and --ell.
+_OPTION_HELP = {
+    "--format": "output format (default: text, or QTR_DEFAULT_FORMAT)",
+    "--ell": "prime = 5 (mod 8)",
+    "--n": "squarefree positive integer coprime to ell",
+    "--n-max": "scan bound for n",
+    "--rank": "keep only rows of this rank",
+    "--jobs": "worker processes",
+    "--include-skipped": "also list invalid n with the reason",
+}
+
+# The command table, which both readers of a command line read (_strict_args
+# and build_parser): each command's handler, help, the int options it
+# requires, and the options it may give besides --format, with their
+# defaults (False: a flag, which takes no value).
+COMMANDS = {
+    "rank": (cmd_rank, "rank by both paths, with the character table", ("--ell", "--n"), {}),
+    "scan": (cmd_scan, "census of all valid n up to a bound", ("--ell", "--n-max"),
+             {"--rank": None, "--jobs": 1, "--include-skipped": False}),
+    "verify": (cmd_verify, "run all cross-checks over a range (--format csv: one row per "
+                           "check, failures on stderr)", ("--ell", "--n-max"), {}),
+    "unit": (cmd_unit, "fundamental unit of Q(sqrt(ell))", ("--ell",), {}),
+    "conductor": (cmd_conductor, "conductor of the field of (ell, n)", ("--ell", "--n"), {}),
+    "poly": (cmd_poly, "defining polynomial of the field of (ell, n)", ("--ell", "--n"), {}),
+    "table": (cmd_table, "character table of (ell, n)", ("--ell", "--n"), {}),
+    "classify": (cmd_classify, "small-rank shape classification", ("--ell", "--n"), {}),
+}
+
+
+def _strict_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse makes of argv, when argv is a command of
+    COMMANDS and then options of that command, each once and spelled in
+    full: --format's value one of FORMATS, and an int option's a str that
+    int() reads and that starts with '-' only as '-' and decimal digits, as
+    argparse reads a negative number.  None for any other argv, which
+    argparse parses, for its help, its errors and its other spellings."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, required, optional = COMMANDS[argv[0]]
+    defaults, given = {"--format": None, **optional}, {}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        if option in given or option not in defaults and option not in required:
+            return None
+        if defaults.get(option) is False:
+            given[option] = True
+            continue
+        value = next(tokens, "")
+        if option == "--format":
+            if value not in FORMATS:
+                return None
+            given[option] = value
+            continue
+        if value[:1] == "-" and not value[1:].isdecimal():
+            return None
+        try:
+            given[option] = int(value)
+        except ValueError:  # not an int, or past the int-to-str digit limit
+            return None
+    if not given.keys() >= set(required):
+        return None
+    return types.SimpleNamespace(command=argv[0], func=func, **{
+        option[2:].replace("-", "_"): value for option, value in {**defaults, **given}.items()})
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of COMMANDS, which reads every argv that
+    _strict_args leaves and writes the help and the usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="qtr",
                                      description="2-rank of the class group of "
                                                  "Q(sqrt(n*eps0*sqrt(ell))), ell prime = 5 (mod 8)")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=None,
-                        help="output format (default: text, or QTR_DEFAULT_FORMAT)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, *, n=False, n_max=False, scan_opts=False):
-        p = sub.add_parser(name, parents=[common], help=help_text, description=help_text)
-        p.add_argument("--ell", type=int, required=True, help="prime = 5 (mod 8)")
-        if n:
-            p.add_argument("--n", type=int, required=True,
-                           help="squarefree positive integer coprime to ell")
-        if n_max:
-            p.add_argument("--n-max", type=int, required=True, help="scan bound for n")
-        if scan_opts:
-            p.add_argument("--rank", type=int, default=None, help="keep only rows of this rank")
-            p.add_argument("--jobs", type=int, default=1, help="worker processes")
-            p.add_argument("--include-skipped", action="store_true",
-                           help="also list invalid n with the reason")
+    for name, (func, help_text, required, optional) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.add_argument("--format", choices=FORMATS, default=None, help=_OPTION_HELP["--format"])
+        for option in required:
+            p.add_argument(option, type=int, required=True, help=_OPTION_HELP[option])
+        for option, default in optional.items():
+            if default is False:
+                p.add_argument(option, action="store_true", help=_OPTION_HELP[option])
+            else:
+                p.add_argument(option, type=int, default=default, help=_OPTION_HELP[option])
         p.set_defaults(func=func)
-        return p
-
-    add("rank", cmd_rank, "rank by both paths, with the character table", n=True)
-    add("scan", cmd_scan, "census of all valid n up to a bound", n_max=True, scan_opts=True)
-    add("verify", cmd_verify, "run all cross-checks over a range (--format csv: one row per "
-                              "check, failures on stderr)", n_max=True)
-    add("unit", cmd_unit, "fundamental unit of Q(sqrt(ell))")
-    add("conductor", cmd_conductor, "conductor of the field of (ell, n)", n=True)
-    add("poly", cmd_poly, "defining polynomial of the field of (ell, n)", n=True)
-    add("table", cmd_table, "character table of (ell, n)", n=True)
-    add("classify", cmd_classify, "small-rank shape classification", n=True)
     return parser
 
 
@@ -609,7 +660,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _strict_args(argv) or _parser().parse_args(argv)
     fmt = args.format or os.environ.get("QTR_DEFAULT_FORMAT") or "text"
     if fmt not in FORMATS:
         print(f"error: unknown format {fmt!r} (choose from {', '.join(FORMATS)})",

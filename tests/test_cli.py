@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qtr import cli, quartic, rank
-from qtr.cli import main, pool_size
+from qtr.cli import COMMANDS, FORMATS, main, pool_size
 from qtr.quartic import validate
 from qtr.rank import rank_closed
 
@@ -412,6 +417,124 @@ class TestShapeString:
 
     def test_trivial_shape(self):
         assert self.shape_text(13, 2) == "1"
+
+
+# Tokens outside the command table's grammar, which main leaves to argparse:
+# other spellings, help, argparse's markers, and values that are not ints,
+# that argparse may read as options, or that pass the int-to-str digit limit.
+ODD_TOKENS = ("--ell=37", "--n=13", "--format=csv", "-h", "--help", "--", "", "-", "-²",
+              "-5\n", "--n-m", "--inc", "--fo", "x", "1" * 4301, "-" + "1" * 4301)
+# int values that int() and argparse read alike: negative, non-ASCII digits, signs,
+# spaces, underscores
+ODD_INTS = ("-0", "٣٧", "-٣٧", "+5", " 5", "1_3", "-1_3")
+OPTIONS = sorted({"--format"} | {option for _, _, required, optional in COMMANDS.values()
+                                 for option in (*required, *optional)})
+# ells of the family, so that many draws run their command
+INTS = (st.sampled_from(("5", "13", "37", "61", "101")) | st.integers(-60, 3000).map(str)
+        | st.sampled_from(ODD_INTS))
+
+
+@st.composite
+def command_lines(draw):
+    """A command of the table, or an unknown one, and a permutation of its required
+    options and some of its others, and maybe an option of another command
+    or a repeated one, each followed by a value; then up to two tokens
+    inserted or replaced, drawn from ODD_TOKENS, OPTIONS and ints.  ints stay
+    at most 3000, so a scan is one window and forks no pool."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    _, _, required, optional = COMMANDS.get(command, COMMANDS["unit"])
+    names = [*required, *draw(st.lists(st.sampled_from([*optional, "--format"]), unique=True))]
+    if draw(st.integers(0, 3)) == 0:
+        names.append(draw(st.sampled_from(OPTIONS)))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv.append(name)
+        if name != "--include-skipped":
+            argv.append(draw(st.sampled_from(FORMATS) if name == "--format" else INTS))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from((*ODD_TOKENS, *OPTIONS))
+                                                      | INTS)]
+    return argv
+
+
+def outcome(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# sha256 over HELP_AND_ERRORS' outcomes as build_parser().parse_args prints them
+# at 80 columns, pinned from the parser that build_parser made before it read
+# the command table; the same under CPython 3.10 to 3.13.
+HELP_AND_ERRORS = [["-h"], *([command, "-h"] for command in COMMANDS), [], ["bogus"],
+                   ["rank", "--ell", "37"], ["scan", "--n", "300", "--ell", "37"],
+                   ["unit", "--ell", "x"], ["unit", "--ell", "1" * 4301],
+                   ["unit", "--ell", "5", "--format", "xml"],
+                   ["scan", "--ell", "5", "--n-max", "9", "--extra"]]
+HELP_AND_ERRORS_SHA256 = "f7b67841c80385ea4a35df1942a714e11bba2a8a80b4482218e45a9746cb6916"
+
+
+class TestCommandLineParse:
+    """main parses a command of the table and its options, each once and
+    spelled in full, itself, and gives argparse every other command line."""
+
+    def test_help_and_errors_keep_their_bytes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        h = hashlib.sha256()
+        for argv in HELP_AND_ERRORS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    cli.build_parser().parse_args(argv)  # scan --n 300 is --n-max 300
+                    code = None
+                except SystemExit as exc:
+                    code = exc.code
+            h.update(f"{argv} {code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+        assert h.hexdigest() == HELP_AND_ERRORS_SHA256
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--ell", "37", "--n", "13"],
+        ["scan", "--include-skipped", "--jobs", "-2", "--n-max", "-٣٧", "--ell", "٣٧"],
+        ["verify", "--format", "json", "--n-max", "1_000", "--ell", " +5"],
+    ])
+    def test_well_formed_command_lines_are_parsed_here(self, argv):
+        args = cli._strict_args(argv)
+        assert args is not None
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--ell=37", "--n", "13"],
+        ["scan", "--n", "300", "--ell", "37"],
+        ["rank", "-h"], ["-h"], [], [""], ["--", "rank", "--ell", "37", "--n", "13"],
+        ["unit", "--ell", "--", "5"], ["unit", "--ell", "-²"], ["unit", "--ell", ""],
+        ["unit", "--ell", "5", "--ell", "13"], ["unit", "--ell", "1" * 4301],
+        ["unit", "--ell", "-" + "1" * 4301], ["unit", "--ell", "5", "--format"],
+        ["unit", "--ell", "5", "--format", "xml"], ["rank", "--ell", "37"],
+        ["unit", "--ell", "5", "--include-skipped"], ["scan", "--ell", "5", "--include-skipped", "x"],
+    ])
+    def test_every_other_command_line_is_left_to_argparse(self, argv):
+        assert cli._strict_args(argv) is None
+
+    @seed(37)
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(argv=command_lines())
+    def test_main_parses_as_argparse_does(self, argv):
+        # where main parses argv itself, it makes argparse's namespace; where
+        # it leaves argv to argparse, it prints what a main parsing every argv
+        # with argparse prints
+        args = cli._strict_args(argv)
+        if args is not None:
+            assert vars(args) == vars(cli._parser().parse_args(argv))
+        else:
+            with mock.patch.object(cli, "_strict_args", lambda argv: None):
+                expected = outcome(argv)
+            assert outcome(argv) == expected
 
 
 def test_console_script_entry_point():

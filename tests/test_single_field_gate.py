@@ -1,6 +1,8 @@
 """Gate tests for the single-field commands: the exact bytes and exit codes of
-rank, table, conductor, poly, classify and unit in every format, and the one
-argparse parser that main reuses for every call in a process."""
+rank, table, conductor, poly, classify and unit in every format, the one
+argparse parser that main reuses for every call in a process that needs it,
+and main's own parse of a well-formed command line, which must agree with
+argparse's."""
 
 import hashlib
 import subprocess
@@ -140,7 +142,9 @@ def test_parser_built_once():
 
 
 def test_parser_built_through_the_module_global(capsys, monkeypatch):
-    # A rebinding of qtr.cli.build_parser, as a tracer makes, sees the one build.
+    # A rebinding of qtr.cli.build_parser, as a tracer makes, sees the one
+    # build: none for well-formed calls, which main parses itself, and one for
+    # the first call that needs argparse, here for its --name=value spelling.
     builds = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
@@ -148,19 +152,25 @@ def test_parser_built_through_the_module_global(capsys, monkeypatch):
     try:
         for _ in range(3):
             assert main(["unit", "--ell", "29", "--format", "csv"]) == 0
+        assert builds == []
+        for _ in range(3):
+            assert main(["unit", "--ell=29", "--format", "csv"]) == 0
     finally:
         cli._parser.cache_clear()
-    assert capsys.readouterr().out == "ell,u,v\n29,5,1\n" * 3
+    assert capsys.readouterr().out == "ell,u,v\n29,5,1\n" * 6
     assert builds == [1]
 
 
 def test_reused_parser_keeps_no_state(capsys):
-    argv = ["scan", "--ell", "37", "--n-max", "300", "--format", "csv"]
-    assert main(argv[:1] + ["--include-skipped"] + argv[1:]) == 0
-    assert "reason" in capsys.readouterr().out.splitlines()[0]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    fresh = subprocess.run([sys.executable, "-m", "qtr.cli", *argv],
-                           capture_output=True, text=True, check=True)
-    assert out == fresh.stdout
-    assert "reason" not in out
+    # main parses the first spelling of --n-max itself, and argparse the
+    # second, with the process's one parser
+    for n_max in (["--n-max", "300"], ["--n-max=300"]):
+        argv = ["scan", "--ell", "37", *n_max, "--format", "csv"]
+        assert main(argv[:1] + ["--include-skipped"] + argv[1:]) == 0
+        assert "reason" in capsys.readouterr().out.splitlines()[0]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "qtr.cli", *argv],
+                               capture_output=True, text=True, check=True)
+        assert out == fresh.stdout
+        assert "reason" not in out

@@ -131,10 +131,16 @@ def test_every_top_level_name_is_read():
     assert [f"{module}.{name}" for module, name in defined if (module, name) not in read] == []
 
 
+# What argparse loads: main builds its parser only for a command line that
+# it leaves to argparse.
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_import_leaves_out_the_pool_and_dataclass_machinery():
     # every qtr process pays for what `import qtr.cli` loads; the pool forks
-    # its workers itself, and the records are NamedTuples.  Modules that the
-    # interpreter loaded before the import do not count.
+    # its workers itself, the records are NamedTuples, and a well-formed
+    # command line needs no argparse.  Modules that the interpreter loaded
+    # before the import do not count.
     script = "\n".join([
         "import sys",
         "before = set(sys.modules)",
@@ -145,7 +151,35 @@ def test_import_leaves_out_the_pool_and_dataclass_machinery():
                           check=True)
     added = set(proc.stdout.split())
     assert "qtr.cli" in added
-    assert added & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"} == set()
+    assert added & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+                    *PARSER_MODULES} == set()
+
+
+def command_line_imports(*argv: str) -> tuple[int, set[str], str]:
+    """`python -m qtr.cli *argv` in a fresh interpreter, so main(argv=None)
+    reads sys.argv: its exit code, every module it imported (-X importtime)
+    and the rest of its stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "qtr.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    timed = [line for line in proc.stderr.splitlines(True) if line.startswith("import time:")]
+    return (proc.returncode, {line.rsplit("|", 1)[1].strip() for line in timed},
+            "".join(line for line in proc.stderr.splitlines(True) if line not in timed))
+
+
+@pytest.mark.parametrize("argv", [("rank", "--ell", "37", "--n", "13"),
+                                  ("scan", "--ell", "37", "--n-max", "300", "--format", "csv")])
+def test_well_formed_command_line_loads_no_parser(argv):
+    code, modules, err = command_line_imports(*argv)
+    assert (code, err) == (0, "")
+    assert "qtr.rank" in modules
+    assert modules & PARSER_MODULES == set()
+
+
+def test_malformed_command_line_loads_argparse_for_its_message():
+    code, modules, err = command_line_imports("rank", "--ell", "37", "--n", "x")
+    assert code == 2
+    assert err.endswith("qtr rank: error: argument --n: invalid int value: 'x'\n")
+    assert modules >= PARSER_MODULES
 
 
 POOL_IMPORT_SCRIPT = """
