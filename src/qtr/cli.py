@@ -79,12 +79,12 @@ class PrimeTable(dict):
         return kind
 
     @functools.cached_property
-    def wheel(self) -> tuple[list[int], list[int]]:
+    def wheel(self) -> list[list[int]]:
         """The keys and products of delta, 3, 5 and 7 other than ell at
-        n = 0, 1, ..., _WHEEL + _CHUNK - 1, built at a process's first window:
-        a window of _keyed_fields at most _CHUNK wide (every census window
-        below 2**24) starts as one slice of each, and a wider one as a slice
-        of their first period repeated."""
+        n = 0, 1, ..., _WHEEL - 1, built at a process's first window.
+        _keyed_fields repeats this period in place the first time a window
+        outruns it, once per width, so every window starts as one slice of
+        each and no window repeats the period for itself."""
         keys = [2 - r % 2 for r in range(_WHEEL)]
         product = keys[:]
         for p in (3, 5, 7):
@@ -92,8 +92,7 @@ class PrimeTable(dict):
                 for r in range(0, _WHEEL, p):
                     product[r] *= p
                     keys[r] = keys[r] << CLASS_ID_BITS | self[p % (4 * self.ell)]
-        copies = _CHUNK // _WHEEL + 2
-        return (keys * copies)[:_WHEEL + _CHUNK], (product * copies)[:_WHEEL + _CHUNK]
+        return [keys, product]
 
 
 def _windows(n_max: int):
@@ -128,10 +127,10 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int,
     both marks.  The key's digits base 2**CLASS_ID_BITS are delta (never 0),
     then the odd primes' kinds ascending (PrimeTable), a base prime's looked
     up once per window, the leftover's last.  A window starts from the
-    table's wheel of delta, 3, 5 and 7, a slice of it or, for a window wider
-    than _CHUNK (as past 2**24), of its period repeated, so its prime loops
-    begin at 11.  ell is never looked up, and each other odd prime p is first
-    looked up at n = p, by first_kind.
+    table's wheel of delta, 3, 5 and 7, one slice of it, lengthened first if
+    the window outruns it, so its prime loops begin at 11.  ell is never
+    looked up, and each other odd prime p is first looked up at n = p, by
+    first_kind.
     """
     ell, memo, record, bits = primes.ell, primes.classes, primes.record, CLASS_ID_BITS
     modulus, size, split = 4 * ell, hi - lo, primes.split_kinds
@@ -143,8 +142,8 @@ def _keyed_fields(primes: PrimeTable, lo: int, hi: int,
         return kind
 
     start, wheel = lo % _WHEEL, primes.wheel
-    if start + size > len(wheel[0]):  # a window wider than _CHUNK, past 2**24
-        wheel = [w[:_WHEEL] * ((start + size) // _WHEEL + 1) for w in wheel]
+    if start + size > len(wheel[0]):  # the first window wider than any before
+        wheel[:] = [w[:_WHEEL] * (size // _WHEEL + 2) for w in wheel]
     keys, product = (w[start:start + size] for w in wheel)
     for p in (3, 5, 7):
         if lo <= p < hi and p != ell:
@@ -223,14 +222,14 @@ _CLASS_RANK = SCAN_FIELDS.index("rank") - 1  # the rank's index in a class's val
 
 def _scan_chunk(args: tuple) -> tuple | list[tuple] | str:
     """One census window, args = (primes, lo, hi, *options), from one pass
-    of _keyed_fields over n in [lo, hi): the step of every process of the
-    pool (_pooled), so a wrapper of this name sees every window.  verify
-    gives no options and reads the pass itself.  A scan's options give the
-    rows that include_skipped and rank_filter keep, as value tuples in
-    SCAN_FIELDS order, or as CSV text (as_csv), from the class parts of
-    _shape_row: a field's CSV line is n, its class's text and n * f/n.  With
-    include_skipped, each row has a reason, a rejected n has only n and it,
-    and the csv module writes the rows."""
+    of _keyed_fields over n in [lo, hi): what every process of the pool
+    (_pooled) runs on a window, so a wrapper of this name sees every
+    window.  verify gives no options and reads the pass itself.  A scan's
+    options give the rows that include_skipped and rank_filter keep, as
+    value tuples in SCAN_FIELDS order, or as CSV text (as_csv), from the
+    class parts of _shape_row: a field's CSV line is n, its class's text and
+    n * f/n.  With include_skipped, each row has a reason, a rejected n has
+    only n and it, and the csv module writes the rows."""
     if len(args) == 3:
         return _keyed_fields(*args)
     primes, lo, hi, include_skipped, rank_filter, as_csv = args
@@ -261,41 +260,19 @@ def _usable_cpus() -> int | None:
     return os.cpu_count()
 
 
-def pool_size(jobs: int, chunks: int, cpus: int | None) -> int:
-    """Processes that compute a scan's windows: at most one per chunk and one
-    per CPU.  The scan's own process is one of them, so a pool of J forks
-    J - 1 workers."""
-    return max(1, min(jobs, chunks, cpus or 1))
-
-
-def _run_worker(worker: int, workers: int, step, windows, write_fd: int) -> None:
-    """In forked child `worker`, 1 <= worker < workers (the census's own
-    process is worker 0): step on windows worker, worker + workers, ... in
-    order, each result, or the exception it raised, pickled down write_fd."""
-    import pickle
-
-    with open(write_fd, "wb") as pipe:
-        for window in islice(windows, worker, None, workers):
-            try:
-                message = (True, step(window))
-            except Exception as exc:
-                message = (False, exc)
-            pickle.dump(message, pipe)
-            pipe.flush()
-            if not message[0]:
-                return
-
-
-def _pooled(workers: int, step, windows):
-    """The census's one window driver: step's result on each of the windows,
-    in window order, from `workers` processes.  This one runs windows 0,
-    workers, 2 * workers, ... itself, all of them when workers is 1, and
-    workers - 1 forked children (_run_worker) run the rest, dealt
-    round-robin.  The children inherit step and the windows, an iterator
-    none has started, each headed by the census's prime table, and are
-    forked before this process's first window, so it overlaps their
-    start-up.  qtr starts no threads, so forking is safe, and the children
-    inherit the module state a caller or a tracer has set."""
+def _pooled(workers: int, windows):
+    """The census's one window driver: _scan_chunk's result on each of the
+    windows, in window order, from `workers` processes.  This one runs
+    windows 0, workers, 2 * workers, ... itself, all of them when workers is
+    1, and workers - 1 forked children run the rest, dealt round-robin: child
+    k, 1 <= k < workers, runs windows k, k + workers, ... in order and pickles
+    each result, or the exception it raised, down its pipe.  Every process
+    looks up _scan_chunk at each window, so a rebinding of that module global
+    (a tracer's wrapper) sees every window.  The children inherit the
+    windows, an iterator none has started, each headed by the census's prime
+    table, and are forked before this process's first window, so it overlaps
+    their start-up.  qtr starts no threads, so forking is safe, and the
+    children inherit the module state a caller or a tracer has set."""
     readers, pids = [], []
     try:
         for worker in range(1, workers):
@@ -308,7 +285,16 @@ def _pooled(workers: int, step, windows):
                     for reader in readers:
                         reader.close()
                     os.close(read_fd)
-                    _run_worker(worker, workers, step, windows, write_fd)
+                    with open(write_fd, "wb") as pipe:
+                        for window in islice(windows, worker, None, workers):
+                            try:
+                                message = (True, _scan_chunk(window))
+                            except Exception as exc:
+                                message = (False, exc)
+                            pickle.dump(message, pipe)
+                            pipe.flush()
+                            if not message[0]:
+                                break
                     code = 0
                 finally:
                     # skip the parent's cleanup and its inherited stdio buffers
@@ -318,7 +304,7 @@ def _pooled(workers: int, step, windows):
             readers.append(open(read_fd, "rb"))
         for index, window in enumerate(windows):
             if index % workers == 0:
-                yield step(window)
+                yield _scan_chunk(window)
                 continue
             primes, lo, hi, *_ = window
             try:
@@ -336,20 +322,20 @@ def _pooled(workers: int, step, windows):
             os.waitpid(pid, 0)
 
 
-def _census(ell: int, n_max: int, jobs: int, record, step, *options):
-    """The one census driver of scan and verify: step's result on (primes,
-    lo, hi, *options) for each window of n = 1..n_max, in order from
-    _pooled, each made as it runs, in one process when there is no os.fork.
-    primes is the census's one PrimeTable(ell, record), and ell and jobs
-    are checked here, before any window is computed."""
+def _census(ell: int, n_max: int, jobs: int, record, *options):
+    """The one census driver of scan and verify: _scan_chunk's result on
+    (primes, lo, hi, *options) for each window of n = 1..n_max, in order
+    from _pooled, each made as it runs.  primes is the census's one
+    PrimeTable(ell, record), and ell and jobs are checked here, before any
+    window is computed.  The pool has one process per window and per usable
+    CPU, at most jobs, so sizing it walks at most min(jobs, CPUs) windows;
+    an unknown CPU count, or no os.fork, runs the census in this process."""
     primes = PrimeTable(ell, record)
     if jobs < 1:
         raise JobsNotPositive(f"jobs = {jobs}: a scan needs at least one worker")
-    windows = ((primes, lo, hi, *options) for lo, hi in _windows(n_max))
-    # Exact below 2**24, where every window is _CHUNK wide; too high past it,
-    # where a census has over 4,096 windows, more than the CPUs bounding J.
-    workers = pool_size(jobs, -(-n_max // _CHUNK), _usable_cpus()) if hasattr(os, "fork") else 1
-    return _pooled(workers, step, windows)
+    cpus = (_usable_cpus() or 1) if hasattr(os, "fork") else 1
+    workers = max(1, len(list(islice(_windows(n_max), min(jobs, cpus)))))
+    return _pooled(workers, ((primes, lo, hi, *options) for lo, hi in _windows(n_max)))
 
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
@@ -359,8 +345,7 @@ def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False
     output is identical for every jobs count."""
     fields = (SCAN_FIELDS + ("reason",)) if include_skipped else SCAN_FIELDS
     return [dict(zip(fields, values))
-            for rows in _census(ell, n_max, jobs, _shape_row, _scan_chunk,
-                                include_skipped, rank_filter, False)
+            for rows in _census(ell, n_max, jobs, _shape_row, include_skipped, rank_filter, False)
             for values in rows]
 
 
@@ -429,10 +414,10 @@ def cmd_scan(args, fmt: str) -> int:
     if fmt == "json":
         _answer(fmt, lambda: scan_rows(*census, *options), None)
     elif fmt == "text":
-        windows = _census(*census, _shape_row, _scan_chunk, *options, False)
+        windows = _census(*census, _shape_row, *options, False)
         _emit_table_rows([row for rows in windows for row in rows], fields)
     else:
-        windows = _census(*census, _shape_row, _scan_chunk, *options, True)
+        windows = _census(*census, _shape_row, *options, True)
         sys.stdout.write(_csv_text([fields]))
         try:
             for text in windows:
@@ -471,12 +456,12 @@ def _class_checks(ell: int, n: int, shape: NShape) -> tuple:
 
 def cmd_verify(args, fmt: str) -> int:
     """Re-check every built-in invariant over all valid n <= n_max, from one
-    pass of _keyed_fields per window (_census, _scan_chunk with no options),
+    pass of _keyed_fields per window (_census with no options),
     whose records are the class checks (_class_checks), built once per shape
     class.  bridge compares each field's conductor exponent with its class's.
     A class that fails another check is checked again at each of its fields,
     so each failure, and each cross_path error on stderr, names its n."""
-    windows = _census(args.ell, args.n_max, 1, _class_checks, _scan_chunk)
+    windows = _census(args.ell, args.n_max, 1, _class_checks)
     ell, legs = args.ell, two_squares(args.ell)
     failures: list[tuple[int, str]] = []
     fields_checked = 0
@@ -652,16 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built by build_parser() at first use;
-    parse_args leaves it unchanged, so every call in a process can share it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _strict_args(argv) or _parser().parse_args(argv)
+    args = _strict_args(argv) or build_parser().parse_args(argv)
     fmt = args.format or os.environ.get("QTR_DEFAULT_FORMAT") or "text"
     if fmt not in FORMATS:
         print(f"error: unknown format {fmt!r} (choose from {', '.join(FORMATS)})",

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qtr import cli, quartic, rank
-from qtr.cli import COMMANDS, FORMATS, main, pool_size
+from qtr.cli import COMMANDS, FORMATS, main
 from qtr.quartic import validate
 from qtr.rank import rank_closed
 
@@ -124,19 +125,29 @@ class TestScanCommand:
         assert [row["n"] for row in rows] == [1, 2, 3, 5, 6]  # 4 is skipped
 
 
-class TestPoolSize:
-    def test_two_jobs_on_two_cpus_keep_two_workers(self):
-        assert pool_size(2, 59, 2) == 2
-
-    def test_capped_by_cpus(self):
-        assert pool_size(64, 59, 2) == 2
-
-    def test_capped_by_chunks(self):
-        assert pool_size(8, 3, 16) == 3
-        assert pool_size(8, 1, 16) == 1
-
-    def test_unknown_cpu_count_runs_serially(self):
-        assert pool_size(4, 59, None) == 1
+@pytest.mark.parametrize("jobs, cpus, n_max, forks", [
+    pytest.param(2, 2, 30000, 1, id="two_jobs_on_two_cpus_keep_two_workers"),
+    pytest.param(64, 2, 30000, 1, id="capped_by_cpus"),
+    pytest.param(8, 16, 3 * cli._CHUNK, 2, id="capped_by_chunks"),
+    pytest.param(8, 16, cli._CHUNK, 0, id="one_chunk_runs_serially"),
+    pytest.param(4, None, 30000, 0, id="unknown_cpu_count_runs_serially"),
+])
+def test_a_pool_has_one_process_per_window_and_cpu(capsys, monkeypatch, jobs, cpus, n_max,
+                                                   forks):
+    # the scan's own process is one of the pool's, so it forks one worker
+    # fewer than the least of jobs, the usable CPUs and the windows (N = 3e4
+    # is 8 of them); the bytes are --jobs 1's
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    forked = []
+    real_fork = os.fork
+    monkeypatch.setattr(cli.os, "fork", lambda: forked.append(1) or real_fork())
+    argv = ["scan", "--ell", "37", "--n-max", str(n_max), "--format", "csv"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert forked == []
+    assert main(argv + ["--jobs", str(jobs)]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(forked) == forks
 
 
 class TestVerifyCommand:
@@ -530,7 +541,7 @@ class TestCommandLineParse:
         # with argparse prints
         args = cli._strict_args(argv)
         if args is not None:
-            assert vars(args) == vars(cli._parser().parse_args(argv))
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))
         else:
             with mock.patch.object(cli, "_strict_args", lambda argv: None):
                 expected = outcome(argv)

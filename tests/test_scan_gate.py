@@ -385,6 +385,22 @@ def test_a_wide_window_equals_its_narrow_windows(ell):
         [n for fields, _ in passes for n in fields], [r for _, records in passes for r in records])
 
 
+def test_the_wheel_lengthens_at_the_first_window_of_each_width():
+    # the table's wheel is one period until a window outruns it; it is
+    # repeated in place then, at the first 4,096-wide window and again at
+    # the first 32,768-wide one at 1e9, and every other window is a slice
+    primes = PrimeTable(37)
+    assert [len(w) for w in primes.wheel] == [cli._WHEEL] * 2
+    windows = [*list(cli._windows(30000))[:3], *list(cli._windows(10**9))[-4:-1]]
+    assert [hi - lo for lo, hi in windows] == [4096] * 3 + [32768] * 3
+    lengthened = []
+    for lo, hi in windows:
+        keys = primes.wheel[0]
+        cli._keyed_fields(primes, lo, hi)
+        lengthened.append(primes.wheel[0] is not keys)
+    assert lengthened == [True, False, False, True, False, False]
+
+
 def field_conductor(ell, n):
     """The conductor of (ell, n) from the one conductor rule at n itself."""
     return conductor_parts(*williams_abc(n, two_squares(ell))[:2], ell)[1]
@@ -650,11 +666,11 @@ def test_a_census_table_stays_within_its_classes(capsys, monkeypatch):
 
 
 def test_a_scan_makes_its_windows_as_they_run():
-    # a list of every window's step would hold 1,953,125 tuples at
+    # a list of every window's arguments would hold 44,854 tuples at
     # n_max = 1e9; the first window comes with a few MB at most
     tracemalloc.start()
     try:
-        windows = cli._census(37, 10**9, 1, cli._shape_row, cli._scan_chunk, False, None, True)
+        windows = cli._census(37, 10**9, 1, cli._shape_row, False, None, True)
         first = next(windows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -778,6 +794,31 @@ def test_a_pool_at_the_census_width_forks_one_worker(capsys, monkeypatch):
     assert forks == [1]
     assert [window[1:3] for window in entries] == list(cli._windows(30000))[::2]
     assert_no_child_left()
+
+
+def test_a_huge_jobs_count_does_bounded_work(capsys, monkeypatch):
+    # on two usable CPUs, --jobs 1e9 at N = 1e12 sizes its pool from at most
+    # two windows and asks for two processes, one of them forked; the
+    # stubbed pool runs no census
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    walked, pools = [], []
+    real_windows = cli._windows
+
+    def windows(n_max):
+        for window in real_windows(n_max):
+            walked.append(window)
+            yield window
+
+    def pooled(workers, windows):
+        pools.append(workers)
+        yield from ()
+
+    monkeypatch.setattr(cli, "_windows", windows)
+    monkeypatch.setattr(cli, "_pooled", pooled)
+    argv = ["scan", "--ell", "37", "--n-max", str(10**12), "--format", "csv", "--jobs", str(10**9)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == HEADER + "\n"
+    assert len(walked) <= 2 and pools == [2]
 
 
 def assert_no_child_left():

@@ -136,34 +136,25 @@ def test_single_field_commands_build_no_census_state(capsys, monkeypatch):
     assert built == [37] and sieved == [1, 513] and wheels == [37]
 
 
-def test_parser_built_once():
-    assert cli._parser() is cli._parser()
-    assert cli.build_parser() is not cli.build_parser()
-
-
 def test_parser_built_through_the_module_global(capsys, monkeypatch):
-    # A rebinding of qtr.cli.build_parser, as a tracer makes, sees the one
-    # build: none for well-formed calls, which main parses itself, and one for
-    # the first call that needs argparse, here for its --name=value spelling.
+    # A rebinding of qtr.cli.build_parser, as a tracer makes, sees every
+    # build: none for well-formed calls, which main parses itself, and one
+    # for each call that needs argparse, here for its --name=value spelling.
     builds = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        for _ in range(3):
-            assert main(["unit", "--ell", "29", "--format", "csv"]) == 0
-        assert builds == []
-        for _ in range(3):
-            assert main(["unit", "--ell=29", "--format", "csv"]) == 0
-    finally:
-        cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["unit", "--ell", "29", "--format", "csv"]) == 0
+    assert builds == []
+    for _ in range(3):
+        assert main(["unit", "--ell=29", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "ell,u,v\n29,5,1\n" * 6
-    assert builds == [1]
+    assert builds == [1, 1, 1]
 
 
 def test_reused_parser_keeps_no_state(capsys):
     # main parses the first spelling of --n-max itself, and argparse the
-    # second, with the process's one parser
+    # second; either way a call leaves nothing behind for the next
     for n_max in (["--n-max", "300"], ["--n-max=300"]):
         argv = ["scan", "--ell", "37", *n_max, "--format", "csv"]
         assert main(argv[:1] + ["--include-skipped"] + argv[1:]) == 0

@@ -458,6 +458,14 @@ def test_scan_cost_needs_a_positive_n():
     assert "--n-max must be at least 1" in proc.stderr
 
 
+def test_scan_cost_needs_a_positive_jobs_count():
+    script = Path(__file__).resolve().parents[1] / "tools" / "scan_cost.py"
+    proc = subprocess.run([sys.executable, str(script), "--n-max", "10", "--jobs", "1", "0"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--jobs must be at least 1" in proc.stderr
+
+
 def test_split_cost_counts_every_split_by_its_stage():
     # one line per band in the order given; stage 1, stage 2 and rho split
     # every n of the band between them

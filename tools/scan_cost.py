@@ -63,6 +63,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.n_max) < 1:
         parser.error("each N of --n-max must be at least 1")
+    if min(args.jobs) < 1:
+        parser.error("each J of --jobs must be at least 1")
     print(f"{'N':>10}  jobs  {'wall_s':>7}  {'us_per_n':>8}  {'rss_mb':>6}  {'sha256':<12}  "
           "load before/after")
     for n_max in args.n_max:
