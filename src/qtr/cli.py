@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
+import json.encoder
 import os
 import sys
 import types
@@ -253,6 +253,40 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+# The stdlib's quoting, bound once: a tracer may rebind this module's json
+# to a namespace that holds only a traced dumps.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """The json module's dumps(obj, indent=2), with pad in place of each line
+    break, from dicts with str keys, lists, tuples, strs (the stdlib's own
+    quoting), ints, True, False and None; anything else, a float among them,
+    raises TypeError.  Given an indent, dumps skips its C encoder on CPython
+    3.10-3.12 and takes about twice this writer's time there; on 3.13 its C
+    path is the faster."""
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [f"{_json_str(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+            return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+        return f"[{inner}{(',' + inner).join([_json_text(value, inner) for value in obj])}{pad}]"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _usable_cpus() -> int | None:
     """The CPUs this process may run on; os.cpu_count() counts the machine's."""
     if hasattr(os, "sched_getaffinity"):
@@ -339,14 +373,17 @@ def _census(ell: int, n_max: int, jobs: int, record, *options):
 
 
 def scan_rows(ell: int, n_max: int, jobs: int = 1, include_skipped: bool = False,
-              rank_filter: int | None = None) -> list[dict]:
+              rank_filter: int | None = None):
     """The scan's rows as dicts keyed by SCAN_FIELDS (and "reason" with
-    include_skipped), ascending by n.  Windows are merged in order, so the
-    output is identical for every jobs count."""
+    include_skipped), ascending by n: one list per window of _census, each
+    made as it runs.  Closing it reaps the census's pool."""
     fields = (SCAN_FIELDS + ("reason",)) if include_skipped else SCAN_FIELDS
-    return [dict(zip(fields, values))
-            for rows in _census(ell, n_max, jobs, _shape_row, include_skipped, rank_filter, False)
-            for values in rows]
+    windows = _census(ell, n_max, jobs, _shape_row, include_skipped, rank_filter, False)
+    try:
+        for rows in windows:
+            yield [dict(zip(fields, values)) for values in rows]
+    finally:
+        windows.close()
 
 
 def _answer(fmt: str, record, text, table=None) -> None:
@@ -355,7 +392,7 @@ def _answer(fmt: str, record, text, table=None) -> None:
     table(), header first, or else record()'s keys over its values, and
     text the lines text()."""
     if fmt == "json":
-        print(json.dumps(record(), indent=2))
+        print(_json_text(record()))
     elif fmt == "csv":
         sys.stdout.write(_csv_text(table() if table else zip(*record().items())))
     else:
@@ -407,23 +444,34 @@ def cmd_rank(args, fmt: str) -> int:
 
 
 def cmd_scan(args, fmt: str) -> int:
-    """CSV streams one window at a time; text needs every row for its column
-    widths, and JSON is one document, of scan_rows."""
+    """CSV and JSON stream one window at a time, JSON from scan_rows; text
+    needs every row for its column widths.  A scan that fails leaves the
+    rows of the windows before the failure on stdout: in JSON, a document
+    with no closing bracket."""
     census, options = (args.ell, args.n_max, args.jobs), (args.include_skipped, args.rank)
     fields = (SCAN_FIELDS + ("reason",)) if args.include_skipped else SCAN_FIELDS
-    if fmt == "json":
-        _answer(fmt, lambda: scan_rows(*census, *options), None)
-    elif fmt == "text":
+    if fmt == "text":
         windows = _census(*census, _shape_row, *options, False)
         _emit_table_rows([row for rows in windows for row in rows], fields)
-    else:
+        return 0
+    if fmt == "csv":
         windows = _census(*census, _shape_row, *options, True)
         sys.stdout.write(_csv_text([fields]))
-        try:
-            for text in windows:
-                sys.stdout.write(text)
-        finally:
-            windows.close()  # so a failed write still reaps the pool's workers
+    else:
+        windows = scan_rows(*census, *options)
+    opening = "[\n  "
+    try:
+        for window in windows:
+            if fmt == "csv":
+                sys.stdout.write(window)
+            elif window:
+                rows = [_json_text(row, "\n  ") for row in window]
+                sys.stdout.write(opening + ",\n  ".join(rows))
+                opening = ",\n  "
+    finally:
+        windows.close()  # so a failed write still reaps the pool's workers
+    if fmt == "json":
+        sys.stdout.write("[]\n" if opening == "[\n  " else "\n]\n")
     return 0
 
 

@@ -178,6 +178,20 @@ class TestVerifyCommand:
             ["check", "pass", "fail"], *([check, "1776", "0"] for check in cli._CHECKS)]
 
 
+def fail_in_the_second_window(monkeypatch):
+    """Break the census's rank check at n = 2 * 3 * 7 * 13 = 546, in the
+    second 512-wide window, the first field of its shape class, so the
+    census runs flat_ranks on it."""
+    real = cli.flat_ranks
+
+    def flat_ranks(ell, n, shape):
+        if n == 546:
+            shape = shape._replace(t1=shape.t1 + 1)  # one inert p too many
+        return real(ell, n, shape)
+
+    monkeypatch.setattr(cli, "flat_ranks", flat_ranks)
+
+
 class TestFailingChecksExit3:
     """A check that fails mid-run exits 3 and names (ell, n) and the check."""
 
@@ -231,21 +245,27 @@ class TestFailingChecksExit3:
         monkeypatch.setattr(cli, "_CHUNK", 512)  # windows 1..512, 513..1024, ...
         _, first_window, _ = run(capsys, "scan", "--ell", "37", "--n-max", "512",
                                  "--format", "csv")
-        real = cli.flat_ranks
-
-        def flat_ranks(ell, n, shape):
-            # 2 * 3 * 7 * 13, in the second window 513..1024, is the first
-            # field of its shape class, so the census runs flat_ranks on it
-            if n == 546:
-                shape = shape._replace(t1=shape.t1 + 1)  # one inert p too many
-            return real(ell, n, shape)
-
-        monkeypatch.setattr(cli, "flat_ranks", flat_ranks)
+        fail_in_the_second_window(monkeypatch)
         code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "2000",
                              "--format", "csv")
         assert code == 3
         assert out == first_window
         assert out.startswith("n,delta,shape,mu,r_star,rank,case,conductor\n")
+        assert "ell=37 n=546" in err
+
+    def test_scan_json_stops_after_the_first_window(self, capsys, monkeypatch):
+        # window 0's rows, as the document of n <= 512 has them, and no
+        # closing bracket
+        monkeypatch.setattr(cli, "_CHUNK", 512)
+        _, first_window, _ = run(capsys, "scan", "--ell", "37", "--n-max", "512",
+                                 "--format", "json")
+        fail_in_the_second_window(monkeypatch)
+        code, out, err = run(capsys, "scan", "--ell", "37", "--n-max", "2000",
+                             "--format", "json")
+        assert code == 3
+        assert first_window.endswith("\n]\n")
+        assert out == first_window[:-len("\n]\n")]
+        assert out.startswith('[\n  {\n    "n": 1,')
         assert "ell=37 n=546" in err
 
 
@@ -553,3 +573,44 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "rank 1" in proc.stdout
+
+
+# strs from all of Unicode, lone surrogates too, with the characters JSON
+# escapes or that qtr writes drawn often
+JSON_STRS = st.text(st.characters(exclude_categories=()) | st.sampled_from('·"\\\x00\x1f\x7f\n\t')
+                    | st.characters(min_codepoint=0x10000))
+# ints of every sign, and past CPython's 4300-digit int-to-str limit
+JSON_INTS = st.integers() | st.builds(lambda digits, low, sign: sign * (10**digits + low),
+                                      st.integers(4290, 4400), st.integers(),
+                                      st.sampled_from((1, -1)))
+
+
+def json_values(depth: int):
+    """A value that _json_text writes: a scalar, or dicts with str keys,
+    lists and tuples, empty ones too, nested to depth."""
+    values = JSON_INTS | JSON_STRS | st.booleans() | st.none()
+    for _ in range(depth):
+        values = (values | st.lists(values, max_size=4) | st.lists(values, max_size=4).map(tuple)
+                  | st.dictionaries(JSON_STRS, values, max_size=4))
+    return values
+
+
+class TestJsonText:
+    """cli._json_text writes what json.dumps(indent=2) writes, for the values
+    it takes, and refuses the rest."""
+
+    @seed(39)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(obj=json_values(4), pad=st.sampled_from(("\n", "\n  ")))
+    def test_json_text_equals_json_dumps(self, obj, pad):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # as main writes its answers
+        try:
+            assert cli._json_text(obj, pad) == json.dumps(obj, indent=2).replace("\n", pad)
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize("obj", [1.0, 0.0, {1: "one"}, {"a", "b"}, ["x", {"y": 1.0}]])
+    def test_other_values_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)

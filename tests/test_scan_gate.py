@@ -3,6 +3,7 @@ per-prime step runs, and the sieve it reads."""
 
 import functools
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from math import isqrt
 import pytest
 
 from qtr import cli, ntheory, rank
-from qtr.cli import _CHUNK, PrimeTable, main, scan_rows
+from qtr.cli import _CHUNK, PrimeTable, main
 from qtr.errors import InternalCheckError, NotCoprime, NotSquarefree
 from qtr.ntheory import factor_squarefree, is_prime, legendre, two_squares
 from qtr.quad import splitting_type
@@ -29,6 +30,16 @@ def test_scan_csv_bytes(capsys):
     assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_37_3000_SHA256
+
+
+# sha256 of `qtr scan --ell 37 --n-max 3000 --format json`.
+SCAN_JSON_37_3000_SHA256 = "052770b8cf740d9fcbebd8d4c6e22dc64f2c19d33404d46d68c52351db9a6d2a"
+
+
+def test_scan_json_bytes(capsys):
+    assert main(["scan", "--ell", "37", "--n-max", "3000", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_JSON_37_3000_SHA256
 
 
 # sha256 of `qtr scan --ell 37 --n-max 30000 --format csv`, the census of
@@ -58,6 +69,37 @@ def test_scan_text_bytes(capsys, options):
     assert main(["scan", "--ell", "37", "--n-max", "30000", *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_TEXT_30000_SHA256[options]
+
+
+# sha256 of `qtr scan --ell 37 --n-max 30000 --format json`, 8 windows, with
+# each set of row options, pinned while the JSON scan was one json.dumps of
+# every row.
+SCAN_JSON_30000_SHA256 = {
+    (): "0d8c5c65e1800ac511e6101a0cbf48a95ed0c032b63d643541a6d4c7904e382a",
+    ("--include-skipped",): "47ca5c4e5e4fbb87e668423645f314162c8e7ab24fcf2559ac946d170b7c6138",
+    ("--rank", "2"): "9bcd613ec6d67950600e47a359e85179af9112510e5d4b9c94ef8da5226902e5",
+    ("--include-skipped", "--rank", "2"):
+        "773ce302707afa6d8282bc04ec2dd61612b0e10ebf742dee69fc1100b79a1f66",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("options", sorted(SCAN_JSON_30000_SHA256))
+def test_census_json_bytes(capsys, monkeypatch, options, jobs):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "json", *options]
+    assert main(argv + ["--jobs", jobs]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_JSON_30000_SHA256[options]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_json_scan_that_keeps_no_row_is_an_empty_list(capsys, monkeypatch, jobs):
+    # no field has rank 99, so none of the 8 windows writes a row
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["scan", "--ell", "37", "--n-max", "30000", "--format", "json", "--rank", "99"]
+    assert main(argv + ["--jobs", jobs]) == 0
+    assert capsys.readouterr().out == "[]\n"
 
 
 # sha256 over `qtr verify --ell E --n-max 3000 --format json` for the twelve
@@ -110,7 +152,13 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
     return calls
 
 
-def test_census_work_is_per_prime(monkeypatch):
+def scan_json(capsys, ell: int, n_max: int) -> list[dict]:
+    """The rows of `qtr scan --ell ell --n-max n_max --format json`."""
+    assert main(["scan", "--ell", str(ell), "--n-max", str(n_max), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_census_work_is_per_prime(capsys, monkeypatch):
     # The sieve gives each n its primes, so nothing is factored; the census
     # computes no quartic symbol, each split prime gets one reciprocity
     # check in its prime table, and both rank paths run once per shape
@@ -122,7 +170,7 @@ def test_census_work_is_per_prime(monkeypatch):
     real = cli.legendre
     monkeypatch.setattr(cli, "legendre", lambda a, p: checks.append(p) or real(a, p))
     ranked = count_calls(monkeypatch, "qtr.rank", "flat_ranks")
-    rows = scan_rows(37, 3000)
+    rows = scan_json(capsys, 37, 3000)
     assert len(rows) == 1776
     assert factored == [] and tables == [] and symbols == []
     split = {p for row in rows for p in factor_squarefree(row["n"])
@@ -407,11 +455,11 @@ def field_conductor(ell, n):
 
 
 @pytest.mark.parametrize("ell", [5, 37, 197, 1000000021])
-def test_every_row_has_the_conductor_of_its_own_n(ell):
+def test_every_row_has_the_conductor_of_its_own_n(capsys, ell):
     # the census reads f/n once per shape class; every row's conductor is
     # still the rule's value at its own n, below 3e4 and in windows far past
     # a warm first one
-    rows = [(row["n"], row["conductor"]) for row in scan_rows(ell, 30000)]
+    rows = [(row["n"], row["conductor"]) for row in scan_json(capsys, ell, 30000)]
     primes = PrimeTable(ell)
     window_rows(primes, 1, 513)
     for lo in (100_001, 999_489):
@@ -420,10 +468,10 @@ def test_every_row_has_the_conductor_of_its_own_n(ell):
     assert [f for _, f in rows] == [field_conductor(ell, n) for n, _ in rows]
 
 
-def test_scan_reads_the_conductor_once_per_shape_class(monkeypatch):
+def test_scan_reads_the_conductor_once_per_shape_class(capsys, monkeypatch):
     conductors = count_calls(monkeypatch, "qtr.quartic", "conductor_parts")
     classes = count_calls(monkeypatch, "qtr.cli", "_shape_row")
-    rows = scan_rows(37, 3000)
+    rows = scan_json(capsys, 37, 3000)
     assert len(rows) == 1776
     assert 0 < len(conductors) == len(classes) < len(rows) / 4
 
@@ -467,13 +515,11 @@ def test_a_conductor_off_its_class_ratio_is_named(capsys, monkeypatch):
         return (e, f + 1) if a == 41 else (e, f)
 
     monkeypatch.setattr(cli, "conductor_parts", conductor_parts)
-    with pytest.raises(InternalCheckError,
-                       match=r"^ell=37 n=41 check=conductor: f = 6069 is not a multiple of n$"):
-        scan_rows(37, 100)
+    error = "internal error: ell=37 n=41 check=conductor: f = 6069 is not a multiple of n\n"
+    assert main(["scan", "--ell", "37", "--n-max", "100", "--format", "json"]) == 3
+    assert capsys.readouterr() == ("", error)
     assert main(["scan", "--ell", "37", "--n-max", "100", "--format", "csv"]) == 3
-    out, err = capsys.readouterr()
-    assert out == HEADER + "\n"
-    assert err == "internal error: ell=37 n=41 check=conductor: f = 6069 is not a multiple of n\n"
+    assert capsys.readouterr() == (HEADER + "\n", error)
 
 
 def window_rows(primes, lo, hi):
@@ -602,7 +648,7 @@ def test_census_builds_no_columns(capsys, monkeypatch):
     # the prime table's fill runs the entry rule alone; only a character
     # table builds its columns
     profiles = count_calls(monkeypatch, "qtr.rank", "ram_profile")
-    assert len(scan_rows(37, 3000)) == 1776
+    assert len(scan_json(capsys, 37, 3000)) == 1776
     assert main(["verify", "--ell", "37", "--n-max", "3000"]) == 0
     assert profiles == []
     assert main(["table", "--ell", "37", "--n", "4757"]) == 0
@@ -677,6 +723,22 @@ def test_a_scan_makes_its_windows_as_they_run():
         tracemalloc.stop()
     windows.close()
     assert first == cli._scan_chunk((PrimeTable(37), 1, _CHUNK + 1, False, None, True))
+    assert peak < 4 * 2**20
+
+
+def test_a_json_scan_holds_one_window_of_rows_at_a_time(monkeypatch):
+    # the 8 windows of N = 3e4 as one document of every row peaked at 31.7
+    # MiB; written a window at a time, the scan peaks at 2-3 MiB
+    digest = hashlib.sha256()
+    sink = type("Sink", (), {"write": lambda self, text: digest.update(text.encode())})
+    monkeypatch.setattr(sys, "stdout", sink())
+    tracemalloc.start()
+    try:
+        assert main(["scan", "--ell", "37", "--n-max", "30000", "--format", "json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == SCAN_JSON_30000_SHA256[()]
     assert peak < 4 * 2**20
 
 
@@ -871,6 +933,22 @@ def test_a_closed_stdout_exits_1_quietly(jobs):
                             stderr=subprocess.PIPE, text=True)
     try:
         assert proc.stdout.readline() == HEADER + "\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err
+    assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_closed_stdout_exits_1_quietly_in_json(jobs):
+    # the JSON scan, whose first window's rows fill the pipe in one write
+    argv = ["scan", "--ell", "37", "--n-max", "300000", "--format", "json", "--jobs", jobs]
+    proc = subprocess.Popen([sys.executable, "-c", scan_script(argv)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "[\n"
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     finally:

@@ -17,7 +17,7 @@ import pytest
 
 import qtr
 
-from .test_scan_gate import SCAN_37_3000_SHA256, SCAN_37_30000_SHA256
+from .test_scan_gate import SCAN_37_3000_SHA256, SCAN_37_30000_SHA256, SCAN_JSON_37_3000_SHA256
 from .test_single_field_gate import SINGLE_FIELD_SHA256, requests
 
 SOURCES = sorted(Path(qtr.__file__).parent.glob("*.py"))
@@ -388,14 +388,15 @@ def test_census_bytes_under_every_supported_python():
     env = {**os.environ, "PYTHONPATH": src}
     # 512-wide windows, so --jobs 2 deals N = 3000's 6 windows to a pool
     script = "import sys; from qtr import cli; cli._CHUNK = 512; sys.exit(cli.main())"
+    pinned = {"csv": SCAN_37_3000_SHA256, "json": SCAN_JSON_37_3000_SHA256}
     for python in pythons:
-        for jobs in ("1", "2"):
+        for fmt, jobs in ((fmt, jobs) for fmt in pinned for jobs in ("1", "2")):
             proc = subprocess.run([str(python), "-c", script, "scan", "--ell", "37", "--n-max",
-                                   "3000", "--format", "csv", "--jobs", jobs],
+                                   "3000", "--format", fmt, "--jobs", jobs],
                                   capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 0, (python, jobs, proc.stderr)
+            assert proc.returncode == 0, (python, fmt, jobs, proc.stderr)
             digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-            assert digest == SCAN_37_3000_SHA256, (python, jobs)
+            assert digest == pinned[fmt], (python, fmt, jobs)
 
 
 # digest() of test_single_field_gate, for each key of a JSON dict of requests,
@@ -422,8 +423,10 @@ def test_single_field_bytes_under_every_supported_python():
         pytest.skip("no other CPython >= requires-python is installed beside this one")
     src = str(Path(qtr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    # rank and table in every format, and every command's JSON, which
+    # cli._json_text writes in place of the stdlib's encoder
     pinned = {key: SINGLE_FIELD_SHA256[key] for key in SINGLE_FIELD_SHA256
-              if key.split()[0] in ("rank", "table")}
+              if key.split()[0] in ("rank", "table") or key.endswith(" json")}
     argvs = json.dumps({key: requests(*key.split()) for key in pinned})
     for python in pythons:
         proc = subprocess.run([str(python), "-c", DIGEST_SCRIPT, argvs], capture_output=True,
@@ -448,6 +451,18 @@ def test_scan_cost_alternates_its_jobs_at_each_n():
     for line in lines:
         wall, us_per_n = map(float, line.split()[2:4])
         assert abs(us_per_n * 3000 / 1e6 - wall) <= 0.005 + 3000 * 0.005 / 1e6
+
+
+def test_scan_cost_times_a_json_scan():
+    # --format json runs the JSON scan, with the CSV run's header
+    script = Path(__file__).resolve().parents[1] / "tools" / "scan_cost.py"
+    proc = subprocess.run([sys.executable, str(script), "--format", "json", "--n-max", "3000"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, line = proc.stdout.splitlines()
+    assert header.split()[:6] == ["N", "jobs", "wall_s", "us_per_n", "rss_mb", "sha256"]
+    assert line.split()[:2] == ["3000", "1"]
+    assert line.split()[5] == SCAN_JSON_37_3000_SHA256[:12]
 
 
 def test_scan_cost_needs_a_positive_n():

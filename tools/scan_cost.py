@@ -2,14 +2,15 @@
 
     python3 tools/scan_cost.py --n-max 100000 1000000 10000000 --jobs 1
     python3 tools/scan_cost.py --n-max 1000000 1000000 1000000 --jobs 1 2
+    python3 tools/scan_cost.py --n-max 300000 --format json
 
 For each N, in the order given (repeat an N to run it again), and for each J
 of --jobs in turn, so that `--jobs 1 2` gives paired runs, it runs
-`python -m qtr.cli scan --ell 37 --n-max N --format csv --jobs J` in src/ of
-this checkout, which `-m` puts first on sys.path (PYTHONSAFEPATH, which
-would stop it, is unset for the child), so qtr is imported from there
-whatever the working directory and PYTHONPATH hold, and hashes the output
-as it streams.
+`python -m qtr.cli scan --ell 37 --n-max N --format F --jobs J`, F being
+--format (csv unless given), in src/ of this checkout, which `-m` puts first
+on sys.path (PYTHONSAFEPATH, which would stop it, is unset for the child),
+so qtr is imported from there whatever the working directory and PYTHONPATH
+hold, and hashes the output as it streams.
 The peak RSS is that child's own, from os.wait4: the larger of its own peak
 and that of each pool worker it waited for.  (The parent's
 getrusage(RUSAGE_CHILDREN) would keep the maximum over every child waited
@@ -34,12 +35,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ELL = 37
 
 
-def run_scan(n_max: int, jobs: int) -> tuple[float, float, str]:
+def run_scan(n_max: int, jobs: int, fmt: str = "csv") -> tuple[float, float, str]:
     """One scan in a fresh child: its wall time in s, its peak RSS in MB and
-    the sha256 prefix of its CSV."""
+    the sha256 prefix of its output in fmt."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONSAFEPATH"}
     argv = [sys.executable, "-m", "qtr.cli", "scan", "--ell", str(ELL), "--n-max", str(n_max),
-            "--format", "csv", "--jobs", str(jobs)]
+            "--format", fmt, "--jobs", str(jobs)]
     digest = hashlib.sha256()
     start = time.perf_counter()
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, cwd=SRC, env=env)
@@ -60,6 +61,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n-max", type=int, nargs="+", required=True)
     parser.add_argument("--jobs", type=int, nargs="+", default=[1])
+    parser.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     args = parser.parse_args(argv)
     if min(args.n_max) < 1:
         parser.error("each N of --n-max must be at least 1")
@@ -70,7 +72,7 @@ def main(argv=None) -> int:
     for n_max in args.n_max:
         for jobs in args.jobs:
             before = os.getloadavg()[0]
-            wall, rss_mb, digest = run_scan(n_max, jobs)
+            wall, rss_mb, digest = run_scan(n_max, jobs, args.format)
             after = os.getloadavg()[0]
             print(f"{n_max:>10}  {jobs:>4}  {wall:>7.2f}  {wall / n_max * 1e6:>8.2f}  "
                   f"{rss_mb:>6.1f}  {digest}  {before:.2f}/{after:.2f}", flush=True)
